@@ -34,7 +34,7 @@ from .morphisms import (
     spectral_class,
     translation_image,
 )
-from .qfield import QuadraticNumber, as_quadratic
+from .qfield import Frame, QuadraticNumber, as_quadratic
 from .words import (
     TERNARY,
     Word,
@@ -264,19 +264,18 @@ def recover_parameters(
     if u.count("B") == 0:
         raise RecoveryError("no B occurrences in the word")
     v = B_AS_01.apply(u)
-    series = height_f(v, eps)
-    c_hat = series.minimum
+    heights = height_f(v, eps).values
+    c_hat = heights[heights.argmin()]
     positions = _b_second_letter_indices(u)
-    position_values = [series[k] for k in positions]
-    floor_value = min(position_values)
-    attained = sum(1 for x in position_values if x == floor_value) >= 2
-    l_hat = floor_value - c_hat
+    floor_at = heights.argmin(positions)
+    floor_key = heights.key(floor_at)
+    attained = sum(1 for k in positions if heights.key(k) == floor_key) >= 2
+    l_hat = heights[floor_at] - c_hat
     position_set = set(positions)
-    other_high = max(
-        (series[k] for k in range(len(v)) if k not in position_set),
-        default=None,
+    other_high = heights.argmax(k for k in range(len(v)) if k not in position_set)
+    threshold_consistent = (
+        other_high is None or heights.compare(floor_at, other_high) > 0
     )
-    threshold_consistent = other_high is None or floor_value > other_high
 
     try:
         params = IetParameters(eps, l_hat, c_hat)
@@ -307,7 +306,7 @@ def recover_parameters(
         c_hat=c_hat,
         l_hat=l_hat,
         attained_infimum=attained,
-        sample_size=len(series),
+        sample_size=len(heights),
         position_count=len(positions),
         threshold_consistent=threshold_consistent,
         convention=convention,
@@ -530,9 +529,13 @@ def substitution_audit(
         starts.append(starts[-1] + len(m.images[ch]))
     while starts[checked] > len(u):
         checked -= 1
-    g = height_g(u[: starts[checked]], eps)
+    # heights are p - q*eps, so g[starts[n]] - lam_conj * g[n] is an integer
+    # combination of 1, -eps, lam_conj and -lam_conj*eps that must vanish
+    g = height_g(u[: starts[checked]], eps).values
+    frame = Frame((1, -eps, lam_conj, -lam_conj * eps))
     fields["scaling_relation_holds"] = all(
-        g[starts[n]] == lam_conj * g[n] for n in range(checked + 1)
+        frame.combine((g.p[starts[n]], g.q[starts[n]], -g.p[n], -g.q[n])) == (0, 0)
+        for n in range(checked + 1)
     )
     fields["scaling_prefixes"] = checked
 
@@ -621,19 +624,29 @@ def facts_check(
     u_head = fixed_point_prefix(m, seed=seed, n=depth)
     total = sum(len(m.images[ch]) for ch in u_head.letters)
     u = fixed_point_prefix(m, seed=seed, n=total)
-    heights = height_g(u, params)
-    translations = params.translations
-    iet = ThreeIet(params)
 
-    prefix_heights: dict[tuple[str, int], QuadraticNumber] = {}
+    # every point is an integer numerator over one frame: the height
+    # generators 1 and -epsilon, the four cuts, then any planted heights
+    overrides = dict(t_override or {})
+    c, eps = params.offset_c, params.epsilon
+    frame = Frame(
+        (1, -eps, c, c + params.alpha, c + eps, c + params.length_l, *overrides.values())
+    )
+    cuts = frame.rows[2:6]
+    lattice = height_g(u, params).values
+    heights = [frame.combine(pq) for pq in zip(lattice.p, lattice.q)]
+
+    def letter_at(point) -> str | None:
+        # the count of cuts at or below a point names its left-closed interval
+        below = sum(frame.sign((point[0] - a, point[1] - b)) >= 0 for a, b in cuts)
+        return (None, "A", "B", "C", None)[below]
+
+    prefix_heights: dict[tuple[str, int], tuple[int, int]] = {}
     for letter in m.source:
-        acc = QuadraticNumber(0)
-        for j, ch in enumerate(m.images[letter]):
-            prefix_heights[(letter, j)] = acc
-            acc = acc + translations[ch]
-    if t_override:
-        for key, value in t_override.items():
-            prefix_heights[key] = as_quadratic(value)
+        image = height_g(m.images[letter], params).values
+        for j in range(len(m.images[letter])):
+            prefix_heights[(letter, j)] = frame.combine((image.p[j], image.q[j]))
+    prefix_heights.update(zip(overrides, frame.rows[6:]))
 
     starts = [0]
     for ch in u_head.letters:
@@ -643,15 +656,16 @@ def facts_check(
     shift_consistent = True
     sets_disjoint = True
     uniform_next_letter = True
-    seen: dict[QuadraticNumber, tuple] = {}
-    union: set[QuadraticNumber] = set()
+    seen: dict[tuple[int, int], tuple] = {}
+    union: set[tuple[int, int]] = set()
     for letter in m.source:
         occurrences = [n for n in range(depth) if u_head.letters[n] == letter]
         for j in range(len(m.images[letter])):
             t_w = prefix_heights[(letter, j)]
             next_letters = set()
             for n in occurrences:
-                point = heights[starts[n]] + t_w
+                start = heights[starts[n]]
+                point = (start[0] + t_w[0], start[1] + t_w[1])
                 if point != heights[starts[n] + j]:
                     shift_consistent = False
                     findings.append(
@@ -664,17 +678,17 @@ def facts_check(
                     findings.append(
                         f"sets for ({letter}, prefix {j}) and "
                         f"({other[0]}, prefix {other[1]}) share the point "
-                        f"{point} (occurrences {n} and {other[2]})"
+                        f"{frame.value(point)} (occurrences {n} and {other[2]})"
                     )
                 else:
                     seen[point] = (letter, j, n)
                 union.add(point)
                 next_letters.add(u.letters[starts[n] + j])
-                interval_letter = iet.letter(point)
+                interval_letter = letter_at(point)
                 if interval_letter != u.letters[starts[n] + j]:
                     uniform_next_letter = False
                     findings.append(
-                        f"point {point} of ({letter}, prefix {j}) sits in "
+                        f"point {frame.value(point)} of ({letter}, prefix {j}) sits in "
                         f"interval {interval_letter} but precedes letter "
                         f"{u.letters[starts[n] + j]}"
                     )
@@ -684,7 +698,7 @@ def facts_check(
                     f"({letter}, prefix {j}) precedes several letters: "
                     f"{sorted(next_letters)}"
                 )
-    expected_union = {heights[k] for k in range(starts[depth])}
+    expected_union = set(heights[: starts[depth]])
     union_complete = union == expected_union
     if not union_complete:
         findings.append(

@@ -41,6 +41,9 @@ from .words import TERNARY, Word, balance, complexity
 
 __all__ = ["main"]
 
+#: longest orbit gen3iet and gensturm code; each point is printed in full
+MAX_ORBIT_LENGTH = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit 1, not 2."""
@@ -57,6 +60,18 @@ def _num(x) -> dict:
 
 def _opt_num(x) -> dict | None:
     return None if x is None else _num(x)
+
+
+def _orbit_length(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_ORBIT_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"orbit length {n} exceeds the limit of {MAX_ORBIT_LENGTH} points"
+        )
+    return n
 
 
 def _read_word_argument(args) -> Word:
@@ -510,7 +525,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--epsilon", required=True)
     gen.add_argument("--l", required=True)
     gen.add_argument("--c", default="0")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_orbit_length, required=True)
     gen.add_argument(
         "--right-closed", action="store_true", help="use right-closed intervals"
     )
@@ -520,7 +535,7 @@ def _build_parser() -> _Parser:
         "gensturm", parents=[common], help="code the orbit of 0 under a rotation")
     gsturm.add_argument("--epsilon", required=True)
     gsturm.add_argument("--lo", default="0")
-    gsturm.add_argument("--n", type=int, required=True)
+    gsturm.add_argument("--n", type=_orbit_length, required=True)
     gsturm.set_defaults(handler=_cmd_gensturm)
 
     induce = commands.add_parser(

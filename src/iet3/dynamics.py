@@ -5,16 +5,27 @@ translated by (1-e, 1-2e, -e); it arises as the first-return map of a
 circle rotation on a unit-length domain, and the generic induction
 routine here recovers that fact executably.  All endpoint comparisons
 and orbit steps are exact.
+
+Orbit codings walk integer lattice coordinates, not field elements.  After
+n steps of the exchange the orbit of 0 sits at p - q*e with
+p = #A + #B and q = n + #B, and a rotation's orbit sits at k0 low steps
+plus k1 high steps.  Each endpoint and step is written once per map as an
+integer numerator over a common denominator (``qfield.Frame``), so every
+boundary test is the sign of A + B*sqrt(d) with integer A and B, decided by
+integer products alone: the same answer as the field arithmetic, with no
+Fraction and no float.  ``QuadraticNumber`` values of the points are built
+only when ``OrbitCoding.points`` is read, for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .qfield import FieldMismatchError, QuadraticNumber, as_quadratic
-from .words import BINARY, TERNARY, Word
+from .qfield import FieldMismatchError, Frame, QuadraticNumber, as_quadratic, int_sign
+from .words import BINARY, TERNARY, TERNARY_STEPS, LatticePoints, Word
 
 __all__ = [
     "ConstraintError",
@@ -27,8 +38,6 @@ __all__ = [
     "ReturnTimeCapError",
     "Rotation",
     "ThreeIet",
-    "code_orbit",
-    "code_rotation",
     "densities",
     "first_return",
     "idoc",
@@ -174,16 +183,20 @@ class OrbitCoding:
     """A coded orbit prefix together with the exact visited points."""
 
     word: Word
-    points: tuple[QuadraticNumber, ...]
+    points: LatticePoints
 
     def __len__(self):
         return len(self.word)
 
 
+#: a rotation's orbit point is k0*shift_low + k1*shift_high
+_ROTATION_STEPS = {"0": (1, 0), "1": (0, 1)}
+
+
 class ThreeIet:
     """The exchange of three intervals determined by validated parameters."""
 
-    __slots__ = ("params", "intervals", "translations", "domain")
+    __slots__ = ("params", "intervals", "translations", "domain", "_frame")
 
     def __init__(self, params: IetParameters):
         c, eps, ell = params.offset_c, params.epsilon, params.length_l
@@ -199,6 +212,10 @@ class ThreeIet:
         )
         object.__setattr__(self, "translations", params.translations)
         object.__setattr__(self, "domain", Interval(c, c + ell))
+        # the generators 1 and -epsilon of the orbit lattice, then the cuts
+        object.__setattr__(
+            self, "_frame", Frame((1, -eps, c, c + params.alpha, c + eps, c + ell))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeIet is immutable")
@@ -223,34 +240,53 @@ class ThreeIet:
             raise ValueError(f"{x} is outside the domain {self.domain}")
         return x + self.translations[a]
 
-    def code_orbit(self, n: int, right_closed: bool = False) -> OrbitCoding:
-        """Code the first n steps of the orbit of 0; exposes the points."""
-        letters = []
-        points = []
-        x = QuadraticNumber(0)
-        boundaries = (
-            self.intervals["A"].hi,
-            self.intervals["B"].hi,
-        )
-        shifts = self.translations
-        for _ in range(n):
-            points.append(x)
-            if right_closed:
-                a = self.letter(x, right_closed=True)
-                if a is None:
-                    raise ValueError(
-                        f"orbit point {x} outside right-closed domain "
-                        f"({self.domain.lo}, {self.domain.hi}]"
-                    )
-            elif x < boundaries[0]:
+    def _orbit_letters(self, right_closed: bool = False):
+        """Yield the letters of the orbit of 0, one per step, without end.
+
+        The point is held as its integer numerator over the frame's common
+        denominator and moves by the numerator of each translation.
+        """
+        frame = self._frame
+        d = frame.radicand
+        (one, _), (ea, eb), lo, cut_a, cut_b, hi = frame.rows
+        shifts = {
+            "A": (one + ea, eb),
+            "B": (one + 2 * ea, 2 * eb),
+            "C": (ea, eb),
+        }
+        xa = xb = 0
+        while True:
+            if not right_closed:
+                if int_sign(xa - cut_a[0], xb - cut_a[1], d) < 0:
+                    a = "A"
+                elif int_sign(xa - cut_b[0], xb - cut_b[1], d) < 0:
+                    a = "B"
+                else:
+                    a = "C"
+            elif (
+                int_sign(xa - lo[0], xb - lo[1], d) <= 0
+                or int_sign(xa - hi[0], xb - hi[1], d) > 0
+            ):
+                raise ValueError(
+                    f"orbit point {frame.value((xa, xb))} outside right-closed "
+                    f"domain ({self.domain.lo}, {self.domain.hi}]"
+                )
+            elif int_sign(xa - cut_a[0], xb - cut_a[1], d) <= 0:
                 a = "A"
-            elif x < boundaries[1]:
+            elif int_sign(xa - cut_b[0], xb - cut_b[1], d) <= 0:
                 a = "B"
             else:
                 a = "C"
-            letters.append(a)
-            x = x + shifts[a]
-        return OrbitCoding(Word("".join(letters), TERNARY), tuple(points))
+            yield a
+            sa, sb = shifts[a]
+            xa += sa
+            xb += sb
+
+    def code_orbit(self, n: int, right_closed: bool = False) -> OrbitCoding:
+        """Code the first n steps of the orbit of 0; exposes the points."""
+        letters = "".join(islice(self._orbit_letters(right_closed), n))
+        points = LatticePoints.prefix_sums(self._frame, letters, TERNARY_STEPS)
+        return OrbitCoding(Word(letters, TERNARY), points[:n])
 
     def agrees_with(self, other_apply, points: Iterable) -> bool:
         """Exact pointwise agreement of T with another map on given points."""
@@ -260,7 +296,7 @@ class ThreeIet:
 class Rotation:
     """Exchange of two intervals [lo, cut) and [cut, hi) by translation."""
 
-    __slots__ = ("lo", "cut", "hi", "shift_low", "shift_high")
+    __slots__ = ("lo", "cut", "hi", "shift_low", "shift_high", "_frame")
 
     def __init__(self, lo, cut, hi):
         lo, cut, hi = as_quadratic(lo), as_quadratic(cut), as_quadratic(hi)
@@ -272,6 +308,10 @@ class Rotation:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shift_low", hi - cut)
         object.__setattr__(self, "shift_high", lo - cut)
+        # orbit points are k0*shift_low + k1*shift_high
+        object.__setattr__(
+            self, "_frame", Frame((self.shift_low, self.shift_high, cut))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Rotation is immutable")
@@ -308,18 +348,23 @@ class Rotation:
         """Two-letter coding of the orbit of 0, with the visited points."""
         if n > 0 and not (self.lo <= 0 < self.hi):
             raise ValueError("0 must belong to the rotation domain")
+        frame = self._frame
+        d = frame.radicand
+        (low_a, low_b), (high_a, high_b), (cut_a, cut_b) = frame.rows
         letters = []
-        points = []
-        x = QuadraticNumber(0)
+        xa = xb = 0
         for _ in range(n):
-            points.append(x)
-            if x < self.cut:
+            if int_sign(xa - cut_a, xb - cut_b, d) < 0:
                 letters.append("0")
-                x = x + self.shift_low
+                xa += low_a
+                xb += low_b
             else:
                 letters.append("1")
-                x = x + self.shift_high
-        return OrbitCoding(Word("".join(letters), BINARY), tuple(points))
+                xa += high_a
+                xb += high_b
+        text = "".join(letters)
+        points = LatticePoints.prefix_sums(frame, text, _ROTATION_STEPS)
+        return OrbitCoding(Word(text, BINARY), points[:n])
 
 
 # -- generic first-return induction ---------------------------------------------
@@ -452,6 +497,12 @@ def zeps_coordinates(x, epsilon) -> tuple[Fraction, Fraction]:
 
 def in_z_epsilon(x, epsilon) -> bool:
     """Exact membership of x in Z + Z*epsilon."""
+    x = as_quadratic(x)
+    eps = as_quadratic(epsilon)
+    if eps.radicand is None:
+        # Z + Z*r/s = (1/s)*Z when r/s is in lowest terms
+        s = eps.rational_part.denominator
+        return x.radicand is None and (x.rational_part * s).denominator == 1
     try:
         p, q = zeps_coordinates(x, epsilon)
     except FieldMismatchError:
@@ -493,16 +544,19 @@ def densities(params: IetParameters, period_cap: int = 10**6) -> DensityResult:
             "interval-lengths",
             (params.alpha / ell, params.beta / ell, params.gamma / ell),
         )
-    # rational slope: the coding is periodic; count one exact period
-    iet = ThreeIet(params)
-    zero = QuadraticNumber(0)
-    x = zero
+    # rational slope: the coding is periodic; count one exact period.  With
+    # epsilon = r/s the point p - q*epsilon is 0 exactly when s*p == r*q, so
+    # the period ends at a multiple of (r, s), not at the pair (0, 0).
+    eps = params.epsilon.rational_value
+    r, s = eps.numerator, eps.denominator
     letters = []
-    for _ in range(period_cap):
-        a = iet.letter(x)
+    p = q = 0
+    for a in islice(ThreeIet(params)._orbit_letters(), period_cap):
         letters.append(a)
-        x = x + iet.translations[a]
-        if x == zero:
+        dp, dq = TERNARY_STEPS[a]
+        p += dp
+        q += dq
+        if s * p == r * q:
             break
     else:
         raise ReturnTimeCapError(f"no period found within {period_cap} steps")
@@ -519,11 +573,3 @@ def densities(params: IetParameters, period_cap: int = 10**6) -> DensityResult:
 
 def make_3iet(params: IetParameters) -> ThreeIet:
     return ThreeIet(params)
-
-
-def code_orbit(iet: ThreeIet, n: int) -> OrbitCoding:
-    return iet.code_orbit(n)
-
-
-def code_rotation(rotation: Rotation, n: int) -> OrbitCoding:
-    return rotation.code_orbit(n)

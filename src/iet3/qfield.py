@@ -18,8 +18,10 @@ from typing import Union
 __all__ = [
     "FieldMismatchError",
     "ExpressionSyntaxError",
+    "Frame",
     "QuadraticNumber",
     "as_quadratic",
+    "int_sign",
     "parse_quadratic",
     "sqrt_int",
 ]
@@ -228,20 +230,10 @@ class QuadraticNumber:
     def sign(self) -> int:
         """Sign in {-1, 0, +1}, decided by comparing integer squares."""
         a, b = self._a, self._b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # a and b*sqrt(d) pull in opposite directions: the larger square wins.
-        lhs = a.numerator * a.numerator * b.denominator * b.denominator
-        rhs = b.numerator * b.numerator * self._d * a.denominator * a.denominator
-        if lhs == rhs:  # impossible for square-free d >= 2 unless a = b = 0
-            return 0
-        return sa if lhs > rhs else sb
+        # scale both parts by the positive a.denominator * b.denominator
+        return int_sign(
+            a.numerator * b.denominator, b.numerator * a.denominator, self._d or 0
+        )
 
     def __bool__(self):
         return bool(self._a) or bool(self._b)
@@ -333,6 +325,70 @@ class QuadraticNumber:
 
     def __repr__(self):
         return f"QuadraticNumber({str(self)!r})"
+
+
+def int_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and a square-free d >= 2.
+
+    d may be anything when b is zero (0 for rational values).  Only integer
+    products are formed: when a and b*sqrt(d) pull in opposite directions
+    the larger of a*a and b*b*d wins, and the two are never equal.
+    """
+    if not b:
+        return (a > 0) - (a < 0)
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    if a * a > b * b * d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
+class Frame:
+    """Fixed elements of one quadratic field over a common denominator.
+
+    Element k is ``(rows[k][0] + rows[k][1]*sqrt(d)) / denominator`` with
+    integer rows, so an integer combination of the elements has an integer
+    numerator pair, and two combinations are equal exactly when their
+    numerators are.  Signs of numerators come from ``int_sign``: orbit and
+    height scans run on plain integers and build a ``QuadraticNumber`` only
+    for a value that is reported.
+    """
+
+    __slots__ = ("rows", "denominator", "radicand")
+
+    def __init__(self, elements):
+        values = [as_quadratic(x) for x in elements]
+        radicands = {x._d for x in values if x._d is not None}
+        if len(radicands) > 1:
+            raise FieldMismatchError(
+                f"cannot mix {', '.join(f'sqrt({d})' for d in sorted(radicands))}"
+            )
+        den = 1
+        for x in values:
+            den = math.lcm(den, x._a.denominator, x._b.denominator)
+        self.rows = tuple((int(x._a * den), int(x._b * den)) for x in values)
+        self.denominator = den
+        self.radicand = radicands.pop() if radicands else 0
+
+    def combine(self, coefficients) -> tuple[int, int]:
+        """Numerator of the integer combination sum(c_k * element_k)."""
+        a = b = 0
+        for c, (ra, rb) in zip(coefficients, self.rows):
+            a += c * ra
+            b += c * rb
+        return a, b
+
+    def sign(self, numerator: tuple[int, int]) -> int:
+        return int_sign(numerator[0], numerator[1], self.radicand)
+
+    def value(self, numerator: tuple[int, int]) -> QuadraticNumber:
+        a, b = numerator
+        den = self.denominator
+        return QuadraticNumber._make(
+            Fraction(a, den), Fraction(b, den), self.radicand or None
+        )
 
 
 def sqrt_int(n: int) -> QuadraticNumber:

@@ -5,27 +5,33 @@ alphabet.  Complexity and balance are computed exhaustively over the
 given finite window — the counts are exact, and a separate reliability
 cutoff records how far the finite sample can be trusted as a census of
 the underlying infinite word.
+
+Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
+at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so a
+height series is two integer prefix sums (p, q).  Minima, maxima and
+thresholds compare p - q*e exactly by the integer sign test of a
+``qfield.Frame`` numerator, which never rounds; ``QuadraticNumber``
+values are built only when a height is read, for output.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .qfield import QuadraticNumber, as_quadratic
-
-if TYPE_CHECKING:
-    from .dynamics import IetParameters
+from .qfield import Frame, QuadraticNumber, as_quadratic, int_sign
 
 __all__ = [
     "BINARY",
+    "BINARY_STEPS",
     "TERNARY",
+    "TERNARY_STEPS",
     "BalanceReport",
     "ComplexityProfile",
     "HeightSeries",
+    "LatticePoints",
     "SwapError",
     "SwapResult",
     "Word",
@@ -225,24 +231,128 @@ def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:
 # -- height sequences ----------------------------------------------------------
 
 
+class LatticePoints(Sequence):
+    """Field values p*g + q*h at integer pairs (p, q), built only when read.
+
+    g and h are the first two elements of ``frame``, and ``p`` and ``q``
+    are equal-length lists of ints.  Comparisons, extremes and keys work on
+    the integer numerators of the frame, so a scan builds no
+    ``QuadraticNumber``; indexing or iterating builds one per value read.
+    Distinct pairs can be the same number (for rational epsilon = r/s the
+    pairs (p, q) and (p + r, q + s) are), so equality and hashing go by
+    value, and ``key`` is the value's canonical integer form.
+    """
+
+    __slots__ = ("frame", "p", "q")
+
+    def __init__(self, frame: Frame, p: list[int], q: list[int]):
+        self.frame = frame
+        self.p = p
+        self.q = q
+
+    @classmethod
+    def prefix_sums(
+        cls, frame: Frame, letters: str, steps: Mapping[str, tuple[int, int]]
+    ) -> "LatticePoints":
+        """Pairs of every prefix of the word, the empty one first, where
+        each letter moves the pair by its integer step (dp, dq)."""
+        codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
+        columns = []
+        for k in (0, 1):
+            table = np.zeros(256, dtype=np.int64)
+            for letter, step in steps.items():
+                table[ord(letter)] = step[k]
+            sums = np.zeros(len(codes) + 1, dtype=np.int64)
+            np.cumsum(table[codes], out=sums[1:])
+            columns.append(sums.tolist())
+        return cls(frame, *columns)
+
+    def __len__(self):
+        return len(self.p)
+
+    def key(self, i: int) -> tuple[int, int]:
+        """Numerator of value i over the frame's common denominator."""
+        (ga, gb), (ha, hb) = self.frame.rows[:2]
+        p, q = self.p[i], self.q[i]
+        return p * ga + q * ha, p * gb + q * hb
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LatticePoints(self.frame, self.p[index], self.q[index])
+        return self.frame.value(self.key(index))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"LatticePoints(<{len(self)} values>)"
+
+    def compare(self, i: int, j: int) -> int:
+        """Sign of value i minus value j."""
+        (ga, gb), (ha, hb) = self.frame.rows[:2]
+        dp, dq = self.p[i] - self.p[j], self.q[i] - self.q[j]
+        return int_sign(dp * ga + dq * ha, dp * gb + dq * hb, self.frame.radicand)
+
+    def _extreme(self, indices, wanted: int) -> int | None:
+        (ga, gb), (ha, hb) = self.frame.rows[:2]
+        d, ps, qs = self.frame.radicand, self.p, self.q
+        it = iter(range(len(ps)) if indices is None else indices)
+        best = next(it, None)
+        if best is None:
+            return None
+        bp, bq = ps[best], qs[best]
+        for i in it:
+            dp, dq = ps[i] - bp, qs[i] - bq
+            if int_sign(dp * ga + dq * ha, dp * gb + dq * hb, d) == wanted:
+                best, bp, bq = i, ps[i], qs[i]
+        return best
+
+    def argmin(self, indices: Iterable[int] | None = None) -> int | None:
+        """First index (of all, or of ``indices``) holding the least value."""
+        return self._extreme(indices, -1)
+
+    def argmax(self, indices: Iterable[int] | None = None) -> int | None:
+        """First index (of all, or of ``indices``) holding the greatest value."""
+        return self._extreme(indices, 1)
+
+
+#: integer step (dp, dq) of each letter for heights p - q*epsilon: a binary
+#: letter adds 1-e or -e, and A, B, C add their translations 1-e, 1-2e, -e
+BINARY_STEPS = {"0": (1, 1), "1": (0, 1)}
+TERNARY_STEPS = {"A": (1, 1), "B": (1, 2), "C": (0, 1)}
+
+
 @dataclass(frozen=True)
 class HeightSeries:
     """Exact per-prefix heights, starting from the empty prefix at 0."""
 
-    values: tuple[QuadraticNumber, ...]
-    running_min: tuple[QuadraticNumber, ...]
+    values: LatticePoints
+
+    @property
+    def running_min(self) -> LatticePoints:
+        v = self.values
+        best, keep = 0, []
+        for i in range(len(v)):
+            if v.compare(i, best) < 0:
+                best = i
+            keep.append(best)
+        return LatticePoints(v.frame, [v.p[i] for i in keep], [v.q[i] for i in keep])
 
     @property
     def minimum(self) -> QuadraticNumber:
-        return self.running_min[-1]
+        return self.values[self.values.argmin()]
 
     @property
     def maximum(self) -> QuadraticNumber:
-        out = self.values[0]
-        for v in self.values[1:]:
-            if v > out:
-                out = v
-        return out
+        return self.values[self.values.argmax()]
 
     @property
     def final(self) -> QuadraticNumber:
@@ -259,19 +369,9 @@ class HeightSeries:
         return self.values[n]
 
 
-def _height_series(letters: Iterable[str], steps: Mapping[str, QuadraticNumber]) -> HeightSeries:
-    zero = QuadraticNumber(0)
-    values = [zero]
-    mins = [zero]
-    h = zero
-    low = zero
-    for ch in letters:
-        h = h + steps[ch]
-        values.append(h)
-        if h < low:
-            low = h
-        mins.append(low)
-    return HeightSeries(tuple(values), tuple(mins))
+def _heights(letters: str, epsilon, steps) -> HeightSeries:
+    frame = Frame((1, -as_quadratic(epsilon)))
+    return HeightSeries(LatticePoints.prefix_sums(frame, letters, steps))
 
 
 def height_f(v, epsilon) -> HeightSeries:
@@ -279,13 +379,7 @@ def height_f(v, epsilon) -> HeightSeries:
     v = _as_word(v)
     if not v.is_over(BINARY):
         raise ValueError("height_f is defined for binary words")
-    eps = as_quadratic(epsilon)
-    return _height_series(v.letters, {"0": 1 - eps, "1": -eps})
-
-
-def _translations(params) -> dict[str, QuadraticNumber]:
-    eps = as_quadratic(getattr(params, "epsilon", params))
-    return {"A": 1 - eps, "B": 1 - 2 * eps, "C": -eps}
+    return _heights(v.letters, epsilon, BINARY_STEPS)
 
 
 def height_g(u, params) -> HeightSeries:
@@ -297,7 +391,7 @@ def height_g(u, params) -> HeightSeries:
     u = _as_word(u)
     if not u.is_over(TERNARY):
         raise ValueError("height_g is defined for ternary words")
-    return _height_series(u.letters, _translations(params))
+    return _heights(u.letters, getattr(params, "epsilon", params), TERNARY_STEPS)
 
 
 def e_sets(u, params) -> dict[str, tuple[QuadraticNumber, ...]]:
@@ -357,17 +451,13 @@ def swap_transform(v, positions: Iterable[int], epsilon=None) -> SwapResult:
 
     criterion = None
     if epsilon is not None:
-        series = height_f(v, epsilon)
+        heights = height_f(v, epsilon).values
         marked = set(positions)
-        swap_low = None
-        other_high = None
-        for i, value in enumerate(series.values):
-            if i in marked:
-                if swap_low is None or value < swap_low:
-                    swap_low = value
-            elif other_high is None or value > other_high:
-                other_high = value
+        swap_low = heights.argmin(positions)
+        other_high = heights.argmax(i for i in range(len(heights)) if i not in marked)
         criterion = (
-            swap_low is None or other_high is None or swap_low > other_high
+            swap_low is None
+            or other_high is None
+            or heights.compare(swap_low, other_high) > 0
         )
     return SwapResult(swapped, criterion)

@@ -1,0 +1,165 @@
+"""Reference loops on QuadraticNumber arithmetic, for differential tests.
+
+These are the letter-by-letter field-arithmetic implementations that the
+integer lattice path in ``iet3`` replaced: every orbit point and prefix
+height is a ``QuadraticNumber``, every boundary test a field comparison.
+They are slow and obviously right, which is what an oracle is for.
+"""
+
+from fractions import Fraction
+
+from iet3.audit import B_AS_01, RecoveryError
+from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
+from iet3.qfield import QuadraticNumber, as_quadratic
+from iet3.words import TERNARY, Word
+
+
+def code_exchange(iet: ThreeIet, n: int, right_closed: bool = False):
+    """Letters and points of the first n steps of the orbit of 0."""
+    letters = []
+    points = []
+    x = QuadraticNumber(0)
+    boundaries = (iet.intervals["A"].hi, iet.intervals["B"].hi)
+    shifts = iet.translations
+    for _ in range(n):
+        points.append(x)
+        if right_closed:
+            a = iet.letter(x, right_closed=True)
+            if a is None:
+                raise ValueError(
+                    f"orbit point {x} outside right-closed domain "
+                    f"({iet.domain.lo}, {iet.domain.hi}]"
+                )
+        elif x < boundaries[0]:
+            a = "A"
+        elif x < boundaries[1]:
+            a = "B"
+        else:
+            a = "C"
+        letters.append(a)
+        x = x + shifts[a]
+    return "".join(letters), points
+
+
+def code_rotation(rotation, n: int):
+    """Letters and points of the first n steps of a rotation's orbit of 0."""
+    if n > 0 and not (rotation.lo <= 0 < rotation.hi):
+        raise ValueError("0 must belong to the rotation domain")
+    letters = []
+    points = []
+    x = QuadraticNumber(0)
+    for _ in range(n):
+        points.append(x)
+        if x < rotation.cut:
+            letters.append("0")
+            x = x + rotation.shift_low
+        else:
+            letters.append("1")
+            x = x + rotation.shift_high
+    return "".join(letters), points
+
+
+def height_series(letters: str, steps) -> tuple[list, list]:
+    """Per-prefix sums of the letter steps, and their running minima."""
+    zero = QuadraticNumber(0)
+    values = [zero]
+    mins = [zero]
+    h = zero
+    low = zero
+    for ch in letters:
+        h = h + steps[ch]
+        values.append(h)
+        if h < low:
+            low = h
+        mins.append(low)
+    return values, mins
+
+
+def binary_steps(epsilon) -> dict:
+    eps = as_quadratic(epsilon)
+    return {"0": 1 - eps, "1": -eps}
+
+
+def ternary_steps(epsilon) -> dict:
+    eps = as_quadratic(epsilon)
+    return {"A": 1 - eps, "B": 1 - 2 * eps, "C": -eps}
+
+
+def recover(u: str, epsilon, min_match: Fraction = Fraction(99, 100)) -> dict:
+    """Fields of ``recover_parameters``, computed on field values throughout."""
+    eps = as_quadratic(epsilon)
+    if len(u) < 2:
+        raise RecoveryError(f"insufficient data: got {len(u)} letters, need at least 2")
+    if u.count("B") == 0:
+        raise RecoveryError("no B occurrences in the word")
+    v = B_AS_01.apply(Word(u, TERNARY)).letters
+    values, mins = height_series(v, binary_steps(eps))
+    c_hat = mins[-1]
+    positions = []
+    offset = 0
+    for letter in u:
+        if letter == "B":
+            positions.append(offset + 1)
+        offset += len(B_AS_01.images[letter])
+    position_values = [values[k] for k in positions]
+    floor_value = min(position_values)
+    attained = sum(1 for x in position_values if x == floor_value) >= 2
+    l_hat = floor_value - c_hat
+    position_set = set(positions)
+    other_high = max(
+        (values[k] for k in range(len(v)) if k not in position_set), default=None
+    )
+    threshold_consistent = other_high is None or floor_value > other_high
+    try:
+        params = IetParameters(eps, l_hat, c_hat)
+    except ConstraintError as exc:
+        raise RecoveryError(f"recovered parameters violate constraints: {exc}") from None
+    iet = ThreeIet(params)
+    best = None
+    conventions = ["left-closed"]
+    if c_hat != 0:
+        conventions.append("right-closed")
+    for convention in conventions:
+        produced, _ = code_exchange(iet, len(u), convention == "right-closed")
+        matches = sum(a == b for a, b in zip(u, produced))
+        first = next(
+            (k for k, (a, b) in enumerate(zip(u, produced)) if a != b), None
+        )
+        fraction = Fraction(matches, len(u))
+        if best is None or fraction > best[1]:
+            best = (convention, fraction, first)
+        if fraction == 1:
+            break
+    convention, fraction, first = best
+    if fraction < min_match:
+        raise RecoveryError(
+            f"re-generation mismatch at index {first}: "
+            f"matched {fraction.numerator} of {fraction.denominator} letters"
+        )
+    return dict(
+        epsilon=eps,
+        c_hat=c_hat,
+        l_hat=l_hat,
+        attained_infimum=attained,
+        sample_size=len(values),
+        position_count=len(positions),
+        threshold_consistent=threshold_consistent,
+        convention=convention,
+        match_fraction=fraction,
+        first_mismatch=first,
+    )
+
+
+def period(params: IetParameters, cap: int = 10**5) -> str:
+    """Letters of one period of the orbit of 0, stopping when it returns."""
+    iet = ThreeIet(params)
+    zero = QuadraticNumber(0)
+    x = zero
+    letters = []
+    for _ in range(cap):
+        a = iet.letter(x)
+        letters.append(a)
+        x = x + iet.translations[a]
+        if x == zero:
+            return "".join(letters)
+    raise AssertionError(f"no period within {cap} steps")

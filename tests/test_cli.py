@@ -60,6 +60,25 @@ def test_gen3iet_rejects_an_l_below_the_bound(capsys):
     assert "l > max(epsilon, 1-epsilon)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L],
+        ["gensturm", "--epsilon", GOLDEN],
+    ],
+)
+def test_orbit_length_above_the_limit_is_a_usage_error(argv, capsys):
+    from iet3.cli import MAX_ORBIT_LENGTH, _build_parser
+
+    # the parser alone decides: no orbit is coded here
+    args = _build_parser().parse_args(argv + ["--n", str(MAX_ORBIT_LENGTH)])
+    assert args.n == MAX_ORBIT_LENGTH
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv + ["--n", str(10**12)])
+    assert exc.value.code == 1
+    assert f"exceeds the limit of {MAX_ORBIT_LENGTH} points" in capsys.readouterr().err
+
+
 def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
     code, doc, err = run_json(
         ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "3"], capsys, schema
@@ -169,6 +188,17 @@ def test_idoc_distinguishes_the_reference_cases(capsys, schema):
     code, doc, err = run_json(
         ["idoc", "--epsilon", GOLDEN, "--l", "3-sqrt(5)"], capsys, schema
     )
+    assert code == 0 and doc["idoc"] is False and doc["l_in_z_epsilon"] is True
+
+
+def test_idoc_answers_rational_epsilon_exactly(capsys, schema):
+    # Z + Z*2/5 is (1/5)*Z: 7/9 lies outside it, 4/5 inside
+    code, doc, err = run_json(
+        ["idoc", "--epsilon", "2/5", "--l", "7/9", "--c=-1/7"], capsys, schema
+    )
+    assert code == 0 and err == ""
+    assert doc["idoc"] is False and doc["l_in_z_epsilon"] is False
+    code, doc, err = run_json(["idoc", "--epsilon", "2/5", "--l", "4/5"], capsys, schema)
     assert code == 0 and doc["idoc"] is False and doc["l_in_z_epsilon"] is True
 
 

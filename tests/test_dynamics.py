@@ -198,6 +198,15 @@ def test_module_membership_frozen_cases():
     assert in_z_epsilon(parse_quadratic("1/2*sqrt(2)"), GOLDEN) is False
 
 
+def test_module_membership_on_rational_epsilon():
+    # for epsilon = 2/5 in lowest terms, Z + Z*epsilon is (1/5)*Z
+    eps = Fraction(2, 5)
+    assert in_z_epsilon(Fraction(3, 5), eps) is True
+    assert in_z_epsilon(7, eps) is True
+    assert in_z_epsilon(Fraction(7, 9), eps) is False
+    assert in_z_epsilon(parse_quadratic("1/2*sqrt(2)"), eps) is False
+
+
 def test_coordinates_invert_the_basis_expansion():
     p, q = zeps_coordinates(3 - 5 * GOLDEN, GOLDEN)
     assert (p, q) == (Fraction(3), Fraction(-5))
