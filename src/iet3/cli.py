@@ -41,8 +41,15 @@ from .words import TERNARY, Word, balance, complexity
 
 __all__ = ["main"]
 
-#: longest orbit gen3iet and gensturm code; each point is printed in full
+#: longest orbit gen3iet and gensturm code; each point is printed in full.
+#: Also the longest fixed-point prefix audit and search generate.
 MAX_ORBIT_LENGTH = 10**6
+#: largest --max-total-length and --max-image-length of search: its
+#: candidate pool holds the 3^k ternary strings of every image length k,
+#: about 8 * 10^5 strings up to k = 12
+MAX_SEARCH_LENGTH = 12
+#: largest induce --cap, the return time at which first_return gives up
+MAX_RETURN_TIME = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,16 +69,28 @@ def _opt_num(x) -> dict | None:
     return None if x is None else _num(x)
 
 
-def _orbit_length(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n > MAX_ORBIT_LENGTH:
-        raise argparse.ArgumentTypeError(
-            f"orbit length {n} exceeds the limit of {MAX_ORBIT_LENGTH} points"
-        )
-    return n
+def _bounded_int(what: str, limit: int, unit: str):
+    """argparse type: an int no greater than ``limit``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n > limit:
+            raise argparse.ArgumentTypeError(
+                f"{what} {n} exceeds the limit of {limit}{unit}"
+            )
+        return n
+
+    return parse
+
+
+_orbit_length = _bounded_int("orbit length", MAX_ORBIT_LENGTH, " points")
+_prefix_length = _bounded_int("prefix length", MAX_ORBIT_LENGTH, " letters")
+_total_length = _bounded_int("total image length", MAX_SEARCH_LENGTH, "")
+_image_length = _bounded_int("image length", MAX_SEARCH_LENGTH, "")
+_return_time = _bounded_int("return-time cap", MAX_RETURN_TIME, " steps")
 
 
 def _read_word_argument(args) -> Word:
@@ -205,8 +224,9 @@ def _cmd_gen3iet(args):
         "parameters": _params_json(params),
         "n": args.n,
         "word": coding.word.letters,
-        "orbit": [_num(x) for x in coding.points],
     }
+    if args.json:
+        payload["orbit"] = [_num(x) for x in coding.points]
     return payload, coding.word.letters, 0
 
 
@@ -225,8 +245,9 @@ def _cmd_gensturm(args):
         "lo": _num(lo),
         "n": args.n,
         "word": coding.word.letters,
-        "orbit": [_num(x) for x in coding.points],
     }
+    if args.json:
+        payload["orbit"] = [_num(x) for x in coding.points]
     return payload, coding.word.letters, 0
 
 
@@ -500,7 +521,7 @@ def _build_parser() -> _Parser:
         )
         target.add_argument(
             "--seed-prefix-len",
-            type=int,
+            type=_prefix_length,
             default=prefix_default,
             metavar="N",
             help="prefix length for generated fixed points (audit, search)",
@@ -545,7 +566,7 @@ def _build_parser() -> _Parser:
     induce.add_argument("--c", default="0")
     induce.add_argument("--e-lo", help="left endpoint of the return interval")
     induce.add_argument("--e-hi", help="right endpoint of the return interval")
-    induce.add_argument("--cap", type=int, default=10**6)
+    induce.add_argument("--cap", type=_return_time, default=MAX_RETURN_TIME)
     induce.set_defaults(handler=_cmd_induce)
 
     analyze = commands.add_parser(
@@ -583,8 +604,8 @@ def _build_parser() -> _Parser:
 
     search = commands.add_parser(
         "search", parents=[common], help="exhaustive small-substitution audit")
-    search.add_argument("--max-total-length", type=int, default=8)
-    search.add_argument("--max-image-length", type=int, default=None)
+    search.add_argument("--max-total-length", type=_total_length, default=8)
+    search.add_argument("--max-image-length", type=_image_length, default=None)
     search.set_defaults(handler=_cmd_search)
 
     svg = commands.add_parser(

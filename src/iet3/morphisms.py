@@ -9,6 +9,7 @@ pinned by tests rather than prose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -408,10 +409,14 @@ def _integer_roots(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
         if constant == 0:
             candidates = [0]
         else:
-            candidates = []
-            for k in range(1, abs(constant) + 1):
-                if constant % k == 0:
-                    candidates.extend((k, -k))
+            # divisors k <= isqrt(|c|) pair with |c| // k; ascending order
+            small = [
+                k for k in range(1, math.isqrt(abs(constant)) + 1) if constant % k == 0
+            ]
+            large = [abs(constant) // k for k in reversed(small)]
+            if large and large[0] == small[-1]:
+                large.pop(0)
+            candidates = [r for k in small + large for r in (k, -k)]
         for r in candidates:
             if sum(c * r**i for i, c in enumerate(coeffs)) == 0:
                 # synthetic division by (x - r)

@@ -6,6 +6,14 @@ given finite window — the counts are exact, and a separate reliability
 cutoff records how far the finite sample can be trusted as a census of
 the underlying infinite word.
 
+Factor complexity works on integer ranks, not on string slices: each
+factor of length n is a dense label built from the label of its length
+n-1 prefix and its last letter (rank refinement), so counting every
+length up to n_max is O(n_max * N) integer work on numpy arrays.  The
+cutoff is read off the same labels: the counts are trusted up to the
+last length at which the factors of the word's first half still carry
+every label.
+
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so a
 height series is two integer prefix sums (p, q).  Minima, maxima and
@@ -118,11 +126,6 @@ class Word:
     def count_vector(self) -> tuple[int, ...]:
         return tuple(self.letters.count(a) for a in self.alphabet)
 
-    def factors(self, n: int) -> set[str]:
-        """All distinct factors of length n occurring in the word."""
-        text = self.letters
-        return {text[i : i + n] for i in range(len(text) - n + 1)}
-
     def is_over(self, alphabet: Sequence[str]) -> bool:
         return set(self.letters) <= set(alphabet)
 
@@ -155,19 +158,50 @@ class ComplexityProfile:
 
 
 def complexity(w, n_max: int) -> ComplexityProfile:
-    """Count distinct factors of each length 0..n_max in the word."""
+    """Count distinct factors of each length 0..n_max in the word.
+
+    One pass of rank refinement (Manber and Myers, 1993): ``rank[i]`` is a
+    dense label of the length-n factor at position i, and the length-(n+1)
+    factor there is keyed by ``rank[i] * sigma + code[i + n]`` for an
+    alphabet of sigma letters.  Marking the keys in a boolean table of
+    C(n) * sigma cells and taking its cumulative sum relabels them densely,
+    without sorting, so each length costs O(N) integer work and the whole
+    profile O(n_max * N) for a word of N letters.  The label count is C(n).
+
+    The trust cutoff comes from the same ranks: the factors of the first
+    half h = N // 2 of the word are those starting at positions below
+    h - n + 1, and their count equals C(n) exactly when their ranks cover
+    every label.  ``reliable_up_to`` is the last n before the first length
+    at which they do not.
+    """
     w = _as_word(w)
     if n_max > len(w):
         raise ValueError(f"nMax {n_max} exceeds word length {len(w)}")
-    text = w.letters
-    counts = [1] + [len({text[i : i + n] for i in range(len(text) - n + 1)})
-                    for n in range(1, n_max + 1)]
-    half = text[: len(text) // 2]
+    size, half = len(w), len(w) // 2
+    # letter codes: the index of each letter among the sorted alphabet
+    alphabet = np.array(
+        sorted({ord(a) for a in w.alphabet if len(a) == 1}), dtype=np.uint32
+    )
+    sigma = len(alphabet)
+    code = np.searchsorted(
+        alphabet, np.frombuffer(w.letters.encode("utf-32-le"), dtype=np.uint32)
+    )
+    counts = [1]
     reliable = 0
-    for n in range(1, min(n_max, len(half)) + 1):
-        if len({half[i : i + n] for i in range(len(half) - n + 1)}) != counts[n]:
-            break
-        reliable = n
+    rank = np.zeros(size, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        keys = rank[: size - n + 1] * sigma + code[n - 1 :]
+        seen = np.zeros(counts[-1] * sigma, dtype=bool)
+        seen[keys] = True
+        labels = np.cumsum(seen, dtype=np.int64)
+        count = int(labels[-1])
+        rank = labels[keys] - 1
+        counts.append(count)
+        if reliable == n - 1 and n <= half:
+            covered = np.zeros(count, dtype=bool)
+            covered[rank[: half - n + 1]] = True
+            if covered.all():
+                reliable = n
     return ComplexityProfile(tuple(counts), reliable)
 
 

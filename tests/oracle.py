@@ -1,9 +1,11 @@
-"""Reference loops on QuadraticNumber arithmetic, for differential tests.
+"""Reference implementations that ``iet3`` replaced, for differential tests.
 
-These are the letter-by-letter field-arithmetic implementations that the
-integer lattice path in ``iet3`` replaced: every orbit point and prefix
-height is a ``QuadraticNumber``, every boundary test a field comparison.
-They are slow and obviously right, which is what an oracle is for.
+Most are the letter-by-letter field-arithmetic loops that the integer
+lattice path replaced: every orbit point and prefix height is a
+``QuadraticNumber``, every boundary test a field comparison.  The factor
+count is the set-of-slices loop that rank refinement replaced, and the
+integer-root search tries every divisor in turn.  They are slow and
+obviously right, which is what an oracle is for.
 """
 
 from fractions import Fraction
@@ -163,3 +165,46 @@ def period(params: IetParameters, cap: int = 10**5) -> str:
         if x == zero:
             return "".join(letters)
     raise AssertionError(f"no period within {cap} steps")
+
+
+def complexity(text: str, n_max: int) -> tuple[tuple[int, ...], int]:
+    """Counts and trust cutoff of ``words.complexity``, from sets of slices."""
+    if n_max > len(text):
+        raise ValueError(f"nMax {n_max} exceeds word length {len(text)}")
+    counts = [1] + [len({text[i : i + n] for i in range(len(text) - n + 1)})
+                    for n in range(1, n_max + 1)]
+    half = text[: len(text) // 2]
+    reliable = 0
+    for n in range(1, min(n_max, len(half)) + 1):
+        if len({half[i : i + n] for i in range(len(half) - n + 1)}) != counts[n]:
+            break
+        reliable = n
+    return tuple(counts), reliable
+
+
+def integer_roots(coeffs) -> tuple[list[int], list[int]]:
+    """Integer roots of a monic polynomial, trying every divisor 1..|c0|."""
+    coeffs = list(coeffs)
+    roots = []
+    while len(coeffs) > 1:
+        constant = coeffs[0]
+        if constant == 0:
+            candidates = [0]
+        else:
+            candidates = []
+            for k in range(1, abs(constant) + 1):
+                if constant % k == 0:
+                    candidates.extend((k, -k))
+        for r in candidates:
+            if sum(c * r**i for i, c in enumerate(coeffs)) == 0:
+                quotient = [0] * (len(coeffs) - 1)
+                acc = coeffs[-1]
+                for i in range(len(coeffs) - 2, -1, -1):
+                    quotient[i] = acc
+                    acc = coeffs[i] + acc * r
+                roots.append(r)
+                coeffs = quotient
+                break
+        else:
+            break
+    return roots, coeffs

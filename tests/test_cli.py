@@ -79,6 +79,57 @@ def test_orbit_length_above_the_limit_is_a_usage_error(argv, capsys):
     assert f"exceeds the limit of {MAX_ORBIT_LENGTH} points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, dest, limit_name",
+    [
+        (["--seed-prefix-len"], "seed_prefix_len", "MAX_ORBIT_LENGTH"),
+        (["audit", "--morphism", "A>AB", "--seed-prefix-len"], "seed_prefix_len",
+         "MAX_ORBIT_LENGTH"),
+        (["search", "--seed-prefix-len"], "seed_prefix_len", "MAX_ORBIT_LENGTH"),
+        (["search", "--max-total-length"], "max_total_length", "MAX_SEARCH_LENGTH"),
+        (["search", "--max-image-length"], "max_image_length", "MAX_SEARCH_LENGTH"),
+        (["induce", "--epsilon", "1/3", "--l", "3/4", "--cap"], "cap", "MAX_RETURN_TIME"),
+    ],
+)
+def test_oversized_sizes_are_usage_errors(argv, dest, limit_name, capsys):
+    from iet3 import cli
+
+    limit = getattr(cli, limit_name)
+    # the parser alone decides: no search, audit or induction runs here
+    tail = [] if argv[0] != "--seed-prefix-len" else ["sturm", "--value", "1/2"]
+    args = cli._build_parser().parse_args(argv + [str(limit)] + tail)
+    assert getattr(args, dest) == limit
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv + [str(10**12)] + tail)
+    assert exc.value.code == 1
+    assert f"{10**12} exceeds the limit of {limit}" in capsys.readouterr().err
+
+
+def test_induce_cap_limit_is_no_lower_than_its_default():
+    from iet3.cli import MAX_RETURN_TIME, _build_parser
+
+    args = _build_parser().parse_args(["induce", "--epsilon", GOLDEN, "--l", GOLDEN_L])
+    assert args.cap == 10**6 <= MAX_RETURN_TIME
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "40"],
+        ["gensturm", "--epsilon", GOLDEN, "--n", "40"],
+    ],
+)
+def test_text_mode_builds_no_orbit_array(argv, capsys, schema):
+    from iet3.cli import _build_parser
+
+    args = _build_parser().parse_args(argv)
+    payload, text, code = args.handler(args)
+    assert "orbit" not in payload and code == 0
+    code, doc, err = run_json(argv, capsys, schema)
+    assert doc["word"] == text and len(doc["orbit"]) == 40
+    assert run(argv, capsys) == (0, text + "\n", "")
+
+
 def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
     code, doc, err = run_json(
         ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "3"], capsys, schema

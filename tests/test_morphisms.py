@@ -1,8 +1,10 @@
 """Free-monoid morphisms, incidence matrices, spectra, fixed points."""
 
 import random
+import time
 
 import mpmath
+import oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from iet3.morphisms import (
     IncidenceMatrix,
     Morphism,
     MorphismSyntaxError,
+    _integer_roots,
     compose,
     find_expanding_letter,
     fixed_point_prefix,
@@ -226,6 +229,36 @@ def test_irreducible_cubic_has_no_quadratic_dominant():
     assert spectral.dominant is None
     assert spectral.quadratic_factor is None
     assert spectral.integer_roots == ()
+
+
+def _times_linear(coeffs, r):
+    """Coefficients (lowest first) of the polynomial times (x - r)."""
+    shifted = [0] + list(coeffs)
+    return [shifted[i] - r * c for i, c in enumerate(list(coeffs) + [0])]
+
+
+def test_integer_roots_of_a_constant_near_10_to_the_12_return_at_once():
+    # (x - 999983)(x + 1000003)(x^2 + x + 1): |c0| is about 10^12, so a
+    # divisor-by-divisor scan up to |c0| would never finish
+    coeffs = _times_linear(_times_linear([1, 1, 1], 999_983), -1_000_003)
+    assert abs(coeffs[0]) > 10**12 - 10**8
+    start = time.perf_counter()
+    roots, remaining = _integer_roots(coeffs)
+    assert time.perf_counter() - start < 5
+    assert roots == [999_983, -1_000_003] and remaining == [1, 1, 1]
+    for r in roots:
+        assert sum(c * r**i for i, c in enumerate(coeffs)) == 0
+
+
+@given(
+    st.lists(st.integers(-60, 60), max_size=3),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+)
+def test_integer_roots_match_the_divisor_scan(roots, factor):
+    coeffs = factor + [1]
+    for r in roots:
+        coeffs = _times_linear(coeffs, r)
+    assert _integer_roots(coeffs) == oracle.integer_roots(coeffs)
 
 
 def test_quadratic_dominants_agree_with_numerical_roots():
