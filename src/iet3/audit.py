@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .dynamics import ConstraintError, IetParameters, ThreeIet
 from .morphisms import (
     Morphism,
@@ -751,27 +749,24 @@ class SearchReport:
         return tuple(s for s in self.audited if s.overall == "fail")
 
 
-def _grow_prefix(images: Mapping[str, str], seed: str, n: int) -> str:
-    text = seed
-    while len(text) < n:
-        text = "".join(images[ch] for ch in text)
-    return text[:n]
-
-
-_QUICK_IMAGES = {"A": "0", "B": "01", "C": "1"}
-
-
-def _quick_imbalanced(images: Mapping[str, str], seed: str) -> bool:
-    """Cheap sound pre-filter: imbalance 2 at short lengths refutes."""
-    u = _grow_prefix(images, seed, 400)
-    v = "".join(_QUICK_IMAGES[ch] for ch in u)
-    ones = np.frombuffer(v.encode("ascii"), dtype=np.uint8) == ord("1")
-    sums = np.concatenate(([0], np.cumsum(ones, dtype=np.int64)))
-    for n in range(2, 26):
-        window = sums[n:] - sums[:-n]
-        if int(window.max()) - int(window.min()) >= 2:
-            return True
-    return False
+def _search_stage(m: Morphism, certificate_prefix: int) -> str:
+    """The first stage of ``search_substitutions`` that disposes of m."""
+    expanding = find_expanding_letter(m, max_power=1)
+    if expanding is None:
+        return "no-fixed-point"
+    if not is_primitive(incidence(m)):
+        return "non-primitive"
+    seed, _power = expanding
+    if balance(B_AS_01.apply(fixed_point_prefix(m, seed, 400)), 25).max_imbalance >= 2:
+        return "quick-imbalance"
+    prefix = fixed_point_prefix(m, seed, certificate_prefix)
+    try:
+        cert = three_iet_certificate(prefix, min_length=min(1000, certificate_prefix))
+    except ValueError:
+        return "certificate-error"
+    if cert.is_consistent:
+        return "certificate-consistent"
+    return f"certificate-{cert.verdict}"
 
 
 def search_substitutions(
@@ -782,9 +777,18 @@ def search_substitutions(
 ) -> SearchReport:
     """Audit every ternary substitution within the given size bounds.
 
-    Candidates are filtered in stages (fixed point exists, primitive,
-    cheap imbalance pre-filter, full certificate) before the expensive
-    audit runs; results are deterministic, ordered by the textual form.
+    Candidates are the morphisms A, B, C -> images of lengths (la, lb, lc),
+    each at most max_image, with la + lb + lc <= max_total.  Each leaves
+    through the first stage that disposes of it: "no-fixed-point" when
+    ``find_expanding_letter`` finds no letter at power 1, "non-primitive"
+    by ``is_primitive(incidence(m))``, "quick-imbalance" when ``balance``
+    finds imbalance 2 or more within length 25 in the first binary image of
+    a 400-letter ``fixed_point_prefix`` (a sound refutation, cheaper than
+    the certificate), else "certificate-error", "-refuted", "-periodic" or
+    "-consistent" from ``three_iet_certificate`` on a
+    certificate_prefix-letter prefix.
+    Only certificate-consistent candidates reach ``substitution_audit``;
+    results are deterministic, ordered by the textual form.
     """
     if max_image is None:
         max_image = max_total - 2
@@ -801,67 +805,27 @@ def search_substitutions(
         "audit-fail": 0,
         "audit-not-applicable": 0,
     }
-    consistent_texts = []
-
-    length_range = range(1, max_image + 1)
-    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in length_range}
-    for la in length_range:
-        for lb in length_range:
-            if la + lb + 1 > max_total:
-                break
-            for lc in length_range:
-                if la + lb + lc > max_total:
-                    break
-                for ia in pool[la]:
-                    for ib in pool[lb]:
-                        for ic in pool[lc]:
-                            counts["total"] += 1
-                            images = {"A": ia, "B": ib, "C": ic}
-                            seed = next(
-                                (
-                                    x
-                                    for x in TERNARY
-                                    if len(images[x]) >= 2 and images[x][0] == x
-                                ),
-                                None,
-                            )
-                            if seed is None:
-                                counts["no-fixed-point"] += 1
-                                continue
-                            matrix = IncidenceMatrixFast(ia, ib, ic)
-                            if not matrix.primitive():
-                                counts["non-primitive"] += 1
-                                continue
-                            if _quick_imbalanced(images, seed):
-                                counts["quick-imbalance"] += 1
-                                continue
-                            prefix = _grow_prefix(images, seed, certificate_prefix)
-                            try:
-                                cert = three_iet_certificate(
-                                    Word(prefix, TERNARY),
-                                    min_length=min(1000, certificate_prefix),
-                                )
-                            except ValueError:
-                                counts["certificate-error"] += 1
-                                continue
-                            if cert.verdict == "refuted":
-                                counts["certificate-refuted"] += 1
-                                continue
-                            if cert.verdict == "periodic":
-                                counts["certificate-periodic"] += 1
-                                continue
-                            counts["certificate-consistent"] += 1
-                            consistent_texts.append(f"A>{ia};B>{ib};C>{ic}")
+    consistent = []
+    lengths = range(1, min(max_image, max_total - 2) + 1)
+    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}
+    for la, lb, lc in product(lengths, repeat=3):
+        if la + lb + lc > max_total:
+            continue
+        for images in product(pool[la], pool[lb], pool[lc]):
+            m = Morphism(dict(zip(TERNARY, images)), source=TERNARY, target=TERNARY)
+            stage = _search_stage(m, certificate_prefix)
+            counts["total"] += 1
+            counts[stage] += 1
+            if stage == "certificate-consistent":
+                consistent.append(m)
 
     audited = []
-    for text in sorted(consistent_texts):
-        report = substitution_audit(
-            Morphism.from_text(text), prefix_len=audit_prefix
-        )
+    for m in sorted(consistent, key=Morphism.to_text):
+        report = substitution_audit(m, prefix_len=audit_prefix)
         counts[f"audit-{report.overall}"] += 1
         audited.append(
             AuditSummary(
-                text=text,
+                text=m.to_text(),
                 overall=report.overall,
                 reason=report.reason,
                 epsilon=str(report.epsilon) if report.epsilon is not None else None,
@@ -874,28 +838,3 @@ def search_substitutions(
         counts=counts,
         audited=tuple(audited),
     )
-
-
-class IncidenceMatrixFast:
-    """Minimal 3x3 letter-count matrix for the search hot path."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, ia: str, ib: str, ic: str):
-        self.rows = tuple(
-            (img.count("A"), img.count("B"), img.count("C")) for img in (ia, ib, ic)
-        )
-
-    def primitive(self) -> bool:
-        power = self.rows
-        base = self.rows
-        for _ in range(5):
-            if all(x > 0 for row in power for x in row):
-                return True
-            power = tuple(
-                tuple(
-                    sum(power[i][t] * base[t][j] for t in range(3)) for j in range(3)
-                )
-                for i in range(3)
-            )
-        return False

@@ -130,7 +130,7 @@ class Morphism:
     def apply_text(self, text: str) -> str:
         images = self.images
         try:
-            return "".join(images[ch] for ch in text)
+            return "".join(map(images.__getitem__, text))
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} outside source alphabet") from None
 
@@ -295,24 +295,59 @@ def incidence(m: Morphism) -> IncidenceMatrix:
 
 
 def is_primitive(matrix: IncidenceMatrix) -> bool:
-    """Whether some power within the Wielandt bound is entrywise positive."""
+    """Whether some power within the Wielandt bound (n-1)^2 + 1 is entrywise positive.
+
+    Only the zero pattern matters, so each row is a bitmask of its nonzero
+    columns, and row i of the next power is the union of the base rows that
+    row i of the current power reaches.  A pattern that repeats itself
+    before turning positive never will.
+    """
     if not matrix.is_square:
         raise ValueError("primitivity requires a square matrix")
     n, _ = matrix.shape
-    bound = (n - 1) ** 2 + 1
-    power = matrix
-    for _ in range(bound):
-        if all(x > 0 for row in power.rows for x in row):
+    full = (1 << n) - 1
+    base = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix.rows]
+    power = base
+    for _ in range((n - 1) ** 2 + 1):
+        if power.count(full) == n:
             return True
-        power = power @ matrix
+        following = []
+        for row in power:
+            reached = 0
+            for t, mask in enumerate(base):
+                if row >> t & 1:
+                    reached |= mask
+            following.append(reached)
+        if following == power:
+            return False
+        power = following
     return False
 
 
 # -- fixed points -----------------------------------------------------------------
 
+#: the largest power of a morphism searched for a letter that generates a fixed point
+MAX_POWER = 4
+
+
+def _expanding_power(
+    m: Morphism, letters: Sequence[str], max_power: int
+) -> tuple[str, int] | None:
+    """(letter, k) for the least k <= max_power at which m^k maps one of
+    ``letters`` (the first in order) to two letters or more starting with it."""
+    current = {a: m.images[a] for a in letters}
+    for k in range(1, max_power + 1):
+        for a in letters:
+            img = current[a]
+            if len(img) >= 2 and img[0] == a:
+                return a, k
+        if k < max_power:
+            current = {a: m.apply_text(img) for a, img in current.items()}
+    return None
+
 
 def find_expanding_letter(
-    m: Morphism, max_power: int = 4
+    m: Morphism, max_power: int = MAX_POWER
 ) -> tuple[str, int] | None:
     """A letter whose image under some small power starts with itself and grows.
 
@@ -321,42 +356,30 @@ def find_expanding_letter(
     """
     if not m.is_endomorphism:
         return None
-    current = {a: m.images[a] for a in m.source}
-    for k in range(1, max_power + 1):
-        for a in m.source:
-            img = current[a]
-            if len(img) >= 2 and img[0] == a:
-                return a, k
-        current = {a: m.apply_text(current[a]) for a in m.source}
-    return None
+    return _expanding_power(m, m.source, max_power)
 
 
 def fixed_point_prefix(m: Morphism, seed: str | None = None, n: int = 1000) -> Word:
     """First n letters of the invariant word obtained by iterating from seed.
 
     The seed (or, when omitted, the first qualifying letter) must satisfy
-    m^k(seed) = seed... for some power k within a small bound; iteration
-    then extends the prefix until it reaches length n.
+    m^k(seed) = seed... for some power k <= MAX_POWER, the bound of
+    ``find_expanding_letter``; iteration then extends the prefix until it
+    reaches length n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    found = find_expanding_letter(m)
     if seed is None:
+        found = find_expanding_letter(m)
         if found is None:
             raise ValueError("no expanding fixed letter")
-        seed, power = found
     else:
         if seed not in m.source:
             raise ValueError(f"seed {seed!r} outside source alphabet")
-        power = None
-        current = m.images[seed]
-        for k in range(1, 5):
-            if len(current) >= 2 and current[0] == seed:
-                power = k
-                break
-            current = m.apply_text(current)
-        if power is None:
+        found = _expanding_power(m, (seed,), MAX_POWER)
+        if found is None:
             raise ValueError(f"letter {seed!r} does not generate a fixed point")
+    seed, power = found
     step = m
     for _ in range(power - 1):
         step = compose(m, step)

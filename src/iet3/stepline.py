@@ -18,26 +18,25 @@ STEPS = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 _BINARY_STEPS = {"0": (1, 0), "1": (0, 1)}
 
 
-def stepped_vertices(letters: str) -> list[tuple[int, int]]:
-    """Lattice points visited by the stepped line, starting at the origin."""
+def _walk(letters: str, steps) -> list[tuple[int, int]]:
+    """Lattice points visited from the origin, one step per letter."""
     x, y = 0, 0
     points = [(0, 0)]
     for ch in letters:
-        dx, dy = STEPS[ch]
+        dx, dy = steps[ch]
         x, y = x + dx, y + dy
         points.append((x, y))
     return points
+
+
+def stepped_vertices(letters: str) -> list[tuple[int, int]]:
+    """Lattice points visited by the stepped line, starting at the origin."""
+    return _walk(letters, STEPS)
 
 
 def staircase_vertices(binary_letters: str) -> list[tuple[int, int]]:
     """Lattice points visited by a binary staircase (0 right, 1 up)."""
-    x, y = 0, 0
-    points = [(0, 0)]
-    for ch in binary_letters:
-        dx, dy = _BINARY_STEPS[ch]
-        x, y = x + dx, y + dy
-        points.append((x, y))
-    return points
+    return _walk(binary_letters, _BINARY_STEPS)
 
 
 def _fmt(value: float) -> str:

@@ -226,36 +226,48 @@ class BalanceReport:
         return self.max_imbalance <= k
 
 
-def _letter_prefix_sums(w: Word) -> dict[str, np.ndarray]:
+def _letter_prefix_sums(w: Word, letter: str) -> np.ndarray:
+    """Occurrences of one letter in every prefix of the word, the empty one first."""
     arr = np.frombuffer(w.letters.encode("ascii"), dtype=np.uint8)
-    return {
-        a: np.concatenate(([0], np.cumsum(arr == ord(a), dtype=np.int64)))
-        for a in w.alphabet
-    }
+    return np.concatenate(([0], np.cumsum(arr == ord(letter), dtype=np.int64)))
+
+
+def _imbalance_row(sums: np.ndarray, window: int) -> tuple[int, ...]:
+    row = [0]
+    for n in range(1, window + 1):
+        counts = sums[n:] - sums[:-n]
+        row.append(int(counts.max() - counts.min()))
+    return tuple(row)
 
 
 def balance(w, n_max: int) -> BalanceReport:
-    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max."""
+    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max.
+
+    Over a two-letter alphabet one row serves both letters: a factor of
+    length n holds n minus its count of the other letter, so the two rows
+    are equal and only the second letter's is computed.
+    """
     w = _as_word(w)
     window = min(n_max, len(w))
-    sums = _letter_prefix_sums(w)
-    table = {}
-    for a, s in sums.items():
-        row = [0]
-        for n in range(1, window + 1):
-            counts = s[n:] - s[:-n]
-            row.append(int(counts.max() - counts.min()))
-        table[a] = tuple(row)
+    if len(w.alphabet) == 2:
+        row = _imbalance_row(_letter_prefix_sums(w, w.alphabet[1]), window)
+        return BalanceReport(dict.fromkeys(w.alphabet, row), window)
+    table = {
+        a: _imbalance_row(_letter_prefix_sums(w, a), window) for a in w.alphabet
+    }
     return BalanceReport(table, window)
 
 
 def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:
     """A factor pair of length n achieving the extreme counts of a letter.
 
-    Returns (position_max, position_min, factor_max, factor_min).
+    Returns (position_max, position_min, factor_max, factor_min); a letter
+    outside the word's alphabet raises KeyError.
     """
     w = _as_word(w)
-    s = _letter_prefix_sums(w)[letter]
+    if letter not in w.alphabet:
+        raise KeyError(letter)
+    s = _letter_prefix_sums(w, letter)
     counts = s[n:] - s[:-n]
     i = int(counts.argmax())
     j = int(counts.argmin())

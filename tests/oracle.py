@@ -4,14 +4,19 @@ Most are the letter-by-letter field-arithmetic loops that the integer
 lattice path replaced: every orbit point and prefix height is a
 ``QuadraticNumber``, every boundary test a field comparison.  The factor
 count is the set-of-slices loop that rank refinement replaced, and the
-integer-root search tries every divisor in turn.  They are slow and
+integer-root search tries every divisor in turn.  Primitivity multiplies
+incidence matrices power by power, balance fills one row per letter, and
+the fixed-point generator searches powers on its own.  They are slow and
 obviously right, which is what an oracle is for.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from iet3.audit import B_AS_01, RecoveryError
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
+from iet3.morphisms import IncidenceMatrix, Morphism, compose
 from iet3.qfield import QuadraticNumber, as_quadratic
 from iet3.words import TERNARY, Word
 
@@ -208,3 +213,62 @@ def integer_roots(coeffs) -> tuple[list[int], list[int]]:
         else:
             break
     return roots, coeffs
+
+
+def is_primitive(matrix: IncidenceMatrix) -> bool:
+    """Whether some power within the Wielandt bound is positive, by products."""
+    if not matrix.is_square:
+        raise ValueError("primitivity requires a square matrix")
+    n, _ = matrix.shape
+    power = matrix
+    for _ in range((n - 1) ** 2 + 1):
+        if all(x > 0 for row in power.rows for x in row):
+            return True
+        power = power @ matrix
+    return False
+
+
+def balance(w: Word, n_max: int) -> tuple[dict, int]:
+    """Table and window of ``words.balance``, one row per letter."""
+    window = min(n_max, len(w))
+    arr = np.frombuffer(w.letters.encode("ascii"), dtype=np.uint8)
+    table = {}
+    for a in w.alphabet:
+        s = np.concatenate(([0], np.cumsum(arr == ord(a), dtype=np.int64)))
+        row = [0]
+        for n in range(1, window + 1):
+            counts = s[n:] - s[:-n]
+            row.append(int(counts.max() - counts.min()))
+        table[a] = tuple(row)
+    return table, window
+
+
+def find_expanding_letter(m: Morphism, max_power: int = 4):
+    """(letter, power) of ``morphisms.find_expanding_letter``, power by power."""
+    if not set(m.target) <= set(m.source):
+        return None
+    current = dict(m.images)
+    for k in range(1, max_power + 1):
+        for a in m.source:
+            if len(current[a]) >= 2 and current[a][0] == a:
+                return a, k
+        current = {a: "".join(m.images[ch] for ch in current[a]) for a in m.source}
+    return None
+
+
+def fixed_point_prefix(m: Morphism, seed: str, n: int) -> str:
+    """Letters of ``morphisms.fixed_point_prefix`` from a given seed."""
+    current = m.images[seed]
+    for power in range(1, 5):
+        if len(current) >= 2 and current[0] == seed:
+            break
+        current = "".join(m.images[ch] for ch in current)
+    else:
+        raise ValueError(f"letter {seed!r} does not generate a fixed point")
+    step = m
+    for _ in range(power - 1):
+        step = compose(m, step)
+    text = seed
+    while len(text) < n:
+        text = "".join(step.images[ch] for ch in text)
+    return text[:n]

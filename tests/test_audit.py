@@ -242,12 +242,52 @@ def test_perturbing_one_translation_breaks_disjointness(good_params):
 # -- exhaustive search -------------------------------------------------------------
 
 
-def test_small_search_is_exhaustive_and_violation_free():
-    report = search_substitutions(max_total=6)
+SEARCH_COUNTS = {
+    6: {
+        "total": 9018,
+        "no-fixed-point": 4617,
+        "non-primitive": 3391,
+        "quick-imbalance": 983,
+        "certificate-refuted": 19,
+        "certificate-periodic": 8,
+    },
+    7: {
+        "total": 41823,
+        "no-fixed-point": 19683,
+        "non-primitive": 15274,
+        "quick-imbalance": 6738,
+        "certificate-refuted": 90,
+        "certificate-periodic": 8,
+        "certificate-consistent": 30,
+        "audit-pass": 12,
+        "audit-not-applicable": 18,
+    },
+}
+
+
+def assert_search_is_exhaustive_and_violation_free(max_total: int):
+    report = search_substitutions(max_total=max_total)
     counts = report.counts
-    staged = sum(v for k, v in counts.items() if k != "total")
+    # every candidate leaves through exactly one pre-audit stage, and every
+    # certificate-consistent one through exactly one audit outcome
+    staged = sum(
+        v for k, v in counts.items() if k != "total" and not k.startswith("audit-")
+    )
     assert staged == counts["total"] > 0
+    audits = sum(v for k, v in counts.items() if k.startswith("audit-"))
+    assert audits == counts["certificate-consistent"] == len(report.audited)
+    assert counts == {k: SEARCH_COUNTS[max_total].get(k, 0) for k in counts}
     assert counts["audit-fail"] == 0
     assert report.failures == ()
+    assert [s.text for s in report.audited] == sorted(s.text for s in report.audited)
     for summary in report.passes:
         assert summary.is_sturm is True
+
+
+def test_small_search_is_exhaustive_and_violation_free():
+    assert_search_is_exhaustive_and_violation_free(6)
+
+
+def test_search_reaching_the_audit_is_exhaustive_and_violation_free():
+    # total length 7 is the least bound with certificate-consistent candidates
+    assert_search_is_exhaustive_and_violation_free(7)

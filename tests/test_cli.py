@@ -1,5 +1,6 @@
 """Command-line behaviour: payload shapes, exit codes, determinism, SVG."""
 
+import hashlib
 import json
 import math
 
@@ -320,6 +321,16 @@ def test_search_summarises_every_candidate(capsys, schema):
     counts = doc["counts"]
     assert sum(v for k, v in counts.items() if k != "total") == counts["total"]
     assert counts["audit-fail"] == 0
+
+
+def test_search_json_is_byte_identical_to_the_recorded_payload(capsys):
+    # sha256 of the stdout recorded before the search was rebuilt on the
+    # library's primitives; counts, order and formatting must not move
+    code, out, err = run(["search", "--max-total-length", "6", "--json"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3940d7296818516583acdbde271fcde063a3a42031262852a980940f8dd075ed"
+    )
 
 
 # -- figures -------------------------------------------------------------------

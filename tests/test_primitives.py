@@ -1,0 +1,162 @@
+"""The search's library primitives against their oracles.
+
+``search_substitutions`` decides every candidate through ``is_primitive``
+(row bitmasks), ``balance`` (one row for a two-letter alphabet) and the
+power search shared by ``find_expanding_letter`` and ``fixed_point_prefix``.
+Each must answer exactly as its reference in ``oracle``: matrix powers,
+one prefix-sum row per letter, and a fixed-point generator with its own
+power search.
+"""
+
+import oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_complexity import windows, words_over
+from test_lattice import exchange_params
+
+from iet3.dynamics import ThreeIet
+from iet3.morphisms import (
+    SIGMA,
+    SIGMA_PRIME,
+    IncidenceMatrix,
+    Morphism,
+    find_expanding_letter,
+    fixed_point_prefix,
+    is_primitive,
+)
+from iet3.words import BINARY, TERNARY, Word, balance, imbalance_witness
+
+# -- primitivity -------------------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square non-negative matrices, mostly zeros, of size 1 to 4."""
+    n = draw(st.sampled_from([1, 2, 3, 3, 4]))
+    entry = st.sampled_from([0, 0, 0, 1, 2])
+    return IncidenceMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_matrices())
+def test_bitmask_primitivity_matches_matrix_powers(matrix):
+    assert is_primitive(matrix) is oracle.is_primitive(matrix)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # a cycle is irreducible but periodic; adding a loop makes it primitive
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),
+        ([[1, 1, 0], [0, 0, 1], [1, 0, 0]], True),
+        # Wielandt's matrix needs exactly the bound (n-1)^2 + 1 = 5
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], True),
+        ([[1, 0], [0, 1]], False),
+        ([[0, 1], [1, 1]], True),
+    ],
+)
+def test_primitivity_of_known_patterns(rows, expected):
+    assert is_primitive(IncidenceMatrix(rows)) is expected
+    assert oracle.is_primitive(IncidenceMatrix(rows)) is expected
+
+
+def test_primitivity_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        is_primitive(IncidenceMatrix([[1, 1, 1], [1, 1, 1]]))
+
+
+# -- balance -----------------------------------------------------------------------
+
+
+def assert_balance_matches_oracle(word: Word, n_max: int):
+    report = balance(word, n_max)
+    table, window = oracle.balance(word, n_max)
+    assert report.window == window
+    assert report.table == table
+    assert list(report.table) == list(table)  # letters in alphabet order
+    assert report.max_imbalance == max((max(r) for r in table.values()), default=0)
+    assert all(type(x) is int for row in report.table.values() for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("01", BINARY), ("ABC", TERNARY)]), st.data())
+def test_random_words_match_every_letter_rows(alphabet, data):
+    letters, declared = alphabet
+    word = Word(data.draw(words_over(letters)), declared)
+    for n_max in [*windows(data, len(word)), len(word) + 1, len(word) + 50]:
+        assert_balance_matches_oracle(word, n_max)
+
+
+@given(st.sampled_from("01AB"), st.integers(0, 30), st.integers(-1, 40))
+def test_one_letter_words_are_balanced(letter, length, n_max):
+    word = Word(letter * length, (letter,))
+    assert_balance_matches_oracle(word, n_max)
+    assert balance(word, n_max).max_imbalance == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(exchange_params(), st.integers(1, 400), st.data())
+def test_codings_and_their_binary_images_match_every_letter_rows(params, n, data):
+    u = ThreeIet(params).code_orbit(n).word
+    for word in (u, SIGMA.apply(u), SIGMA_PRIME.apply(u)):
+        for n_max in [*windows(data, len(word)), len(word) + 7]:
+            assert_balance_matches_oracle(word, n_max)
+
+
+def test_witness_rejects_a_letter_outside_the_alphabet():
+    word = Word("0011", BINARY)
+    with pytest.raises(KeyError):
+        imbalance_witness(word, "A", 2)
+    with pytest.raises(KeyError):
+        imbalance_witness(Word("ABCA"), "0", 1)
+    assert imbalance_witness(word, "1", 2) == (2, 0, "11", "00")
+
+
+# -- fixed points --------------------------------------------------------------------
+
+THUE_MORSE = Morphism.from_text("A>BA;B>AB")
+
+
+def test_a_seed_of_power_two():
+    assert find_expanding_letter(THUE_MORSE) == ("A", 2)
+    assert find_expanding_letter(THUE_MORSE, max_power=1) is None
+    for seed in ("A", "B"):
+        expected = oracle.fixed_point_prefix(THUE_MORSE, seed, 50)
+        assert fixed_point_prefix(THUE_MORSE, seed=seed, n=50).letters == expected
+    assert fixed_point_prefix(THUE_MORSE, n=8).letters == "ABBABAAB"
+    assert fixed_point_prefix(THUE_MORSE, seed="B", n=8).letters == "BAABABBA"
+
+
+def test_a_seed_without_a_fixed_point():
+    m = Morphism.from_text("A>AB;B>C;C>B")
+    assert fixed_point_prefix(m, seed="A", n=5).letters == "ABCBC"
+    for seed in ("B", "C"):
+        with pytest.raises(ValueError, match=f"letter '{seed}' does not generate"):
+            fixed_point_prefix(m, seed=seed, n=5)
+        with pytest.raises(ValueError, match="does not generate"):
+            oracle.fixed_point_prefix(m, seed, 5)
+    with pytest.raises(ValueError, match="no expanding fixed letter"):
+        fixed_point_prefix(Morphism.from_text("A>B;B>C;C>A"))
+    with pytest.raises(ValueError, match="outside source alphabet"):
+        fixed_point_prefix(m, seed="D")
+
+
+images = st.text(alphabet="ABC", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(images, images, images), st.integers(1, 5), st.integers(0, 200))
+def test_power_search_matches_the_oracle(triple, max_power, n):
+    m = Morphism(dict(zip(TERNARY, triple)))
+    assert find_expanding_letter(m, max_power) == oracle.find_expanding_letter(
+        m, max_power
+    )
+    for seed in TERNARY:
+        try:
+            expected = oracle.fixed_point_prefix(m, seed, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fixed_point_prefix(m, seed=seed, n=n)
+        else:
+            assert fixed_point_prefix(m, seed=seed, n=n).letters == expected
