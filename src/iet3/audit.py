@@ -14,16 +14,18 @@ is a 3iet coding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
 from .dynamics import ConstraintError, IetParameters, ThreeIet
 from .morphisms import (
+    Expanding,
     Morphism,
     SIGMA,
     SIGMA_PRIME,
+    SpectralClass,
     find_expanding_letter,
     fixed_point_prefix,
     incidence,
@@ -70,23 +72,17 @@ _IMAGE_NAMES = (("b_as_01", B_AS_01), ("b_as_10", B_AS_10))
 
 @dataclass(frozen=True)
 class SturmVerdict:
-    """Exact evaluation of the three defining conditions.
+    """Exact evaluation of the three defining conditions for value.
 
     is_sturm is the conjunction: a quadratic irrational inside the unit
     interval whose field conjugate falls outside it.
     """
 
+    value: QuadraticNumber
     is_quadratic_irrational: bool
     in_unit_interval: bool
     conjugate_outside_unit_interval: bool
-
-    @property
-    def is_sturm(self) -> bool:
-        return (
-            self.is_quadratic_irrational
-            and self.in_unit_interval
-            and self.conjugate_outside_unit_interval
-        )
+    is_sturm: bool
 
 
 def is_sturm(x) -> SturmVerdict:
@@ -96,11 +92,15 @@ def is_sturm(x) -> SturmVerdict:
     test fails, so is_sturm is false.
     """
     x = as_quadratic(x)
-    conj = x.conjugate()
+    irrational = x.radicand is not None
+    inside = 0 < x < 1
+    conjugate_outside = not (0 < x.conjugate() < 1)
     return SturmVerdict(
-        is_quadratic_irrational=x.radicand is not None,
-        in_unit_interval=0 < x < 1,
-        conjugate_outside_unit_interval=not (0 < conj < 1),
+        value=x,
+        is_quadratic_irrational=irrational,
+        in_unit_interval=inside,
+        conjugate_outside_unit_interval=conjugate_outside,
+        is_sturm=irrational and inside and conjugate_outside,
     )
 
 
@@ -318,7 +318,7 @@ def recover_parameters(
 PASS_NOTE = "no necessary condition violated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AuditReport:
     """Every necessary condition evaluated for one substitution.
 
@@ -327,33 +327,34 @@ class AuditReport:
     (which would indicate a bug somewhere, not new mathematics), or
     "not-applicable" with the reason the hypotheses could not be
     established.  Fields are None when the audit stopped before
-    reaching them.
+    reaching them.  The declaration order is the order of the CLI's
+    JSON payload; l_exact is written there as "l".
     """
 
     morphism: Morphism
     prefix_length: int
-    expanding: tuple | None
-    fixed_point_consistent: bool | None
-    primitive: bool | None
-    certificate: CertificateReport | None
-    spectral: object | None
-    epsilon: QuadraticNumber | None
-    l_exact: QuadraticNumber | None
-    frequencies_consistent: bool | None
-    frequency_deviation: float | None
-    recovery: RecoveredParameters | None
-    non_degenerate: bool | None
-    sturm: SturmVerdict | None
-    eigenvector_relation_holds: bool | None
-    non_singular: bool | None
-    quadratic_unit: bool | None
-    parameters_in_field: bool | None
-    conjugate_vector_uniform_sign: bool | None
-    scaling_relation_holds: bool | None
+    expanding: Expanding | None = None
+    fixed_point_consistent: bool | None = None
+    primitive: bool | None = None
+    certificate: CertificateReport | None = None
+    spectral: SpectralClass | None = None
+    epsilon: QuadraticNumber | None = None
+    l_exact: QuadraticNumber | None = field(default=None, metadata={"json": "l"})
+    frequencies_consistent: bool | None = None
+    frequency_deviation: float | None = None
+    recovery: RecoveredParameters | None = None
+    non_degenerate: bool | None = None
+    sturm: SturmVerdict | None = None
+    eigenvector_relation_holds: bool | None = None
+    non_singular: bool | None = None
+    quadratic_unit: bool | None = None
+    parameters_in_field: bool | None = None
+    conjugate_vector_uniform_sign: bool | None = None
+    scaling_relation_holds: bool | None = None
     scaling_prefixes: int
     overall: str
-    reason: str | None
-    note: str | None
+    reason: str | None = None
+    note: str | None = None
 
 
 def _uniform_strict_sign(values: Sequence[QuadraticNumber]) -> bool:
@@ -387,29 +388,11 @@ def substitution_audit(
     fields: dict = dict(
         morphism=m,
         prefix_length=prefix_len,
-        expanding=None,
-        fixed_point_consistent=None,
-        primitive=None,
-        certificate=None,
-        spectral=None,
-        epsilon=None,
-        l_exact=None,
-        frequencies_consistent=None,
-        frequency_deviation=None,
-        recovery=None,
-        non_degenerate=None,
-        sturm=None,
-        eigenvector_relation_holds=None,
-        non_singular=None,
-        quadratic_unit=None,
-        parameters_in_field=None,
-        conjugate_vector_uniform_sign=None,
-        scaling_relation_holds=None,
         scaling_prefixes=scaling_prefixes,
     )
 
     def stop(reason: str) -> AuditReport:
-        return AuditReport(**fields, overall="not-applicable", reason=reason, note=None)
+        return AuditReport(**fields, overall="not-applicable", reason=reason)
 
     expanding = find_expanding_letter(m)
     if expanding is None:
@@ -558,9 +541,8 @@ def substitution_audit(
             **fields,
             overall="fail",
             reason="violated: " + ", ".join(failed),
-            note=None,
         )
-    return AuditReport(**fields, overall="pass", reason=None, note=PASS_NOTE)
+    return AuditReport(**fields, overall="pass", note=PASS_NOTE)
 
 
 # -- finite set-identity checks ---------------------------------------------------
@@ -719,7 +701,7 @@ def facts_check(
 
 @dataclass(frozen=True)
 class AuditSummary:
-    text: str
+    text: str = field(metadata={"json": "morphism"})
     overall: str
     reason: str | None
     epsilon: str | None

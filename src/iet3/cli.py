@@ -2,7 +2,12 @@
 
 Every subcommand prints human-readable text by default and a single JSON
 document with --json.  Exact numbers appear in JSON as objects carrying
-the canonical expression string plus a convenience float.  Exit codes:
+the canonical expression string plus a convenience float.  A report from
+the library (RecoveredParameters, SturmVerdict, CertificateReport,
+AuditReport and the SpectralClass, Expanding and AuditSummary values it
+or the search carries) is written by ``_json``: its keys are the fields,
+in declaration order, except that AuditReport.l_exact is written as "l"
+and AuditSummary.text as "morphism".  Exit codes:
 0 for success (including not-applicable audit outcomes), 1 for usage or
 input errors, 2 when a verified instance violates a necessary condition,
 which indicates a bug in this artifact rather than new mathematics.
@@ -13,12 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from xml.etree import ElementTree
 
 from .audit import (
-    AuditReport,
-    CertificateReport,
-    RecoveredParameters,
     is_sturm,
     recover_parameters,
     search_substitutions,
@@ -28,6 +32,7 @@ from .audit import (
 from .dynamics import (
     IetParameters,
     Interval,
+    ReturnTimeCapError,
     Rotation,
     ThreeIet,
     first_return,
@@ -35,7 +40,7 @@ from .dynamics import (
     in_z_epsilon,
 )
 from .morphisms import Morphism
-from .qfield import as_quadratic, parse_quadratic
+from .qfield import QuadraticNumber, as_quadratic, parse_quadratic
 from .stepline import stepped_line_svg
 from .words import TERNARY, Word, balance, complexity
 
@@ -63,10 +68,6 @@ class _Parser(argparse.ArgumentParser):
 def _num(x) -> dict:
     q = as_quadratic(x)
     return {"exact": str(q), "approx": float(f"{float(q):.17g}")}
-
-
-def _opt_num(x) -> dict | None:
-    return None if x is None else _num(x)
 
 
 def _bounded_int(what: str, limit: int, unit: str):
@@ -123,92 +124,30 @@ def _params_json(params: IetParameters) -> dict:
     }
 
 
-def _certificate_json(cert: CertificateReport) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "witness": cert.witness,
-        "word_length": cert.word_length,
-        "balance_window": cert.balance_window,
-        "complexity_window": cert.complexity_window,
-        "image_lengths": cert.image_lengths,
-        "max_imbalance": cert.max_imbalance,
-    }
+def _json(value):
+    """The JSON form of a report value.
 
-
-def _recovery_json(rec: RecoveredParameters) -> dict:
-    return {
-        "epsilon": _num(rec.epsilon),
-        "c_hat": _num(rec.c_hat),
-        "l_hat": _num(rec.l_hat),
-        "attained_infimum": rec.attained_infimum,
-        "sample_size": rec.sample_size,
-        "position_count": rec.position_count,
-        "threshold_consistent": rec.threshold_consistent,
-        "convention": rec.convention,
-        "match_fraction": _num(rec.match_fraction),
-        "first_mismatch": rec.first_mismatch,
-    }
-
-
-def _spectral_json(spectral) -> dict:
-    return {
-        "charpoly": list(spectral.charpoly),
-        "classification": spectral.classification,
-        "dominant": _opt_num(spectral.dominant),
-        "dominant_conjugate": _opt_num(spectral.dominant_conjugate),
-        "integer_roots": list(spectral.integer_roots),
-        "quadratic_factor": (
-            list(spectral.quadratic_factor) if spectral.quadratic_factor else None
-        ),
-        "determinant": spectral.determinant,
-    }
-
-
-def _sturm_json(value, verdict) -> dict:
-    return {
-        "value": _num(value),
-        "is_quadratic_irrational": verdict.is_quadratic_irrational,
-        "in_unit_interval": verdict.in_unit_interval,
-        "conjugate_outside_unit_interval": verdict.conjugate_outside_unit_interval,
-        "is_sturm": verdict.is_sturm,
-    }
-
-
-def _audit_json(report: AuditReport) -> dict:
-    return {
-        "morphism": report.morphism.to_text(),
-        "prefix_length": report.prefix_length,
-        "expanding": (
-            {"letter": report.expanding[0], "power": report.expanding[1]}
-            if report.expanding
-            else None
-        ),
-        "fixed_point_consistent": report.fixed_point_consistent,
-        "primitive": report.primitive,
-        "certificate": (
-            _certificate_json(report.certificate) if report.certificate else None
-        ),
-        "spectral": _spectral_json(report.spectral) if report.spectral else None,
-        "epsilon": _opt_num(report.epsilon),
-        "l": _opt_num(report.l_exact),
-        "frequencies_consistent": report.frequencies_consistent,
-        "frequency_deviation": report.frequency_deviation,
-        "recovery": _recovery_json(report.recovery) if report.recovery else None,
-        "non_degenerate": report.non_degenerate,
-        "sturm": (
-            _sturm_json(report.epsilon, report.sturm) if report.sturm else None
-        ),
-        "eigenvector_relation_holds": report.eigenvector_relation_holds,
-        "non_singular": report.non_singular,
-        "quadratic_unit": report.quadratic_unit,
-        "parameters_in_field": report.parameters_in_field,
-        "conjugate_vector_uniform_sign": report.conjugate_vector_uniform_sign,
-        "scaling_relation_holds": report.scaling_relation_holds,
-        "scaling_prefixes": report.scaling_prefixes,
-        "overall": report.overall,
-        "reason": report.reason,
-        "note": report.note,
-    }
+    A dataclass becomes an object, field by field in declaration order,
+    each under its ``metadata["json"]`` name when it has one; a named tuple
+    becomes an object too.  Exact numbers go through ``_num`` and a
+    morphism becomes its text.
+    """
+    if isinstance(value, (QuadraticNumber, Fraction)):
+        return _num(value)
+    if isinstance(value, Morphism):
+        return value.to_text()
+    if is_dataclass(value):
+        return {
+            f.metadata.get("json", f.name): _json(getattr(value, f.name))
+            for f in fields(value)
+        }
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _json(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    return value
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -342,7 +281,7 @@ def _cmd_analyze(args):
         if alphabet != "ternary":
             raise ValueError("certificate requires a ternary word")
         cert = three_iet_certificate(word, min_length=min(1000, len(word)))
-        payload["certificate"] = _certificate_json(cert)
+        payload["certificate"] = _json(cert)
         lines.append(f"certificate: {cert.verdict}")
         if cert.witness:
             lines.append(f"  witness: {cert.witness}")
@@ -370,9 +309,8 @@ def _cmd_idoc(args):
 
 
 def _cmd_sturm(args):
-    value = parse_quadratic(args.value)
-    verdict = is_sturm(value)
-    payload = {"command": "sturm", **_sturm_json(value, verdict)}
+    verdict = is_sturm(parse_quadratic(args.value))
+    payload = {"command": "sturm", **_json(verdict)}
     text = (
         f"sturm: {str(verdict.is_sturm).lower()} "
         f"(quadratic irrational: {str(verdict.is_quadratic_irrational).lower()}, "
@@ -387,7 +325,7 @@ def _cmd_recover(args):
     word = _read_word_argument(args)
     eps = parse_quadratic(args.epsilon)
     rec = recover_parameters(word, eps)
-    payload = {"command": "recover", **_recovery_json(rec)}
+    payload = {"command": "recover", **_json(rec)}
     text = (
         f"c_hat = {rec.c_hat}\n"
         f"l_hat = {rec.l_hat}\n"
@@ -402,7 +340,7 @@ def _cmd_recover(args):
 def _cmd_audit(args):
     morphism = Morphism.from_text(args.morphism)
     report = substitution_audit(morphism, prefix_len=args.seed_prefix_len)
-    payload = {"command": "audit", **_audit_json(report)}
+    payload = {"command": "audit", **_json(report)}
     lines = [f"substitution {morphism.to_text()}: {report.overall}"]
     if report.reason:
         lines.append(f"  reason: {report.reason}")
@@ -438,19 +376,7 @@ def _cmd_search(args):
     )
     payload = {
         "command": "search",
-        "max_total": report.max_total,
-        "max_image": report.max_image,
-        "counts": report.counts,
-        "audited": [
-            {
-                "morphism": s.text,
-                "overall": s.overall,
-                "reason": s.reason,
-                "epsilon": s.epsilon,
-                "is_sturm": s.is_sturm,
-            }
-            for s in report.audited
-        ],
+        **_json(report),
         "passes": [s.text for s in report.passes],
     }
     lines = [
@@ -625,7 +551,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, text, code = args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, ReturnTimeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rendered = json.dumps(payload, indent=2) if args.json else text

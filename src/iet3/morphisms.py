@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .qfield import QuadraticNumber, as_quadratic, sqrt_int
 from .words import BINARY, TERNARY, Word
 
 __all__ = [
+    "Expanding",
     "IncidenceMatrix",
     "Morphism",
     "MorphismSyntaxError",
@@ -330,9 +331,16 @@ def is_primitive(matrix: IncidenceMatrix) -> bool:
 MAX_POWER = 4
 
 
+class Expanding(NamedTuple):
+    """A letter that m^power maps to two letters or more starting with it."""
+
+    letter: str
+    power: int
+
+
 def _expanding_power(
     m: Morphism, letters: Sequence[str], max_power: int
-) -> tuple[str, int] | None:
+) -> Expanding | None:
     """(letter, k) for the least k <= max_power at which m^k maps one of
     ``letters`` (the first in order) to two letters or more starting with it."""
     current = {a: m.images[a] for a in letters}
@@ -340,7 +348,7 @@ def _expanding_power(
         for a in letters:
             img = current[a]
             if len(img) >= 2 and img[0] == a:
-                return a, k
+                return Expanding(a, k)
         if k < max_power:
             current = {a: m.apply_text(img) for a, img in current.items()}
     return None
@@ -348,7 +356,7 @@ def _expanding_power(
 
 def find_expanding_letter(
     m: Morphism, max_power: int = MAX_POWER
-) -> tuple[str, int] | None:
+) -> Expanding | None:
     """A letter whose image under some small power starts with itself and grows.
 
     Returns (letter, power) with the smallest power, ties broken by source

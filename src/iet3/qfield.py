@@ -28,6 +28,10 @@ __all__ = [
 
 _RationalLike = Union[int, Fraction]
 
+#: largest radicand parse_quadratic accepts: splitting off its square part
+#: tries divisors up to its square root, at most 10**6 of them here
+MAX_RADICAND = 10**12
+
 
 class FieldMismatchError(ValueError):
     """Two values from distinct quadratic fields were combined."""
@@ -472,6 +476,10 @@ class _Scanner:
         self.expect(")")
         if n == 0:
             raise ExpressionSyntaxError("radicand must be a positive integer", at)
+        if n > MAX_RADICAND:
+            raise ExpressionSyntaxError(
+                f"radicand exceeds the limit of {MAX_RADICAND}", at
+            )
         return n
 
     def unsigned(self) -> QuadraticNumber:

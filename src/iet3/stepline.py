@@ -8,6 +8,8 @@ the word (B split as "01" or as "10") trace dashed staircases (0 right,
 
 from __future__ import annotations
 
+import math
+
 from .morphisms import SIGMA, SIGMA_PRIME
 from .words import Word
 
@@ -71,6 +73,9 @@ def stepped_line_svg(word, unit: float = 20) -> str:
     margin = unit
     width = 2 * margin + x_max * unit + unit / 2
     height = 2 * margin + y_max * unit + unit / 2
+    if not (math.isfinite(width) and math.isfinite(height)):
+        # a NaN unit passes the sign test above; inf or a huge unit overflows
+        raise ValueError(f"unit {unit:g} gives a figure of non-finite size")
 
     def to_pixels(x: float, y: float) -> tuple[float, float]:
         return margin + x * unit, height - margin - y * unit

@@ -8,9 +8,16 @@ import jsonschema
 import pytest
 
 from iet3.cli import main
+from iet3.dynamics import IetParameters, ThreeIet
+from iet3.qfield import parse_quadratic
 
 GOLDEN = "(-1+sqrt(5))/2"
 GOLDEN_L = "(1+sqrt(5))/4"
+GOLDEN_2000 = (
+    ThreeIet(IetParameters(parse_quadratic(GOLDEN), parse_quadratic(GOLDEN_L), 0))
+    .code_orbit(2000)
+    .word.letters
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +193,14 @@ def test_induce_needs_both_interval_endpoints(capsys):
     assert code == 1 and "together" in err
 
 
+def test_induce_reports_an_exceeded_cap_as_an_error(capsys):
+    code, out, err = run(
+        ["induce", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--cap", "1"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: return time exceeded cap 1 ")
+
+
 # -- analysis -----------------------------------------------------------------
 
 
@@ -323,14 +338,46 @@ def test_search_summarises_every_candidate(capsys, schema):
     assert counts["audit-fail"] == 0
 
 
-def test_search_json_is_byte_identical_to_the_recorded_payload(capsys):
-    # sha256 of the stdout recorded before the search was rebuilt on the
-    # library's primitives; counts, order and formatting must not move
-    code, out, err = run(["search", "--max-total-length", "6", "--json"], capsys)
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3940d7296818516583acdbde271fcde063a3a42031262852a980940f8dd075ed"
-    )
+#: sha256 of the --json stdout of each call, recorded before the search was
+#: rebuilt on the library's primitives (search) and before the payloads were
+#: built from the report dataclasses (all); keys, order and formatting must
+#: not move
+RECORDED_PAYLOADS = {
+    ("sturm", "--value", GOLDEN):
+        "14ac07edee8f00f24e686b4149d217ec0f77e98c646dd3d2e715715ef47ef027",
+    ("sturm", "--value", "3/7"):
+        "75e9a98a98fbd27b23bfe171124e5063e275102c36f5c2a57adda4d3b5ce9984",
+    ("recover", "--word", GOLDEN_2000, "--epsilon", GOLDEN):
+        "11d88ab7a4cace928c0a76535e4ab025a5e42243eb3bcc3c8d52d242beee52fa",
+    ("analyze", "--word", GOLDEN_2000):
+        "9582340dd4d0d3e045a105c4e51f260c283804e24b39400fc01a8bdce6e85157",
+    ("audit", "--morphism", "A>AB;B>AACA;C>A", "--seed-prefix-len", "4000"):
+        "35c39386380f07e99437af90b5da034be568bbdbcea62ada6b193270cbb5a063",
+    # the early exits: no expanding fixed point, cubic spectrum refuted by
+    # the certificate, rational spectrum refuted by it, missing letter
+    ("audit", "--morphism", "A>B;B>C;C>A"):
+        "c7acdd1bf26eb27cdff33b8c00d9e01193f13eef5efc3f05a229dbbd89060a68",
+    ("audit", "--morphism", "A>AB;B>AC;C>A"):
+        "69c345c8061fdf926d9d5a601f60cb5b2c3b63994b1180a99e800178e9346c75",
+    ("audit", "--morphism", "A>AC;B>BC;C>AB"):
+        "10ec5b84b8ae5f9dbabec956e04e29486bbf26513fe31ef62f65b431a0e6b73d",
+    ("audit", "--morphism", "A>AAC;B>B;C>CA"):
+        "2e07dfe0041d9a1b98e768cd93168eafbb80907caa5c7109b1e075d7c2669581",
+    ("search", "--max-total-length", "6"):
+        "3940d7296818516583acdbde271fcde063a3a42031262852a980940f8dd075ed",
+    # 30 audited entries, so every field of an AuditSummary is written
+    ("search", "--max-total-length", "7"):
+        "165fe20ea2412edb5a9c9be33a1a4b85f36d3aefe795fb744b793977438555bf",
+}
+
+
+def test_json_payloads_are_byte_identical_to_the_recorded_ones(capsys):
+    digests = {}
+    for argv in RECORDED_PAYLOADS:
+        code, out, err = run([*argv, "--json"], capsys)
+        assert (code, err) == (0, ""), argv[:3]
+        digests[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == RECORDED_PAYLOADS
 
 
 # -- figures -------------------------------------------------------------------
@@ -362,6 +409,16 @@ def test_svg_rejects_binary_words_and_requires_out(capsys, tmp_path):
         ["svg", "--word", "0101", "--out", str(tmp_path / "x.svg")], capsys
     )
     assert code == 1 and "ternary" in err
+    nan_path = tmp_path / "nan.svg"
+    code, out, err = run(
+        [
+            "--json", "svg", "--word", "AB", "--unit", "nan",
+            "--out", str(nan_path),
+        ],
+        capsys,
+    )
+    assert (code, out) == (1, "") and "unit" in err
+    assert not nan_path.exists()
     code, out, err = run(["svg", "--word", "ABC"], capsys)
     assert code == 1 and "--out" in err
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3.qfield import (
+    MAX_RADICAND,
     ExpressionSyntaxError,
     FieldMismatchError,
     QuadraticNumber,
@@ -164,6 +165,15 @@ def test_parse_error_positions():
         Q("1/0")
     with pytest.raises(ZeroDivisionError):
         Q("(1+sqrt(5))/0")
+    # a radicand above MAX_RADICAND is refused before the square-part split
+    with pytest.raises(ExpressionSyntaxError) as info:
+        Q("sqrt(1000000000000000000000000000057)")
+    assert info.value.position == 5
+
+
+def test_radicands_up_to_the_limit_parse():
+    assert Q(f"sqrt({MAX_RADICAND})") == sqrt_int(MAX_RADICAND)
+    assert Q("sqrt(999999999989)").radicand == 999999999989  # the prime below 10**12
 
 
 def test_as_quadratic_coercions():

@@ -86,8 +86,9 @@ def test_empty_word_renders_axes_only():
 def test_svg_rejects_binary_words_and_bad_units():
     with pytest.raises(ValueError, match="ternary"):
         stepped_line_svg(Word("0101", BINARY))
-    with pytest.raises(ValueError, match="unit"):
-        stepped_line_svg("A", unit=0)
+    for unit in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="unit"):
+            stepped_line_svg("A", unit=unit)
 
 
 def test_pixel_frame_grows_with_the_unit():
