@@ -4,8 +4,10 @@ The package builds symbolic codings of three-interval exchange maps over
 real quadratic fields, analyses the resulting infinite words (complexity,
 balance, return words), relates them to circle rotations by induction,
 and audits substitution invariance against the arithmetic conditions it
-forces on the parameters.  All dynamical decisions use exact arithmetic;
-floats appear only in reports, for human convenience.
+forces on the parameters.  All dynamical decisions are exact: floats
+appear in reports, for human convenience, and as filters in the array
+kernels, which act on a float only where a rigorous error bound makes its
+answer certain and leave every other element to exact integer arithmetic.
 """
 
 from __future__ import annotations

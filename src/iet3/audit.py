@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .dynamics import ConstraintError, IetParameters, ThreeIet
 from .morphisms import (
     Expanding,
@@ -222,23 +224,25 @@ class RecoveredParameters:
     first_mismatch: int | None
 
 
-def _b_second_letter_indices(u: Word) -> list[int]:
+def _b_second_letter_indices(u: Word) -> np.ndarray:
     """Indices in the first binary image holding the '1' of each B-image."""
-    positions = []
-    offset = 0
-    for letter in u.letters:
-        if letter == "B":
-            positions.append(offset + 1)
-        offset += len(B_AS_01.images[letter])
-    return positions
+    codes = np.frombuffer(u.letters.encode("ascii"), dtype=np.uint8)
+    lengths = np.zeros(256, dtype=np.int64)
+    for letter, image in B_AS_01.images.items():
+        lengths[ord(letter)] = len(image)
+    sizes = lengths[codes]
+    starts = np.cumsum(sizes) - sizes
+    return starts[codes == ord("B")] + 1
 
 
 def _match_statistics(expected: str, produced: str) -> tuple[Fraction, int | None]:
-    matches = sum(a == b for a, b in zip(expected, produced))
-    first = next(
-        (k for k, (a, b) in enumerate(zip(expected, produced)) if a != b), None
+    n = min(len(expected), len(produced))
+    same = np.frombuffer(expected[:n].encode("ascii"), dtype=np.uint8) == np.frombuffer(
+        produced[:n].encode("ascii"), dtype=np.uint8
     )
-    return Fraction(matches, len(expected)), first
+    mismatches = np.flatnonzero(~same)
+    first = int(mismatches[0]) if len(mismatches) else None
+    return Fraction(n - len(mismatches), len(expected)), first
 
 
 def recover_parameters(
@@ -266,11 +270,14 @@ def recover_parameters(
     c_hat = heights[heights.argmin()]
     positions = _b_second_letter_indices(u)
     floor_at = heights.argmin(positions)
-    floor_key = heights.key(floor_at)
-    attained = sum(1 for k in positions if heights.key(k) == floor_key) >= 2
+    a, b = heights.keys(positions)
+    floor_a, floor_b = heights.key(floor_at)
+    attained = int(np.count_nonzero((a == floor_a) & (b == floor_b))) >= 2
     l_hat = heights[floor_at] - c_hat
-    position_set = set(positions)
-    other_high = heights.argmax(k for k in range(len(v)) if k not in position_set)
+    # every prefix of v but v itself and those ending in a B-image's '1'
+    others = np.arange(len(heights)) < len(v)
+    others[positions] = False
+    other_high = heights.argmax(others)
     threshold_consistent = (
         other_high is None or heights.compare(floor_at, other_high) > 0
     )
@@ -513,9 +520,10 @@ def substitution_audit(
     # heights are p - q*eps, so g[starts[n]] - lam_conj * g[n] is an integer
     # combination of 1, -eps, lam_conj and -lam_conj*eps that must vanish
     g = height_g(u[: starts[checked]], eps).values
+    gp, gq = g.p.tolist(), g.q.tolist()
     frame = Frame((1, -eps, lam_conj, -lam_conj * eps))
     fields["scaling_relation_holds"] = all(
-        frame.combine((g.p[starts[n]], g.q[starts[n]], -g.p[n], -g.q[n])) == (0, 0)
+        frame.combine((gp[starts[n]], gq[starts[n]], -gp[n], -gq[n])) == (0, 0)
         for n in range(checked + 1)
     )
     fields["scaling_prefixes"] = checked
@@ -614,7 +622,7 @@ def facts_check(
     )
     cuts = frame.rows[2:6]
     lattice = height_g(u, params).values
-    heights = [frame.combine(pq) for pq in zip(lattice.p, lattice.q)]
+    heights = [frame.combine(pq) for pq in zip(lattice.p.tolist(), lattice.q.tolist())]
 
     def letter_at(point) -> str | None:
         # the count of cuts at or below a point names its left-closed interval
@@ -624,8 +632,9 @@ def facts_check(
     prefix_heights: dict[tuple[str, int], tuple[int, int]] = {}
     for letter in m.source:
         image = height_g(m.images[letter], params).values
-        for j in range(len(m.images[letter])):
-            prefix_heights[(letter, j)] = frame.combine((image.p[j], image.q[j]))
+        # the proper prefixes: every pair but the whole image's
+        for j, pq in enumerate(zip(image.p[:-1].tolist(), image.q[:-1].tolist())):
+            prefix_heights[(letter, j)] = frame.combine(pq)
     prefix_heights.update(zip(overrides, frame.rows[6:]))
 
     starts = [0]

@@ -70,8 +70,9 @@ def _num(x) -> dict:
     return {"exact": str(q), "approx": float(f"{float(q):.17g}")}
 
 
-def _bounded_int(what: str, limit: int, unit: str):
-    """argparse type: an int no greater than ``limit``, else a usage error."""
+def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):
+    """argparse type: an int from ``least`` (when given) up to ``limit``,
+    else a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -82,6 +83,8 @@ def _bounded_int(what: str, limit: int, unit: str):
             raise argparse.ArgumentTypeError(
                 f"{what} {n} exceeds the limit of {limit}{unit}"
             )
+        if least is not None and n < least:
+            raise argparse.ArgumentTypeError(f"{what} {n} is below {least}")
         return n
 
     return parse
@@ -92,6 +95,7 @@ _prefix_length = _bounded_int("prefix length", MAX_ORBIT_LENGTH, " letters")
 _total_length = _bounded_int("total image length", MAX_SEARCH_LENGTH, "")
 _image_length = _bounded_int("image length", MAX_SEARCH_LENGTH, "")
 _return_time = _bounded_int("return-time cap", MAX_RETURN_TIME, " steps")
+_factor_length = _bounded_int("factor length", MAX_ORBIT_LENGTH, " letters", least=1)
 
 
 def _read_word_argument(args) -> Word:
@@ -501,8 +505,8 @@ def _build_parser() -> _Parser:
     analyze.add_argument(
         "--checks", default="", help="comma list: complexity,balance,certificate"
     )
-    analyze.add_argument("--n-max", type=int, default=30)
-    analyze.add_argument("--balance-window", type=int, default=300)
+    analyze.add_argument("--n-max", type=_factor_length, default=30)
+    analyze.add_argument("--balance-window", type=_factor_length, default=300)
     analyze.set_defaults(handler=_cmd_analyze)
 
     idoc_cmd = commands.add_parser(

@@ -6,25 +6,34 @@ circle rotation on a unit-length domain, and the generic induction
 routine here recovers that fact executably.  All endpoint comparisons
 and orbit steps are exact.
 
-Orbit codings walk integer lattice coordinates, not field elements.  After
-n steps of the exchange the orbit of 0 sits at p - q*e with
-p = #A + #B and q = n + #B, and a rotation's orbit sits at k0 low steps
-plus k1 high steps.  Each endpoint and step is written once per map as an
-integer numerator over a common denominator (``qfield.Frame``), so every
-boundary test is the sign of A + B*sqrt(d) with integer A and B, decided by
-integer products alone: the same answer as the field arithmetic, with no
-Fraction and no float.  ``QuadraticNumber`` values of the points are built
-only when ``OrbitCoding.points`` is read, for output.
+Orbit codings are closed forms on integer arrays.  A rotation
+of [lo, hi) by shift_low has made k(n) = floor((n*shift_low - lo)/(hi - lo))
+high steps after n steps, so its letters are the differences of those
+floors.  The exchange is the first return to [c, c+l) of the rotation
+x -> x - e (mod 1) on [c, c+1): step m of that rotation lands in the domain
+when frac(-m*e - c) < l, a return time of 2 codes B, and a return time of 1
+codes A when the integer part dropped (the rotation wrapped) and C when it
+did not.  The right-closed convention takes ceilings instead.  Each floor
+is of (A + B*sqrt(d))/D with integer numerators of a ``qfield.Frame``, and
+comes from ``_kernels``: a float64 pass with a rigorous error bound decides
+every element whose enclosure holds a single integer part, and
+``qfield.int_floor`` decides the rest exactly; numerators are int64 when
+they cannot reach 2**62 and Python ints in an object array otherwise.  No
+float ever decides a letter on its own.  The visited points are integer
+pairs (``words.LatticePoints``), and their ``QuadraticNumber`` values are
+built only when ``OrbitCoding.points`` is read, for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Sequence
 
-from .qfield import FieldMismatchError, Frame, QuadraticNumber, as_quadratic, int_sign
+import numpy as np
+
+from . import _kernels
+from .qfield import FieldMismatchError, Frame, QuadraticNumber, as_quadratic
 from .words import BINARY, TERNARY, TERNARY_STEPS, LatticePoints, Word
 
 __all__ = [
@@ -212,10 +221,8 @@ class ThreeIet:
         )
         object.__setattr__(self, "translations", params.translations)
         object.__setattr__(self, "domain", Interval(c, c + ell))
-        # the generators 1 and -epsilon of the orbit lattice, then the cuts
-        object.__setattr__(
-            self, "_frame", Frame((1, -eps, c, c + params.alpha, c + eps, c + ell))
-        )
+        # the generators 1 and -epsilon of the orbit lattice, then c and l
+        object.__setattr__(self, "_frame", Frame((1, -eps, c, ell)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeIet is immutable")
@@ -240,51 +247,45 @@ class ThreeIet:
             raise ValueError(f"{x} is outside the domain {self.domain}")
         return x + self.translations[a]
 
-    def _orbit_letters(self, right_closed: bool = False):
-        """Yield the letters of the orbit of 0, one per step, without end.
+    def _first_return(self, steps: int, right_closed: bool = False) -> str:
+        """Letters of the visits to the domain among the first ``steps``
+        steps of the rotation x -> x - e (mod 1), but the last visit.
 
-        The point is held as its integer numerator over the frame's common
-        denominator and moves by the numerator of each translation.
+        Step m sits at c + (x - floor(x)) with x = -m*e - c, and visits
+        [c, c+l) when floor(x - l) < floor(x); the right-closed domain
+        (c, c+l] of the rotation on (c, c+1] uses ceilings instead.
         """
         frame = self._frame
-        d = frame.radicand
-        (one, _), (ea, eb), lo, cut_a, cut_b, hi = frame.rows
-        shifts = {
-            "A": (one + ea, eb),
-            "B": (one + 2 * ea, 2 * eb),
-            "C": (ea, eb),
-        }
-        xa = xb = 0
-        while True:
-            if not right_closed:
-                if int_sign(xa - cut_a[0], xb - cut_a[1], d) < 0:
-                    a = "A"
-                elif int_sign(xa - cut_b[0], xb - cut_b[1], d) < 0:
-                    a = "B"
-                else:
-                    a = "C"
-            elif (
-                int_sign(xa - lo[0], xb - lo[1], d) <= 0
-                or int_sign(xa - hi[0], xb - hi[1], d) > 0
-            ):
-                raise ValueError(
-                    f"orbit point {frame.value((xa, xb))} outside right-closed "
-                    f"domain ({self.domain.lo}, {self.domain.hi}]"
-                )
-            elif int_sign(xa - cut_a[0], xb - cut_a[1], d) <= 0:
-                a = "A"
-            elif int_sign(xa - cut_b[0], xb - cut_b[1], d) <= 0:
-                a = "B"
-            else:
-                a = "C"
-            yield a
-            sa, sb = shifts[a]
-            xa += sa
-            xb += sb
+        _, (ea, eb), (ca, cb), (la, lb) = frame.rows
+        # floor(x) is floor(-(m*e + x0)) and ceil(x) is -floor(m*e + x0)
+        sign = 1 if right_closed else -1
+
+        def integer_parts(a0: int, b0: int) -> np.ndarray:
+            offset, slope = (sign * a0, sign * b0), (-sign * ea, -sign * eb)
+            floors = _kernels.affine_floors(
+                offset, slope, frame.radicand, frame.denominator, steps
+            )
+            return -sign * floors
+
+        point = integer_parts(ca, cb)
+        visits = np.flatnonzero(integer_parts(ca + la, cb + lb) < point)
+        starts = visits[:-1]
+        codes = np.full(len(starts), ord("C"), dtype=np.uint8)
+        codes[point[starts + 1] != point[starts]] = ord("A")
+        codes[np.diff(visits) == 2] = ord("B")
+        return codes.tobytes().decode("ascii")
 
     def code_orbit(self, n: int, right_closed: bool = False) -> OrbitCoding:
-        """Code the first n steps of the orbit of 0; exposes the points."""
-        letters = "".join(islice(self._orbit_letters(right_closed), n))
+        """Code the first n steps of the orbit of 0; exposes the points.
+
+        Return times are 1 or 2, so 2n + 1 rotation steps hold n letters.
+        """
+        if right_closed and n > 0 and not self.params.offset_c:
+            raise ValueError(
+                f"orbit point 0 outside right-closed domain "
+                f"({self.domain.lo}, {self.domain.hi}]"
+            )
+        letters = self._first_return(2 * n + 1, right_closed)[:n]
         points = LatticePoints.prefix_sums(self._frame, letters, TERNARY_STEPS)
         return OrbitCoding(Word(letters, TERNARY), points[:n])
 
@@ -296,7 +297,7 @@ class ThreeIet:
 class Rotation:
     """Exchange of two intervals [lo, cut) and [cut, hi) by translation."""
 
-    __slots__ = ("lo", "cut", "hi", "shift_low", "shift_high", "_frame")
+    __slots__ = ("lo", "cut", "hi", "shift_low", "shift_high", "_frame", "_count")
 
     def __init__(self, lo, cut, hi):
         lo, cut, hi = as_quadratic(lo), as_quadratic(cut), as_quadratic(hi)
@@ -308,10 +309,11 @@ class Rotation:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shift_low", hi - cut)
         object.__setattr__(self, "shift_high", lo - cut)
-        # orbit points are k0*shift_low + k1*shift_high
-        object.__setattr__(
-            self, "_frame", Frame((self.shift_low, self.shift_high, cut))
-        )
+        # orbit points are k0*shift_low + k1*shift_high, and after n steps
+        # k1 = floor(n*shift_low/width - lo/width) with width = hi - lo
+        width = hi - lo
+        object.__setattr__(self, "_frame", Frame((self.shift_low, self.shift_high)))
+        object.__setattr__(self, "_count", Frame((self.shift_low / width, -lo / width)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Rotation is immutable")
@@ -348,22 +350,13 @@ class Rotation:
         """Two-letter coding of the orbit of 0, with the visited points."""
         if n > 0 and not (self.lo <= 0 < self.hi):
             raise ValueError("0 must belong to the rotation domain")
-        frame = self._frame
-        d = frame.radicand
-        (low_a, low_b), (high_a, high_b), (cut_a, cut_b) = frame.rows
-        letters = []
-        xa = xb = 0
-        for _ in range(n):
-            if int_sign(xa - cut_a, xb - cut_b, d) < 0:
-                letters.append("0")
-                xa += low_a
-                xb += low_b
-            else:
-                letters.append("1")
-                xa += high_a
-                xb += high_b
-        text = "".join(letters)
-        points = LatticePoints.prefix_sums(frame, text, _ROTATION_STEPS)
+        count = self._count
+        slope, offset = count.rows
+        highs = _kernels.affine_floors(
+            offset, slope, count.radicand, count.denominator, n + 1
+        )
+        text = (np.diff(highs) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        points = LatticePoints.prefix_sums(self._frame, text, _ROTATION_STEPS)
         return OrbitCoding(Word(text, BINARY), points[:n])
 
 
@@ -544,21 +537,14 @@ def densities(params: IetParameters, period_cap: int = 10**6) -> DensityResult:
             "interval-lengths",
             (params.alpha / ell, params.beta / ell, params.gamma / ell),
         )
-    # rational slope: the coding is periodic; count one exact period.  With
-    # epsilon = r/s the point p - q*epsilon is 0 exactly when s*p == r*q, so
-    # the period ends at a multiple of (r, s), not at the pair (0, 0).
-    eps = params.epsilon.rational_value
-    r, s = eps.numerator, eps.denominator
-    letters = []
-    p = q = 0
-    for a in islice(ThreeIet(params)._orbit_letters(), period_cap):
-        letters.append(a)
-        dp, dq = TERNARY_STEPS[a]
-        p += dp
-        q += dq
-        if s * p == r * q:
-            break
-    else:
+    # rational slope e = r/s: the coding is periodic.  The rotation
+    # x -> x - e (mod 1) first returns to 0 after exactly s steps, and the
+    # period codes its visits to the domain before then, at least s/2 of
+    # them; so min(s, 2*period_cap + 2) steps hold either the whole period
+    # or more than period_cap letters.
+    s = params.epsilon.rational_value.denominator
+    letters = ThreeIet(params)._first_return(min(s, 2 * period_cap + 2) + 1)
+    if len(letters) > period_cap:
         raise ReturnTimeCapError(f"no period found within {period_cap} steps")
     n = len(letters)
     return DensityResult(

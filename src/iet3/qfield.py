@@ -21,6 +21,7 @@ __all__ = [
     "Frame",
     "QuadraticNumber",
     "as_quadratic",
+    "int_floor",
     "int_sign",
     "parse_quadratic",
     "sqrt_int",
@@ -28,8 +29,8 @@ __all__ = [
 
 _RationalLike = Union[int, Fraction]
 
-#: largest radicand parse_quadratic accepts: splitting off its square part
-#: tries divisors up to its square root, at most 10**6 of them here
+#: largest radicand that is not a perfect square: splitting off its square
+#: part tries divisors up to its square root, at most 10**6 of them here
 MAX_RADICAND = 10**12
 
 
@@ -52,6 +53,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     r = math.isqrt(n)
     if r * r == n:
         return r, 1
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand {n} exceeds the limit of {MAX_RADICAND}")
     k, m, p = 1, 1, 2
     while p * p <= n:
         if n % p == 0:
@@ -279,12 +282,7 @@ class QuadraticNumber:
         q = math.lcm(a.denominator, b.denominator)
         big_a = a.numerator * (q // a.denominator)
         big_b = b.numerator * (q // b.denominator)
-        if big_b == 0:
-            return big_a // q
-        s = math.isqrt(big_b * big_b * self._d)
-        # floor(B*sqrt(d)) = s for B > 0, and -s - 1 for B < 0 (never exact).
-        m = s if big_b > 0 else -s - 1
-        return (big_a + m) // q
+        return int_floor(big_a, big_b, self._d or 0, q)
 
     __floor__ = floor
 
@@ -349,15 +347,29 @@ def int_sign(a: int, b: int, d: int) -> int:
     return 1 if b > 0 else -1
 
 
+def int_floor(a: int, b: int, d: int, q: int) -> int:
+    """Floor of (a + b*sqrt(d))/q for integers a, b, q > 0 and a square-free d >= 2.
+
+    d may be anything when b is zero.  floor(b*sqrt(d)) is isqrt(b*b*d) for
+    b > 0 and -isqrt(b*b*d) - 1 for b < 0 (b*sqrt(d) is never an integer),
+    and adding an integer to a and flooring by q commute.
+    """
+    if not b:
+        return a // q
+    s = math.isqrt(b * b * d)
+    return (a + (s if b > 0 else -s - 1)) // q
+
+
 class Frame:
     """Fixed elements of one quadratic field over a common denominator.
 
     Element k is ``(rows[k][0] + rows[k][1]*sqrt(d)) / denominator`` with
     integer rows, so an integer combination of the elements has an integer
     numerator pair, and two combinations are equal exactly when their
-    numerators are.  Signs of numerators come from ``int_sign``: orbit and
-    height scans run on plain integers and build a ``QuadraticNumber`` only
-    for a value that is reported.
+    numerators are.  Signs and floors of numerators come from ``int_sign``
+    and ``int_floor`` (or from the float-filtered array kernels, which fall
+    back on them): orbit and height scans run on integers and build a
+    ``QuadraticNumber`` only for a value that is reported.
     """
 
     __slots__ = ("rows", "denominator", "radicand")

@@ -16,10 +16,16 @@ every label.
 
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so a
-height series is two integer prefix sums (p, q).  Minima, maxima and
-thresholds compare p - q*e exactly by the integer sign test of a
-``qfield.Frame`` numerator, which never rounds; ``QuadraticNumber``
-values are built only when a height is read, for output.
+height series is two int64 prefix-sum arrays (p, q).  The value p - q*e is
+the integer numerator a + b*sqrt(d) of a ``qfield.Frame`` over its common
+denominator.  Minima and maxima are array kernels (``_kernels``): a float64
+pass with a rigorous error bound keeps only the indices whose value can
+reach the extreme, and exact signs of integer differences, from the float
+where its bound clears zero and from ``qfield.int_sign`` where it does not,
+pick the first extreme index among them.  Numerator arrays are int64 when
+no value can reach 2**62 and Python ints in an object array otherwise.
+``QuadraticNumber`` values are built only when a height is read, for
+output.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .qfield import Frame, QuadraticNumber, as_quadratic, int_sign
 
 __all__ = [
@@ -222,9 +229,6 @@ class BalanceReport:
     def max_imbalance(self) -> int:
         return max((max(row) for row in self.table.values()), default=0)
 
-    def is_k_balanced(self, k: int) -> bool:
-        return self.max_imbalance <= k
-
 
 def _letter_prefix_sums(w: Word, letter: str) -> np.ndarray:
     """Occurrences of one letter in every prefix of the word, the empty one first."""
@@ -281,7 +285,7 @@ class LatticePoints(Sequence):
     """Field values p*g + q*h at integer pairs (p, q), built only when read.
 
     g and h are the first two elements of ``frame``, and ``p`` and ``q``
-    are equal-length lists of ints.  Comparisons, extremes and keys work on
+    are equal-length int64 arrays.  Comparisons, extremes and keys work on
     the integer numerators of the frame, so a scan builds no
     ``QuadraticNumber``; indexing or iterating builds one per value read.
     Distinct pairs can be the same number (for rational epsilon = r/s the
@@ -289,12 +293,13 @@ class LatticePoints(Sequence):
     value, and ``key`` is the value's canonical integer form.
     """
 
-    __slots__ = ("frame", "p", "q")
+    __slots__ = ("frame", "p", "q", "_keys")
 
-    def __init__(self, frame: Frame, p: list[int], q: list[int]):
+    def __init__(self, frame: Frame, p: np.ndarray, q: np.ndarray):
         self.frame = frame
         self.p = p
         self.q = q
+        self._keys = None
 
     @classmethod
     def prefix_sums(
@@ -310,7 +315,7 @@ class LatticePoints(Sequence):
                 table[ord(letter)] = step[k]
             sums = np.zeros(len(codes) + 1, dtype=np.int64)
             np.cumsum(table[codes], out=sums[1:])
-            columns.append(sums.tolist())
+            columns.append(sums)
         return cls(frame, *columns)
 
     def __len__(self):
@@ -319,8 +324,24 @@ class LatticePoints(Sequence):
     def key(self, i: int) -> tuple[int, int]:
         """Numerator of value i over the frame's common denominator."""
         (ga, gb), (ha, hb) = self.frame.rows[:2]
-        p, q = self.p[i], self.q[i]
+        p, q = int(self.p[i]), int(self.q[i])
         return p * ga + q * ha, p * gb + q * hb
+
+    def keys(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators of the values at ``indices`` (all when None), as arrays.
+
+        They are int64 when no numerator can reach 2**62 in magnitude, and
+        Python ints in an object array otherwise.  Computed once, on first use.
+        """
+        if self._keys is None:
+            (ga, gb), (ha, hb) = self.frame.rows[:2]
+            reach = max(np.abs(self.p).max(initial=0), np.abs(self.q).max(initial=0))
+            row = max(abs(ga), abs(gb), abs(ha), abs(hb))
+            dtype = _kernels.int_dtype(2 * row * int(reach))
+            p, q = self.p.astype(dtype), self.q.astype(dtype)
+            self._keys = (p * ga + q * ha, p * gb + q * hb)
+        a, b = self._keys
+        return (a, b) if indices is None else (a[indices], b[indices])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -344,30 +365,29 @@ class LatticePoints(Sequence):
     def compare(self, i: int, j: int) -> int:
         """Sign of value i minus value j."""
         (ga, gb), (ha, hb) = self.frame.rows[:2]
-        dp, dq = self.p[i] - self.p[j], self.q[i] - self.q[j]
+        dp, dq = int(self.p[i] - self.p[j]), int(self.q[i] - self.q[j])
         return int_sign(dp * ga + dq * ha, dp * gb + dq * hb, self.frame.radicand)
 
-    def _extreme(self, indices, wanted: int) -> int | None:
-        (ga, gb), (ha, hb) = self.frame.rows[:2]
-        d, ps, qs = self.frame.radicand, self.p, self.q
-        it = iter(range(len(ps)) if indices is None else indices)
-        best = next(it, None)
-        if best is None:
-            return None
-        bp, bq = ps[best], qs[best]
-        for i in it:
-            dp, dq = ps[i] - bp, qs[i] - bq
-            if int_sign(dp * ga + dq * ha, dp * gb + dq * hb, d) == wanted:
-                best, bp, bq = i, ps[i], qs[i]
-        return best
+    def _extreme(self, indices, least: bool) -> int | None:
+        if isinstance(indices, np.ndarray):
+            if indices.dtype == bool:
+                indices = np.flatnonzero(indices)
+        elif indices is not None:
+            indices = np.fromiter(indices, dtype=np.intp)
+        a, b = self.keys(indices)
+        # the greatest value is the least of the negated ones
+        at = _kernels.argmin(*((a, b) if least else (-a, -b)), self.frame.radicand)
+        return at if at is None or indices is None else int(indices[at])
 
-    def argmin(self, indices: Iterable[int] | None = None) -> int | None:
-        """First index (of all, or of ``indices``) holding the least value."""
-        return self._extreme(indices, -1)
+    def argmin(self, indices: Iterable[int] | np.ndarray | None = None) -> int | None:
+        """First index (of all, of ``indices`` or of a boolean mask) holding
+        the least value."""
+        return self._extreme(indices, True)
 
-    def argmax(self, indices: Iterable[int] | None = None) -> int | None:
-        """First index (of all, or of ``indices``) holding the greatest value."""
-        return self._extreme(indices, 1)
+    def argmax(self, indices: Iterable[int] | np.ndarray | None = None) -> int | None:
+        """First index (of all, of ``indices`` or of a boolean mask) holding
+        the greatest value."""
+        return self._extreme(indices, False)
 
 
 #: integer step (dp, dq) of each letter for heights p - q*epsilon: a binary
@@ -390,7 +410,7 @@ class HeightSeries:
             if v.compare(i, best) < 0:
                 best = i
             keep.append(best)
-        return LatticePoints(v.frame, [v.p[i] for i in keep], [v.q[i] for i in keep])
+        return LatticePoints(v.frame, v.p[keep], v.q[keep])
 
     @property
     def minimum(self) -> QuadraticNumber:
@@ -498,9 +518,10 @@ def swap_transform(v, positions: Iterable[int], epsilon=None) -> SwapResult:
     criterion = None
     if epsilon is not None:
         heights = height_f(v, epsilon).values
-        marked = set(positions)
         swap_low = heights.argmin(positions)
-        other_high = heights.argmax(i for i in range(len(heights)) if i not in marked)
+        others = np.ones(len(heights), dtype=bool)
+        others[positions] = False
+        other_high = heights.argmax(others)
         criterion = (
             swap_low is None
             or other_high is None

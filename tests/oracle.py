@@ -2,7 +2,10 @@
 
 Most are the letter-by-letter field-arithmetic loops that the integer
 lattice path replaced: every orbit point and prefix height is a
-``QuadraticNumber``, every boundary test a field comparison.  The factor
+``QuadraticNumber``, every boundary test a field comparison.  A second set
+walks integer frame numerators one letter at a time with one ``int_sign``
+call per boundary test, as the orbit codings and lattice extremes did
+before they became float-filtered array kernels.  The factor
 count is the set-of-slices loop that rank refinement replaced, and the
 integer-root search tries every divisor in turn.  Primitivity multiplies
 incidence matrices power by power, balance fills one row per letter, and
@@ -17,7 +20,7 @@ import numpy as np
 from iet3.audit import B_AS_01, RecoveryError
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
 from iet3.morphisms import IncidenceMatrix, Morphism, compose
-from iet3.qfield import QuadraticNumber, as_quadratic
+from iet3.qfield import Frame, QuadraticNumber, as_quadratic, int_sign
 from iet3.words import TERNARY, Word
 
 
@@ -46,6 +49,84 @@ def code_exchange(iet: ThreeIet, n: int, right_closed: bool = False):
         letters.append(a)
         x = x + shifts[a]
     return "".join(letters), points
+
+
+def exchange_letters(iet: ThreeIet, n: int, right_closed: bool = False) -> str:
+    """Letters of the first n steps, walking integer numerators over a frame."""
+    params = iet.params
+    c, eps = params.offset_c, params.epsilon
+    frame = Frame((1, -eps, c, c + params.alpha, c + eps, c + params.length_l))
+    d = frame.radicand
+    (one, _), (ea, eb), lo, cut_a, cut_b, hi = frame.rows
+    shifts = {"A": (one + ea, eb), "B": (one + 2 * ea, 2 * eb), "C": (ea, eb)}
+    letters = []
+    xa = xb = 0
+    for _ in range(n):
+        if not right_closed:
+            if int_sign(xa - cut_a[0], xb - cut_a[1], d) < 0:
+                a = "A"
+            elif int_sign(xa - cut_b[0], xb - cut_b[1], d) < 0:
+                a = "B"
+            else:
+                a = "C"
+        elif (
+            int_sign(xa - lo[0], xb - lo[1], d) <= 0
+            or int_sign(xa - hi[0], xb - hi[1], d) > 0
+        ):
+            raise ValueError(
+                f"orbit point {frame.value((xa, xb))} outside right-closed "
+                f"domain ({iet.domain.lo}, {iet.domain.hi}]"
+            )
+        elif int_sign(xa - cut_a[0], xb - cut_a[1], d) <= 0:
+            a = "A"
+        elif int_sign(xa - cut_b[0], xb - cut_b[1], d) <= 0:
+            a = "B"
+        else:
+            a = "C"
+        letters.append(a)
+        sa, sb = shifts[a]
+        xa += sa
+        xb += sb
+    return "".join(letters)
+
+
+def rotation_letters(rotation, n: int) -> str:
+    """Letters of the first n rotation steps, walking integer numerators."""
+    if n > 0 and not (rotation.lo <= 0 < rotation.hi):
+        raise ValueError("0 must belong to the rotation domain")
+    frame = Frame((rotation.shift_low, rotation.shift_high, rotation.cut))
+    d = frame.radicand
+    (low_a, low_b), (high_a, high_b), (cut_a, cut_b) = frame.rows
+    letters = []
+    xa = xb = 0
+    for _ in range(n):
+        if int_sign(xa - cut_a, xb - cut_b, d) < 0:
+            letters.append("0")
+            xa += low_a
+            xb += low_b
+        else:
+            letters.append("1")
+            xa += high_a
+            xb += high_b
+    return "".join(letters)
+
+
+def extreme(values, indices, wanted: int):
+    """First index (of all, or of ``indices``) whose value beats every earlier
+    one in the direction ``wanted`` (-1 least, +1 greatest), by int_sign."""
+    (ga, gb), (ha, hb) = values.frame.rows[:2]
+    d = values.frame.radicand
+    ps, qs = [int(x) for x in values.p], [int(x) for x in values.q]
+    it = iter(range(len(ps)) if indices is None else indices)
+    best = next(it, None)
+    if best is None:
+        return None
+    bp, bq = ps[best], qs[best]
+    for i in it:
+        dp, dq = ps[i] - bp, qs[i] - bq
+        if int_sign(dp * ga + dq * ha, dp * gb + dq * hb, d) == wanted:
+            best, bp, bq = i, ps[i], qs[i]
+    return best
 
 
 def code_rotation(rotation, n: int):

@@ -113,6 +113,26 @@ def test_oversized_sizes_are_usage_errors(argv, dest, limit_name, capsys):
     assert f"{10**12} exceeds the limit of {limit}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--balance-window"])
+def test_factor_lengths_outside_one_to_the_limit_are_usage_errors(flag, capsys):
+    from iet3.cli import MAX_ORBIT_LENGTH, _build_parser
+
+    # the parser alone decides: no word is analyzed here
+    argv = ["analyze", "--word", "AACABACABA", flag]
+    dest = flag[2:].replace("-", "_")
+    for ok in ("1", str(MAX_ORBIT_LENGTH)):
+        assert getattr(_build_parser().parse_args(argv + [ok]), dest) == int(ok)
+    for bad, message in (
+        ("-3", "factor length -3 is below 1"),
+        ("0", "factor length 0 is below 1"),
+        (str(10**12), f"exceeds the limit of {MAX_ORBIT_LENGTH} letters"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv + [bad])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
 def test_induce_cap_limit_is_no_lower_than_its_default():
     from iet3.cli import MAX_RETURN_TIME, _build_parser
 

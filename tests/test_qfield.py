@@ -176,6 +176,17 @@ def test_radicands_up_to_the_limit_parse():
     assert Q("sqrt(999999999989)").radicand == 999999999989  # the prime below 10**12
 
 
+def test_oversized_radicands_are_refused_outside_the_parser():
+    # a prime past MAX_RADICAND would need about 10**8 trial divisions
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sqrt_int(10000000000000061)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        QuadraticNumber(0, 1, MAX_RADICAND + 1)
+    # perfect squares take the shortcut at any size
+    assert sqrt_int(10**40) == 10**20
+    assert sqrt_int(999999999989) ** 2 == 999999999989
+
+
 def test_as_quadratic_coercions():
     assert as_quadratic(3) == QuadraticNumber(3)
     assert as_quadratic(Fraction(2, 5)) == QuadraticNumber(Fraction(2, 5))
