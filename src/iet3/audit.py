@@ -42,6 +42,7 @@ from .words import (
     Word,
     balance,
     complexity,
+    first_unbalanced_length,
     height_f,
     height_g,
     imbalance_witness,
@@ -748,7 +749,8 @@ def _search_stage(m: Morphism, certificate_prefix: int) -> str:
     if not is_primitive(incidence(m)):
         return "non-primitive"
     seed, _power = expanding
-    if balance(B_AS_01.apply(fixed_point_prefix(m, seed, 400)), 25).max_imbalance >= 2:
+    image = B_AS_01.apply(fixed_point_prefix(m, seed, 400))
+    if first_unbalanced_length(image, 25) is not None:
         return "quick-imbalance"
     prefix = fixed_point_prefix(m, seed, certificate_prefix)
     try:
@@ -772,10 +774,12 @@ def search_substitutions(
     each at most max_image, with la + lb + lc <= max_total.  Each leaves
     through the first stage that disposes of it: "no-fixed-point" when
     ``find_expanding_letter`` finds no letter at power 1, "non-primitive"
-    by ``is_primitive(incidence(m))``, "quick-imbalance" when ``balance``
-    finds imbalance 2 or more within length 25 in the first binary image of
-    a 400-letter ``fixed_point_prefix`` (a sound refutation, cheaper than
-    the certificate), else "certificate-error", "-refuted", "-periodic" or
+    by ``is_primitive(incidence(m))``, "quick-imbalance" when the
+    early-exit scan ``first_unbalanced_length`` finds a factor length up to
+    25 with imbalance 2 or more in the first binary image of a 400-letter
+    ``fixed_point_prefix`` (a sound refutation, cheaper than the
+    certificate; it stops at the first such length, most often 2), else
+    "certificate-error", "-refuted", "-periodic" or
     "-consistent" from ``three_iet_certificate`` on a
     certificate_prefix-letter prefix.
     Only certificate-consistent candidates reach ``substitution_audit``;

@@ -53,11 +53,13 @@ class Morphism:
         source = tuple(source) if source is not None else tuple(images)
         if set(source) != set(images):
             raise ValueError("source alphabet must match the image table keys")
-        for a, img in images.items():
-            if not img:
-                raise ValueError(f"empty image for letter {a!r}")
+        # all images are checked at once; the loops only find the first
+        # offending image to name it
+        if not all(images.values()):
+            a = next(a for a, img in images.items() if not img)
+            raise ValueError(f"empty image for letter {a!r}")
+        seen = set().union(*images.values())
         if target is None:
-            seen = {ch for img in images.values() for ch in img}
             if seen <= set(source):
                 target = source
             else:
@@ -68,11 +70,12 @@ class Morphism:
                 else:
                     target = tuple(sorted(seen))
         target = tuple(target)
-        for a, img in images.items():
-            bad = set(img) - set(target)
-            if bad:
-                raise ValueError(f"image of {a!r} uses letters {sorted(bad)!r} "
-                                 f"outside target alphabet {target}")
+        if not seen <= set(target):
+            for a, img in images.items():
+                bad = set(img) - set(target)
+                if bad:
+                    raise ValueError(f"image of {a!r} uses letters {sorted(bad)!r} "
+                                     f"outside target alphabet {target}")
         object.__setattr__(self, "images", dict(images))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -173,6 +176,26 @@ class IncidenceMatrix:
             raise ValueError("matrix rows must be non-empty and equal length")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("incidence entries must be non-negative")
+        self._set(rows, row_alphabet, col_alphabet)
+
+    @classmethod
+    def _of_counts(
+        cls,
+        rows: tuple[tuple[int, ...], ...],
+        row_alphabet: tuple[str, ...],
+        col_alphabet: tuple[str, ...],
+    ) -> "IncidenceMatrix":
+        """The matrix of trusted letter counts, without checking them again.
+
+        The caller guarantees what ``__init__`` checks: rows is a non-empty
+        tuple of equal-length tuples of non-negative ints, and both
+        alphabets are non-empty tuples.
+        """
+        matrix = object.__new__(cls)
+        matrix._set(rows, row_alphabet, col_alphabet)
+        return matrix
+
+    def _set(self, rows, row_alphabet, col_alphabet):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(
             self, "row_alphabet",
@@ -287,12 +310,16 @@ class IncidenceMatrix:
 
 
 def incidence(m: Morphism) -> IncidenceMatrix:
-    """Letter counts of each image: entry (i, j) = count of a_j in m(a_i)."""
-    rows = [
-        [m.images[a].count(b) for b in m.target]
-        for a in m.source
-    ]
-    return IncidenceMatrix(rows, m.source, m.target)
+    """Letter counts of each image: entry (i, j) = count of a_j in m(a_i).
+
+    ``str.count`` gives non-negative ints and every row has one per target
+    letter, so the matrix is built without the constructor's checks; only
+    a morphism without letters goes through them, to be refused.
+    """
+    rows = tuple(tuple(map(m.images[a].count, m.target)) for a in m.source)
+    if not rows:
+        return IncidenceMatrix(rows, m.source, m.target)
+    return IncidenceMatrix._of_counts(rows, m.source, m.target)
 
 
 def is_primitive(matrix: IncidenceMatrix) -> bool:

@@ -30,7 +30,7 @@ output.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "balance",
     "complexity",
     "e_sets",
+    "first_unbalanced_length",
     "height_f",
     "height_g",
     "imbalance_witness",
@@ -231,46 +232,79 @@ class BalanceReport:
 
 
 def _letter_prefix_sums(w: Word, letter: str) -> np.ndarray:
-    """Occurrences of one letter in every prefix of the word, the empty one first."""
-    arr = np.frombuffer(w.letters.encode("ascii"), dtype=np.uint8)
-    return np.concatenate(([0], np.cumsum(arr == ord(letter), dtype=np.int64)))
+    """Occurrences of one letter in every prefix of the word, the empty one first.
+
+    Letters are compared as uint8 codes when the word is ASCII and as
+    utf-32 code points otherwise; the sums are int32 whenever no count can
+    reach 2**31, which halves the memory each length's differences stream.
+    """
+    text = w.letters
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    sums = np.zeros(len(text) + 1, dtype=np.int32 if len(text) < 2**31 else np.int64)
+    np.cumsum(codes == ord(letter), out=sums[1:])
+    return sums
 
 
-def _imbalance_row(sums: np.ndarray, window: int) -> tuple[int, ...]:
-    row = [0]
+def _imbalance_row(sums: np.ndarray, window: int) -> Iterator[int]:
+    """Imbalance of factor lengths 1..window, one length at a time."""
     for n in range(1, window + 1):
         counts = sums[n:] - sums[:-n]
-        row.append(int(counts.max() - counts.min()))
-    return tuple(row)
+        yield int(counts.max() - counts.min())
 
 
-def balance(w, n_max: int) -> BalanceReport:
-    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max.
+def _imbalance_rows(w: Word, window: int) -> dict[str, Iterator[int]]:
+    """Lazy imbalance rows, one per letter that needs its own.
 
     Over a two-letter alphabet one row serves both letters: a factor of
     length n holds n minus its count of the other letter, so the two rows
     are equal and only the second letter's is computed.
     """
+    letters = w.alphabet[1:] if len(w.alphabet) == 2 else w.alphabet
+    return {a: _imbalance_row(_letter_prefix_sums(w, a), window) for a in letters}
+
+
+def balance(w, n_max: int) -> BalanceReport:
+    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max."""
     w = _as_word(w)
     window = min(n_max, len(w))
+    table = {a: (0, *row) for a, row in _imbalance_rows(w, window).items()}
     if len(w.alphabet) == 2:
-        row = _imbalance_row(_letter_prefix_sums(w, w.alphabet[1]), window)
-        return BalanceReport(dict.fromkeys(w.alphabet, row), window)
-    table = {
-        a: _imbalance_row(_letter_prefix_sums(w, a), window) for a in w.alphabet
-    }
+        table = dict.fromkeys(w.alphabet, table[w.alphabet[1]])
     return BalanceReport(table, window)
+
+
+def first_unbalanced_length(w, n_max: int) -> int | None:
+    """The least factor length n <= n_max at which some letter's imbalance
+    is 2 or more, or None when no length up to min(n_max, len(w)) has one.
+
+    It reads the rows of ``balance`` one length at a time and stops at the
+    first unbalanced length.  A minimal unbalanced pair is 0p0 / 1p1 with
+    p a palindrome (Lothaire, *Algebraic Combinatorics on Words*, 2002,
+    section 2.1), so most unbalanced words stop after a few lengths.
+    """
+    w = _as_word(w)
+    rows = _imbalance_rows(w, min(n_max, len(w))).values()
+    for n, imbalances in enumerate(zip(*rows), start=1):
+        if max(imbalances) >= 2:
+            return n
+    return None
 
 
 def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:
     """A factor pair of length n achieving the extreme counts of a letter.
 
     Returns (position_max, position_min, factor_max, factor_min); a letter
-    outside the word's alphabet raises KeyError.
+    outside the word's alphabet raises KeyError and a length outside
+    1..len(w) raises ValueError.
     """
     w = _as_word(w)
     if letter not in w.alphabet:
         raise KeyError(letter)
+    if not 1 <= n <= len(w):
+        raise ValueError(f"factor length {n} outside 1..{len(w)}")
     s = _letter_prefix_sums(w, letter)
     counts = s[n:] - s[:-n]
     i = int(counts.argmax())

@@ -61,6 +61,54 @@ def test_images_must_use_the_target_alphabet():
         Morphism({"A": ""})
 
 
+def constructor_error(images, **alphabets) -> str:
+    with pytest.raises(ValueError) as caught:
+        Morphism(images, **alphabets)
+    return str(caught.value)
+
+
+def test_constructor_errors_name_the_first_offending_image():
+    assert constructor_error({"A": "A", "B": "B"}, source=("A",)) == (
+        "source alphabet must match the image table keys"
+    )
+    # image order is the table's order, not the source's
+    assert constructor_error({"C": "", "A": "A", "B": ""}, source=TERNARY) == (
+        "empty image for letter 'C'"
+    )
+    assert constructor_error({"A": "AB", "B": "", "C": "X"}) == (
+        "empty image for letter 'B'"
+    )
+    assert constructor_error(
+        {"C": "AYX", "A": "A", "B": "Z"}, source=TERNARY, target=TERNARY
+    ) == "image of 'C' uses letters ['X', 'Y'] outside target alphabet ('A', 'B', 'C')"
+    assert constructor_error({"0": "01", "1": "2"}, target=BINARY) == (
+        "image of '1' uses letters ['2'] outside target alphabet ('0', '1')"
+    )
+
+
+@given(
+    st.sampled_from([("A", "B", "C"), ("C", "A", "B"), ("0", "1")]),
+    st.data(),
+)
+def test_incidence_equals_the_validated_matrix(source, data):
+    letters = "".join(source) + data.draw(st.sampled_from(["", "XY"]))
+    images = {a: data.draw(st.text(letters, min_size=1, max_size=6)) for a in source}
+    m = Morphism(images, source=source)
+    rows = [[m.images[a].count(b) for b in m.target] for a in m.source]
+    validated = IncidenceMatrix(rows, m.source, m.target)
+    matrix = incidence(m)
+    assert matrix == validated
+    assert hash(matrix) == hash(validated)
+    assert matrix.rows == validated.rows
+    assert matrix.row_alphabet == validated.row_alphabet == m.source
+    assert matrix.col_alphabet == validated.col_alphabet == m.target
+
+
+def test_a_morphism_without_letters_has_no_incidence_matrix():
+    with pytest.raises(ValueError, match="non-empty"):
+        incidence(Morphism({}))
+
+
 def test_endomorphism_detection_and_target_inference():
     swap = Morphism.from_text("A>BA;B>AB")
     assert swap.source == ("A", "B")

@@ -1,13 +1,15 @@
 """The search's library primitives against their oracles.
 
 ``search_substitutions`` decides every candidate through ``is_primitive``
-(row bitmasks), ``balance`` (one row for a two-letter alphabet) and the
-power search shared by ``find_expanding_letter`` and ``fixed_point_prefix``.
-Each must answer exactly as its reference in ``oracle``: matrix powers,
-one prefix-sum row per letter, and a fixed-point generator with its own
-power search.
+(row bitmasks), ``first_unbalanced_length`` (the early-exit scan over the
+rows of ``balance``, one row for a two-letter alphabet, on int32 prefix
+sums) and the power search shared by ``find_expanding_letter`` and
+``fixed_point_prefix``.  Each must answer exactly as its reference in
+``oracle``: matrix powers, one int64 prefix-sum row per letter, and a
+fixed-point generator with its own power search.
 """
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,15 @@ from iet3.morphisms import (
     fixed_point_prefix,
     is_primitive,
 )
-from iet3.words import BINARY, TERNARY, Word, balance, imbalance_witness
+from iet3.words import (
+    BINARY,
+    TERNARY,
+    Word,
+    _letter_prefix_sums,
+    balance,
+    first_unbalanced_length,
+    imbalance_witness,
+)
 
 # -- primitivity -------------------------------------------------------------------
 
@@ -70,6 +80,8 @@ def test_primitivity_needs_a_square_matrix():
 
 
 def assert_balance_matches_oracle(word: Word, n_max: int):
+    """The table of ``balance`` and the early-exit scan against the oracle's
+    rows: the scan answers the least n with a row entry of 2 or more."""
     report = balance(word, n_max)
     table, window = oracle.balance(word, n_max)
     assert report.window == window
@@ -77,6 +89,9 @@ def assert_balance_matches_oracle(word: Word, n_max: int):
     assert list(report.table) == list(table)  # letters in alphabet order
     assert report.max_imbalance == max((max(r) for r in table.values()), default=0)
     assert all(type(x) is int for row in report.table.values() for x in row)
+    rows = table.values()
+    unbalanced = [n for n in range(1, window + 1) if any(r[n] >= 2 for r in rows)]
+    assert first_unbalanced_length(word, n_max) == min(unbalanced, default=None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,12 +111,45 @@ def test_one_letter_words_are_balanced(letter, length, n_max):
 
 
 @settings(max_examples=100, deadline=None)
-@given(exchange_params(), st.integers(1, 400), st.data())
-def test_codings_and_their_binary_images_match_every_letter_rows(params, n, data):
-    u = ThreeIet(params).code_orbit(n).word
+@given(exchange_params(), st.integers(1, 400), st.booleans(), st.data())
+def test_codings_and_their_binary_images_match_every_letter_rows(
+    params, n, right_closed, data
+):
+    iet = ThreeIet(params)
+    try:
+        u = iet.code_orbit(n, right_closed=right_closed).word
+    except ValueError:  # the orbit left the right-closed domain
+        u = iet.code_orbit(n).word
     for word in (u, SIGMA.apply(u), SIGMA_PRIME.apply(u)):
         for n_max in [*windows(data, len(word)), len(word) + 7]:
             assert_balance_matches_oracle(word, n_max)
+
+
+def test_int32_sums_keep_the_rows_of_a_long_coding(golden_word_100k):
+    v = SIGMA.apply(golden_word_100k)
+    assert _letter_prefix_sums(v, "1").dtype == np.int32
+    assert_balance_matches_oracle(v, 300)
+    assert first_unbalanced_length(v, 300) is None
+    # the image has 00 but no 11, so one 11 in front unbalances length 2
+    assert first_unbalanced_length(Word("11" + v.letters), 300) == 2
+
+
+def test_non_ascii_letters_count_like_their_ascii_renaming():
+    accented = Word("éaéaaéaéé", alphabet=("a", "é"))
+    renamed = Word("101001011", BINARY)
+    for n_max in (2, 5, 9):
+        report = balance(accented, n_max)
+        assert report.table == {
+            "a": balance(renamed, n_max).table["0"],
+            "é": balance(renamed, n_max).table["1"],
+        }
+        assert first_unbalanced_length(accented, n_max) == first_unbalanced_length(
+            renamed, n_max
+        )
+    assert first_unbalanced_length(accented, 9) == 2
+    assert imbalance_witness(accented, "é", 2) == (7, 3, "éé", "aa")
+    greek = balance(Word("αβγαβαγ", alphabet=("α", "β", "γ")), 7).table
+    assert list(greek.values()) == list(balance(Word("ABCABAC"), 7).table.values())
 
 
 def test_witness_rejects_a_letter_outside_the_alphabet():
@@ -111,6 +159,15 @@ def test_witness_rejects_a_letter_outside_the_alphabet():
     with pytest.raises(KeyError):
         imbalance_witness(Word("ABCA"), "0", 1)
     assert imbalance_witness(word, "1", 2) == (2, 0, "11", "00")
+
+
+@pytest.mark.parametrize("n", [-1, 0, 5, 50])
+def test_witness_rejects_a_length_outside_the_word(n):
+    word = Word("0101", BINARY)
+    with pytest.raises(ValueError, match=r"factor length -?\d+ outside 1\.\.4"):
+        imbalance_witness(word, "1", n)
+    assert imbalance_witness(word, "1", 1) == (1, 0, "1", "0")
+    assert imbalance_witness(word, "1", 4) == (0, 0, "0101", "0101")
 
 
 # -- fixed points --------------------------------------------------------------------
