@@ -7,7 +7,12 @@ the library (RecoveredParameters, SturmVerdict, CertificateReport,
 AuditReport and the SpectralClass, Expanding and AuditSummary values it
 or the search carries) is written by ``_json``: its keys are the fields,
 in declaration order, except that AuditReport.l_exact is written as "l"
-and AuditSummary.text as "morphism".  Exit codes:
+and AuditSummary.text as "morphism".  The orbit points of gen3iet and
+gensturm are written straight from the integer numerators of their
+lattice frame, with no exact number built per point: the string is the
+one ``str`` gives, and the float is the correctly rounded quotient, equal
+to ``float`` of the point.  The option parser is built once per process
+and reused by every ``main`` call.  Exit codes:
 0 for success (including not-applicable audit outcomes), 1 for usage or
 input errors, 2 when a verified instance violates a necessary condition,
 which indicates a bug in this artifact rather than new mathematics.
@@ -16,7 +21,9 @@ which indicates a bug in this artifact rather than new mathematics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -40,9 +47,9 @@ from .dynamics import (
     in_z_epsilon,
 )
 from .morphisms import Morphism
-from .qfield import QuadraticNumber, as_quadratic, parse_quadratic
+from .qfield import QuadraticNumber, as_quadratic, parse_quadratic, quadratic_text
 from .stepline import stepped_line_svg
-from .words import TERNARY, Word, balance, complexity
+from .words import TERNARY, LatticePoints, Word, balance, complexity
 
 __all__ = ["main"]
 
@@ -67,7 +74,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _num(x) -> dict:
     q = as_quadratic(x)
-    return {"exact": str(q), "approx": float(f"{float(q):.17g}")}
+    return {"exact": str(q), "approx": float(q)}
+
+
+def _orbit_json(points: LatticePoints) -> list[dict]:
+    """``_num`` of every orbit point, written from its frame numerators.
+
+    Point i is (a + b*sqrt(d))/den with the integers a, b of
+    ``points.keys()``; no ``QuadraticNumber`` is built.  Python's int true
+    division is correctly rounded, so a/den and b/den are the quotients
+    ``float`` of the point takes from its reduced fractions, and ``approx``
+    is the same float at any numerator size.
+    """
+    frame = points.frame
+    den, d = frame.denominator, frame.radicand
+    root = math.sqrt(d)
+    a_column, b_column = points.keys()
+    orbit = []
+    for a, b in zip(a_column.tolist(), b_column.tolist()):
+        approx = a / den
+        if b:
+            approx += b / den * root
+        orbit.append({"exact": quadratic_text(a, b, den, d), "approx": approx})
+    return orbit
 
 
 def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):
@@ -169,7 +198,7 @@ def _cmd_gen3iet(args):
         "word": coding.word.letters,
     }
     if args.json:
-        payload["orbit"] = [_num(x) for x in coding.points]
+        payload["orbit"] = _orbit_json(coding.points)
     return payload, coding.word.letters, 0
 
 
@@ -190,7 +219,7 @@ def _cmd_gensturm(args):
         "word": coding.word.letters,
     }
     if args.json:
-        payload["orbit"] = [_num(x) for x in coding.points]
+        payload["orbit"] = _orbit_json(coding.points)
     return payload, coding.word.letters, 0
 
 
@@ -439,7 +468,10 @@ def _add_word_source(sub, required: bool = True):
     group.add_argument("--file", help="file holding one word (ASCII)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: ``parse_args``
+    makes a fresh namespace on each call and leaves the parser as it was."""
     parser = _Parser(prog="iet3", description=__doc__.splitlines()[0])
 
     def add_common(target, json_default, prefix_default, out_default):

@@ -287,7 +287,7 @@ class ThreeIet:
             )
         letters = self._first_return(2 * n + 1, right_closed)[:n]
         points = LatticePoints.prefix_sums(self._frame, letters, TERNARY_STEPS)
-        return OrbitCoding(Word(letters, TERNARY), points[:n])
+        return OrbitCoding(Word._trusted(letters, TERNARY), points[:n])
 
     def agrees_with(self, other_apply, points: Iterable) -> bool:
         """Exact pointwise agreement of T with another map on given points."""
@@ -357,7 +357,7 @@ class Rotation:
         )
         text = (np.diff(highs) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
         points = LatticePoints.prefix_sums(self._frame, text, _ROTATION_STEPS)
-        return OrbitCoding(Word(text, BINARY), points[:n])
+        return OrbitCoding(Word._trusted(text, BINARY), points[:n])
 
 
 # -- generic first-return induction ---------------------------------------------

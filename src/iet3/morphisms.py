@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .qfield import QuadraticNumber, as_quadratic, sqrt_int
-from .words import BINARY, TERNARY, Word
+from .words import BINARY, TERNARY, Word, check_alphabet
 
 __all__ = [
     "Expanding",
@@ -76,6 +76,8 @@ class Morphism:
                 if bad:
                     raise ValueError(f"image of {a!r} uses letters {sorted(bad)!r} "
                                      f"outside target alphabet {target}")
+        # image words are built unchecked over these alphabets
+        check_alphabet((*source, *target))
         object.__setattr__(self, "images", dict(images))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -140,7 +142,7 @@ class Morphism:
 
     def apply(self, w) -> Word:
         text = w.letters if isinstance(w, Word) else str(w)
-        return Word(self.apply_text(text), self.target)
+        return Word._trusted(self.apply_text(text), self.target)
 
     __call__ = apply
 
@@ -424,7 +426,10 @@ def fixed_point_prefix(m: Morphism, seed: str | None = None, n: int = 1000) -> W
         if len(grown) == len(text):
             raise ValueError("growth stalls before reaching the requested length")
         text = grown
-    return Word(text[:n], m.source)
+    if not m.is_endomorphism:
+        # the last image may hold target letters outside the source
+        return Word(text[:n], m.source)
+    return Word._trusted(text[:n], m.source)
 
 
 # -- exact spectral classification ---------------------------------------------

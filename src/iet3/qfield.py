@@ -24,6 +24,7 @@ __all__ = [
     "int_floor",
     "int_sign",
     "parse_quadratic",
+    "quadratic_text",
     "sqrt_int",
 ]
 
@@ -295,38 +296,45 @@ class QuadraticNumber:
 
     # -- text form -------------------------------------------------------------
 
-    def _canonical_triple(self) -> tuple[int, int, int]:
-        """Return (A, B, Q) with self = (A + B*sqrt(d))/Q, gcd(A, B, Q) = 1."""
+    def __str__(self):
         a, b = self._a, self._b
         q = math.lcm(a.denominator, b.denominator)
-        big_a = a.numerator * (q // a.denominator)
-        big_b = b.numerator * (q // b.denominator)
-        g = math.gcd(math.gcd(abs(big_a), abs(big_b)), q)
-        return big_a // g, big_b // g, q // g
-
-    def __str__(self):
-        big_a, big_b, q = self._canonical_triple()
-        d = self._d
-        if big_b == 0:
-            return str(big_a) if q == 1 else f"{big_a}/{q}"
-        root = f"sqrt({d})"
-        if big_a == 0:
-            coeff = Fraction(big_b, q)
-            if coeff == 1:
-                return root
-            if coeff == -1:
-                return f"-{root}"
-            num = f"{abs(coeff.numerator)}"
-            if coeff.denominator != 1:
-                num += f"/{coeff.denominator}"
-            sign = "-" if coeff < 0 else ""
-            return f"{sign}{num}*{root}"
-        surd = root if abs(big_b) == 1 else f"{abs(big_b)}*{root}"
-        body = f"{big_a}{'+' if big_b > 0 else '-'}{surd}"
-        return body if q == 1 else f"({body})/{q}"
+        return quadratic_text(
+            a.numerator * (q // a.denominator),
+            b.numerator * (q // b.denominator),
+            q,
+            self._d,
+        )
 
     def __repr__(self):
         return f"QuadraticNumber({str(self)!r})"
+
+
+def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:
+    """Canonical text of (a + b*sqrt(d))/q for integers a, b and q > 0.
+
+    The triple is first divided by gcd(a, b, q); d is only read when b is
+    not zero.  This is the one formatter of exact values: ``str`` of a
+    ``QuadraticNumber`` and the CLI's orbit points, written straight from
+    frame numerators, both call it.  ``parse_quadratic`` reads the text back.
+    """
+    g = math.gcd(a, b, q)
+    if g != 1:
+        a, b, q = a // g, b // g, q // g
+    if b == 0:
+        return str(a) if q == 1 else f"{a}/{q}"
+    root = f"sqrt({d})"
+    if a == 0:
+        # gcd(b, q) is 1, so b/q is already in lowest terms
+        if q == 1 and b == 1:
+            return root
+        if q == 1 and b == -1:
+            return f"-{root}"
+        num = f"{abs(b)}" if q == 1 else f"{abs(b)}/{q}"
+        return f"{'-' if b < 0 else ''}{num}*{root}"
+    surd = root if abs(b) == 1 else f"{abs(b)}*{root}"
+    body = f"{a}{'+' if b > 0 else '-'}{surd}"
+    return body if q == 1 else f"({body})/{q}"
 
 
 def int_sign(a: int, b: int, d: int) -> int:

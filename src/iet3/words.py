@@ -1,7 +1,7 @@
 """Finite-word analytics: factors, complexity, balance, height sequences.
 
-Words are thin immutable wrappers around ASCII strings with a declared
-alphabet.  Complexity and balance are computed exhaustively over the
+Words are thin immutable wrappers around strings with a declared alphabet
+of single characters.  Complexity and balance are computed exhaustively over the
 given finite window — the counts are exact, and a separate reliability
 cutoff records how far the finite sample can be trusted as a census of
 the underlying infinite word.
@@ -51,6 +51,7 @@ __all__ = [
     "SwapResult",
     "Word",
     "balance",
+    "check_alphabet",
     "complexity",
     "e_sets",
     "first_unbalanced_length",
@@ -64,8 +65,19 @@ TERNARY = ("A", "B", "C")
 BINARY = ("0", "1")
 
 
+def check_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:
+    """The alphabet as a tuple, or a ValueError naming an entry that is not
+    a single character: letters are characters, and the balance and
+    complexity kernels read each one as a single code point."""
+    alphabet = tuple(alphabet)
+    for a in alphabet:
+        if not isinstance(a, str) or len(a) != 1:
+            raise ValueError(f"alphabet entry {a!r} is not a single character")
+    return alphabet
+
+
 class Word:
-    """A finite word over a declared ordered alphabet."""
+    """A finite word over a declared ordered alphabet of single characters."""
 
     __slots__ = ("letters", "alphabet")
 
@@ -87,12 +99,25 @@ class Word:
                 raise ValueError(
                     f"cannot infer an alphabet for letters {sorted(present)!r}"
                 )
-        alphabet = tuple(alphabet)
+        alphabet = check_alphabet(alphabet)
         bad = set(text) - set(alphabet)
         if bad:
             raise ValueError(f"letters {sorted(bad)!r} outside alphabet {alphabet}")
         object.__setattr__(self, "letters", text)
         object.__setattr__(self, "alphabet", alphabet)
+
+    @classmethod
+    def _trusted(cls, text: str, alphabet: tuple[str, ...]) -> "Word":
+        """The word of checked letters, without checking them again.
+
+        The caller guarantees what ``__init__`` checks: ``alphabet`` is a
+        tuple of single characters and every letter of ``text`` is one of
+        them, as for a slice of a word or a morphism's image.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", text)
+        object.__setattr__(word, "alphabet", alphabet)
+        return word
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -102,7 +127,7 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.letters[index], self.alphabet)
+            return Word._trusted(self.letters[index], self.alphabet)
         return self.letters[index]
 
     def __iter__(self):
@@ -187,9 +212,7 @@ def complexity(w, n_max: int) -> ComplexityProfile:
         raise ValueError(f"nMax {n_max} exceeds word length {len(w)}")
     size, half = len(w), len(w) // 2
     # letter codes: the index of each letter among the sorted alphabet
-    alphabet = np.array(
-        sorted({ord(a) for a in w.alphabet if len(a) == 1}), dtype=np.uint32
-    )
+    alphabet = np.array(sorted({ord(a) for a in w.alphabet}), dtype=np.uint32)
     sigma = len(alphabet)
     code = np.searchsorted(
         alphabet, np.frombuffer(w.letters.encode("utf-32-le"), dtype=np.uint32)
@@ -371,7 +394,9 @@ class LatticePoints(Sequence):
             (ga, gb), (ha, hb) = self.frame.rows[:2]
             reach = max(np.abs(self.p).max(initial=0), np.abs(self.q).max(initial=0))
             row = max(abs(ga), abs(gb), abs(ha), abs(hb))
-            dtype = _kernels.int_dtype(2 * row * int(reach))
+            # the rows multiply the arrays, so they must fit as well, even
+            # when every pair is (0, 0)
+            dtype = _kernels.int_dtype(2 * row * max(int(reach), 1))
             p, q = self.p.astype(dtype), self.q.astype(dtype)
             self._keys = (p * ga + q * ha, p * gb + q * hb)
         a, b = self._keys
@@ -547,7 +572,7 @@ def swap_transform(v, positions: Iterable[int], epsilon=None) -> SwapResult:
             raise SwapError(f"expected '01' at positions ({p - 1}, {p})")
         letters[p - 1], letters[p] = "1", "0"
         previous = p
-    swapped = Word("".join(letters), BINARY)
+    swapped = Word._trusted("".join(letters), BINARY)
 
     criterion = None
     if epsilon is not None:

@@ -7,12 +7,15 @@ walks integer frame numerators one letter at a time with one ``int_sign``
 call per boundary test, as the orbit codings and lattice extremes did
 before they became float-filtered array kernels.  The factor
 count is the set-of-slices loop that rank refinement replaced, and the
-integer-root search tries every divisor in turn.  Primitivity multiplies
+integer-root search tries every divisor in turn.  The canonical text is
+formatted from ``Fraction`` parts, and the CLI's orbit array builds one
+``QuadraticNumber`` per point.  Primitivity multiplies
 incidence matrices power by power, balance fills one row per letter, and
 the fixed-point generator searches powers on its own.  They are slow and
 obviously right, which is what an oracle is for.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +148,44 @@ def code_rotation(rotation, n: int):
             letters.append("1")
             x = x + rotation.shift_high
     return "".join(letters), points
+
+
+def quadratic_str(x: QuadraticNumber) -> str:
+    """The canonical text as ``QuadraticNumber.__str__`` wrote it from its
+    ``Fraction`` parts, before the formatter took integer numerators."""
+    a, b, d = x.rational_part, x.surd_part, x.radicand
+    q = math.lcm(a.denominator, b.denominator)
+    big_a = a.numerator * (q // a.denominator)
+    big_b = b.numerator * (q // b.denominator)
+    g = math.gcd(math.gcd(abs(big_a), abs(big_b)), q)
+    big_a, big_b, q = big_a // g, big_b // g, q // g
+    if big_b == 0:
+        return str(big_a) if q == 1 else f"{big_a}/{q}"
+    root = f"sqrt({d})"
+    if big_a == 0:
+        coeff = Fraction(big_b, q)
+        if coeff == 1:
+            return root
+        if coeff == -1:
+            return f"-{root}"
+        num = f"{abs(coeff.numerator)}"
+        if coeff.denominator != 1:
+            num += f"/{coeff.denominator}"
+        sign = "-" if coeff < 0 else ""
+        return f"{sign}{num}*{root}"
+    surd = root if abs(big_b) == 1 else f"{abs(big_b)}*{root}"
+    body = f"{big_a}{'+' if big_b > 0 else '-'}{surd}"
+    return body if q == 1 else f"({body})/{q}"
+
+
+def orbit_json(points) -> list[dict]:
+    """The CLI's orbit array built point by point: one ``QuadraticNumber``
+    per point, its text, and its float read back from 17 digits."""
+    orbit = []
+    for x in points:
+        q = as_quadratic(x)
+        orbit.append({"exact": str(q), "approx": float(f"{float(q):.17g}")})
+    return orbit
 
 
 def height_series(letters: str, steps) -> tuple[list, list]:

@@ -3,12 +3,17 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import jsonschema
+import oracle
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_lattice import epsilons, exchange_params
 
 from iet3.cli import main
-from iet3.dynamics import IetParameters, ThreeIet
+from iet3.dynamics import IetParameters, Rotation, ThreeIet
 from iet3.qfield import parse_quadratic
 
 GOLDEN = "(-1+sqrt(5))/2"
@@ -167,6 +172,90 @@ def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
     assert doc["orbit"][0] == {"exact": "0", "approx": 0.0}
     assert doc["orbit"][1]["exact"] == "(3-sqrt(5))/2"
     assert math.isclose(doc["orbit"][1]["approx"], (3 - 5**0.5) / 2)
+
+
+#: a tiny shift whose denominator is past 2**64, so that the frame
+#: numerators of the orbit need Python ints in object arrays
+TINY = Fraction(1, 2**64 + 1)
+
+
+def _assert_orbit_json_matches_the_oracle(points, huge):
+    from iet3.cli import _orbit_json
+
+    if huge:
+        assert points.keys()[0].dtype == object
+    shipped, expected = _orbit_json(points), oracle.orbit_json(points)
+    assert json.dumps(shipped, indent=2) == json.dumps(expected, indent=2)
+    assert shipped == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(exchange_params(), st.integers(0, 60), st.booleans(), st.booleans())
+def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
+    params, n, right_closed, huge
+):
+    if huge:
+        params = IetParameters(params.epsilon, params.length_l, params.offset_c - TINY)
+    assume(not (right_closed and n and not params.offset_c))
+    coding = ThreeIet(params).code_orbit(n, right_closed=right_closed)
+    _assert_orbit_json_matches_the_oracle(coding.points, huge)
+
+
+@settings(max_examples=80, deadline=None)
+@given(epsilons(), st.integers(0, 24), st.integers(0, 60), st.booleans())
+def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, huge):
+    # the rotation gensturm codes: [lo, lo + 1) cut at lo + epsilon
+    if huge:
+        eps = eps - TINY
+    lo = Fraction(-j, 25)
+    coding = Rotation(lo, lo + eps, lo + 1).code_orbit(n)
+    _assert_orbit_json_matches_the_oracle(coding.points, huge)
+
+
+@pytest.mark.parametrize("command", ["gen3iet", "gensturm"])
+def test_orbit_json_builds_no_value_per_point(command, capsys, monkeypatch):
+    from iet3.qfield import Frame, QuadraticNumber
+
+    calls = []
+    make, value = QuadraticNumber._make, Frame.value
+
+    def counted_make(*args):
+        calls.append("make")
+        return make(*args)
+
+    def counted_value(self, numerator):
+        calls.append("value")
+        return value(self, numerator)
+
+    monkeypatch.setattr(QuadraticNumber, "_make", staticmethod(counted_make))
+    monkeypatch.setattr(Frame, "value", counted_value)
+    argv = [command, "--epsilon", GOLDEN, "--json"]
+    if command == "gen3iet":
+        argv += ["--l", GOLDEN_L]
+    made = {}
+    for n in (1, 1000):
+        calls.clear()
+        code, out, err = run([*argv, "--n", str(n)], capsys)
+        assert (code, err, len(json.loads(out)["orbit"])) == (0, "", n)
+        made[n] = list(calls)
+    # the parameters and the coding build a fixed number; the points none
+    assert made[1000] == made[1] and "value" not in made[1]
+
+
+def test_exact_text_has_one_formatter(monkeypatch):
+    from iet3 import cli, qfield
+
+    assert cli.quadratic_text is qfield.quadratic_text
+    seen = []
+    formatter = qfield.quadratic_text
+
+    def spy(*args):
+        seen.append(args)
+        return formatter(*args)
+
+    monkeypatch.setattr(qfield, "quadratic_text", spy)
+    assert str(parse_quadratic("(3-sqrt(5))/2")) == "(3-sqrt(5))/2"
+    assert seen == [(3, -1, 2, 5)]
 
 
 def test_gensturm_codes_the_rotation(capsys, schema):
@@ -359,9 +448,10 @@ def test_search_summarises_every_candidate(capsys, schema):
 
 
 #: sha256 of the --json stdout of each call, recorded before the search was
-#: rebuilt on the library's primitives (search) and before the payloads were
-#: built from the report dataclasses (all); keys, order and formatting must
-#: not move
+#: rebuilt on the library's primitives (search), before the payloads were
+#: built from the report dataclasses (all) and before orbit points were
+#: written from their frame numerators (gen3iet, gensturm); keys, order and
+#: formatting must not move
 RECORDED_PAYLOADS = {
     ("sturm", "--value", GOLDEN):
         "14ac07edee8f00f24e686b4149d217ec0f77e98c646dd3d2e715715ef47ef027",
@@ -388,6 +478,24 @@ RECORDED_PAYLOADS = {
     # 30 audited entries, so every field of an AuditSummary is written
     ("search", "--max-total-length", "7"):
         "165fe20ea2412edb5a9c9be33a1a4b85f36d3aefe795fb744b793977438555bf",
+    # orbits: the benchmark's golden orbit, a negative offset, a rational
+    # epsilon, the right-closed convention, a rotation and empty orbits
+    ("gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "10000"):
+        "e12cba476732db4e114f30b2b7e22d251b18886b37819115a189bb28d8b9bbc1",
+    ("gen3iet", "--epsilon", "1/2*sqrt(2)", "--l", "(6+sqrt(2))/8", "--c=-1/10",
+     "--n", "2000"):
+        "864880a027ea73955384654f2a23e8014afe41d3c5e01f3b33e3db1af8e9afec",
+    ("gen3iet", "--epsilon", "2/5", "--l", "7/9", "--c=-1/7", "--n", "2000"):
+        "d2e2f32860c2bbe547d270acc4e2571c1546860fe453b81d1e641887efe0227c",
+    ("gen3iet", "--epsilon", "sqrt(7)-2", "--l", "(4+sqrt(7))/7", "--c=-1/5",
+     "--right-closed", "--n", "2000"):
+        "4d7cae9846c52d604056556f86f96d8788df2b7ae1c69e07337ade6bcfe6d2da",
+    ("gensturm", "--epsilon", GOLDEN, "--n", "10000"):
+        "bf8eb2df9fd9a61fa24855d4da944eb020a728e0ae8c543e936c5199534e6a9f",
+    ("gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "0"):
+        "9505b332d4647aa08167385a5f3f4ef07735b0029ae7bc593e54a14a719fe18d",
+    ("gensturm", "--epsilon", GOLDEN, "--n", "0"):
+        "2612636480aeff2cf9a1eb83290b4bc0f8eb0e5ad824d47d8906b6df8f6e838e",
 }
 
 
@@ -466,6 +574,37 @@ def test_flags_are_accepted_on_either_side_of_the_subcommand(capsys):
     before = run(["--json", "sturm", "--value", "1/2"], capsys)
     after = run(["sturm", "--value", "1/2", "--json"], capsys)
     assert before == after
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    from iet3.cli import _build_parser
+
+    out_path = tmp_path / "verdict.json"
+    calls = [
+        ["sturm"],
+        ["--json", "idoc", "--epsilon", GOLDEN, "--l", GOLDEN_L],
+        ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "20"],
+        ["--out", str(out_path), "sturm", "--value", "1/2"],
+        ["sturm"],
+    ]
+
+    def call(argv):
+        result = run(argv, capsys)
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return result, written
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    _build_parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    info = _build_parser.cache_info()
+    assert reused == fresh
+    assert [result[0] for result, _ in fresh] == [1, 0, 0, 0, 1]
+    assert fresh[3][1] == fresh[3][0][1]
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_usage_errors_exit_one_and_help_exits_zero(capsys):

@@ -107,6 +107,17 @@ def test_frame_numerators_are_values_over_one_denominator():
     assert frame.sign(frame.combine((0, 1))) == -1
 
 
+@pytest.mark.parametrize("text", ["", "0", "1"])
+def test_heights_with_frame_rows_past_int64_keep_their_extremes(text):
+    # frame rows past int64 take the object dtype even where every pair is
+    # (0, 0), as for the empty word
+    eps = Fraction(1, 2**64 + 1)
+    series = height_f(Word(text, BINARY), eps)
+    values, _ = oracle.height_series(text, oracle.binary_steps(eps))
+    assert series.values.keys()[0].dtype == object
+    assert (series.minimum, series.maximum) == (min(values), max(values))
+
+
 # -- orbit codings -----------------------------------------------------------------------
 
 

@@ -86,6 +86,32 @@ def test_constructor_errors_name_the_first_offending_image():
     )
 
 
+def test_alphabet_entries_must_be_single_characters():
+    # image words are built over these alphabets without a check of their own
+    assert constructor_error({"A": "A"}, target=("A", "xy")) == (
+        "alphabet entry 'xy' is not a single character"
+    )
+    assert constructor_error({"A": "A", "": "A"}) == (
+        "alphabet entry '' is not a single character"
+    )
+
+
+@given(st.sampled_from(["A>AB;B>AC;C>A", "A>AB;B>AACA;C>A", "A>B;B>AC;C>AB"]),
+       st.integers(0, 60))
+def test_fixed_points_equal_checked_words(text, n):
+    m = Morphism.from_text(text)
+    prefix = fixed_point_prefix(m, n=n)
+    assert prefix == Word(prefix.letters, m.source)
+    assert prefix.alphabet == m.source
+
+
+def test_a_prefix_outside_the_source_keeps_the_checked_error():
+    # m is no endomorphism: its last image holds B, which the source lacks
+    m = Morphism({"A": "AB"}, target=TERNARY)
+    with pytest.raises(ValueError, match=r"letters \['B'\] outside alphabet \('A',\)"):
+        fixed_point_prefix(m, seed="A", n=2)
+
+
 @given(
     st.sampled_from([("A", "B", "C"), ("C", "A", "B"), ("0", "1")]),
     st.data(),

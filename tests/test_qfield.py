@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import mpmath
+import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iet3.qfield import (
@@ -14,6 +15,7 @@ from iet3.qfield import (
     QuadraticNumber,
     as_quadratic,
     parse_quadratic,
+    quadratic_text,
     sqrt_int,
 )
 
@@ -249,3 +251,31 @@ def test_round_trip_through_text(x):
 def test_floor_bracketing(x):
     n = x.floor()
     assert QuadraticNumber(n) <= x < QuadraticNumber(n + 1)
+
+
+@settings(max_examples=300)
+@given(quadratics())
+def test_text_matches_the_fraction_formatter(x):
+    assert str(x) == oracle.quadratic_str(x)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30),
+    st.integers(1, 10**30),
+    _radicands,
+)
+@example(0, 0, 7, 5)
+@example(4, 0, 6, 5)
+@example(0, 2, 2, 5)
+@example(0, -3, 3, 5)
+@example(0, 6, 4, 5)
+@example(0, -2, 6, 5)
+@example(-2, 2, 4, 5)
+def test_text_of_numerators_over_any_denominator(a, b, q, d):
+    # unreduced triples, as a frame's numerators over its denominator are
+    x = QuadraticNumber(Fraction(a, q), Fraction(b, q), d)
+    text = quadratic_text(a, b, q, d)
+    assert text == oracle.quadratic_str(x) == str(x)
+    assert parse_quadratic(text) == x

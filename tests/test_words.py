@@ -36,10 +36,47 @@ def test_alphabet_inference_prefers_ternary_then_binary():
 
 
 def test_letters_outside_any_known_alphabet_are_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         Word("AB2")
-    with pytest.raises(ValueError):
+    assert str(caught.value) == "cannot infer an alphabet for letters ['2', 'A', 'B']"
+    with pytest.raises(ValueError) as caught:
         Word("01", TERNARY)
+    assert str(caught.value) == "letters ['0', '1'] outside alphabet ('A', 'B', 'C')"
+
+
+@pytest.mark.parametrize(
+    "alphabet, entry",
+    [(("a", "b", "xy"), "'xy'"), (("a", "", "b"), "''"), (("a", "b", 7), "7")],
+)
+def test_alphabet_entries_must_be_single_characters(alphabet, entry):
+    with pytest.raises(ValueError) as caught:
+        Word("ab", alphabet=alphabet)
+    assert str(caught.value) == f"alphabet entry {entry} is not a single character"
+
+
+@st.composite
+def words_with_alphabets(draw):
+    alphabet = draw(
+        st.one_of(
+            st.sampled_from([TERNARY, BINARY, ("C", "A", "B")]),
+            st.lists(st.characters(), min_size=1, max_size=5, unique=True).map(tuple),
+        )
+    )
+    return draw(st.text(alphabet=alphabet, max_size=40)), alphabet
+
+
+@given(words_with_alphabets(), st.integers(-45, 45), st.integers(-45, 45))
+def test_unchecked_words_equal_checked_ones(word_and_alphabet, i, j):
+    text, alphabet = word_and_alphabet
+    trusted, checked = Word._trusted(text, alphabet), Word(text, alphabet)
+    for left, right in ((trusted, checked), (checked[i:j], Word(text[i:j], alphabet))):
+        assert left == right and hash(left) == hash(right)
+        assert (left.letters, left.alphabet) == (right.letters, right.alphabet)
+        assert repr(left) == repr(right)
+    if set(text) <= set(TERNARY):
+        image = SIGMA(trusted)
+        assert image == Word(SIGMA.apply_text(text), BINARY)
+        assert image.alphabet == BINARY
 
 
 def test_word_is_immutable_and_compares_to_plain_strings():
