@@ -69,6 +69,19 @@ B_AS_01 = SIGMA
 B_AS_10 = SIGMA_PRIME
 _IMAGE_NAMES = (("b_as_01", B_AS_01), ("b_as_10", B_AS_10))
 
+#: factor lengths of the certificate's imbalance scan on each binary image
+BALANCE_WINDOW = 300
+#: factor lengths of the certificate's periodicity scan on each binary image
+COMPLEXITY_WINDOW = 50
+#: least share of re-generated letters that must match for a recovery
+MIN_MATCH = Fraction(99, 100)
+#: prefixes of the fixed point on which the audit checks the height scaling
+SCALING_PREFIXES = 1_000
+#: least fixed-point length of the audit's letter-frequency cross-check
+FREQUENCY_PREFIX = 100_000
+#: fixed-point prefix length on which the search runs the certificate
+CERTIFICATE_PREFIX = 2_000
+
 
 # -- Sturm numbers ----------------------------------------------------------------
 
@@ -132,18 +145,15 @@ class CertificateReport:
         return self.verdict == "consistent-with-3iet"
 
 
-def three_iet_certificate(
-    u,
-    min_length: int = 1000,
-    balance_window: int = 300,
-    complexity_window: int = 50,
-) -> CertificateReport:
+def three_iet_certificate(u, min_length: int = 1000) -> CertificateReport:
     """Check both binary images of a ternary word for sturmian behaviour.
 
     A factor pair witnessing imbalance 2 or more in either image refutes
     the word; bounded factor complexity (C(n) < n+1 at a reliable n)
     marks it periodic.  Only a would-be positive verdict requires all
     three letters to occur: definite negatives are reported regardless.
+    Balance is scanned over factor lengths up to ``BALANCE_WINDOW`` and
+    complexity up to ``COMPLEXITY_WINDOW``.
     """
     u = u if isinstance(u, Word) else Word(u)
     if len(u) < min_length:
@@ -155,7 +165,7 @@ def three_iet_certificate(
     max_imbalance = {}
     witness = None
     for name, v in images.items():
-        report = balance(v, n_max=balance_window)
+        report = balance(v, n_max=BALANCE_WINDOW)
         max_imbalance[name] = report.max_imbalance
         if witness is None and report.max_imbalance >= 2:
             n = next(
@@ -172,16 +182,16 @@ def three_iet_certificate(
             }
     common = dict(
         word_length=len(u),
-        balance_window=balance_window,
-        complexity_window=complexity_window,
+        balance_window=BALANCE_WINDOW,
+        complexity_window=COMPLEXITY_WINDOW,
         image_lengths=image_lengths,
         max_imbalance=max_imbalance,
     )
     if witness is not None:
         return CertificateReport("refuted", witness, **common)
     for name, v in images.items():
-        profile = complexity(v, n_max=min(complexity_window, len(v) // 2))
-        for n in range(1, min(complexity_window, profile.reliable_up_to) + 1):
+        profile = complexity(v, n_max=min(COMPLEXITY_WINDOW, len(v) // 2))
+        for n in range(1, min(COMPLEXITY_WINDOW, profile.reliable_up_to) + 1):
             if profile.count(n) < n + 1:
                 witness = {
                     "image": name,
@@ -246,16 +256,12 @@ def _match_statistics(expected: str, produced: str) -> tuple[Fraction, int | Non
     return Fraction(n - len(mismatches), len(expected)), first
 
 
-def recover_parameters(
-    u,
-    epsilon,
-    min_match: Fraction = Fraction(99, 100),
-) -> RecoveredParameters:
+def recover_parameters(u, epsilon) -> RecoveredParameters:
     """Recover (c, l) from a ternary word given the rotation angle.
 
     Re-generates the coding from the recovered parameters and keeps the
     endpoint convention (left-closed first, then right-closed) that
-    matches best; a match fraction below min_match raises RecoveryError
+    matches best; a match fraction below MIN_MATCH raises RecoveryError
     with the first mismatch index.
     """
     u = u if isinstance(u, Word) else Word(u)
@@ -267,7 +273,7 @@ def recover_parameters(
     if u.count("B") == 0:
         raise RecoveryError("no B occurrences in the word")
     v = B_AS_01.apply(u)
-    heights = height_f(v, eps).values
+    heights = height_f(v, eps)
     c_hat = heights[heights.argmin()]
     positions = _b_second_letter_indices(u)
     floor_at = heights.argmin(positions)
@@ -302,7 +308,7 @@ def recover_parameters(
         if fraction == 1:
             break
     convention, fraction, first = best
-    if fraction < min_match:
+    if fraction < MIN_MATCH:
         raise RecoveryError(
             f"re-generation mismatch at index {first}: "
             f"matched {fraction.numerator} of {fraction.denominator} letters"
@@ -370,15 +376,7 @@ def _uniform_strict_sign(values: Sequence[QuadraticNumber]) -> bool:
     return signs == {1} or signs == {-1}
 
 
-def substitution_audit(
-    m: Morphism,
-    prefix_len: int = 10_000,
-    scaling_prefixes: int = 1_000,
-    frequency_prefix: int = 100_000,
-    balance_window: int = 300,
-    complexity_window: int = 50,
-    min_match: Fraction = Fraction(99, 100),
-) -> AuditReport:
+def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     """Audit a ternary substitution against every available necessary condition.
 
     Generates the fixed-point prefix, certifies its binary images, recovers
@@ -396,7 +394,7 @@ def substitution_audit(
     fields: dict = dict(
         morphism=m,
         prefix_length=prefix_len,
-        scaling_prefixes=scaling_prefixes,
+        scaling_prefixes=SCALING_PREFIXES,
     )
 
     def stop(reason: str) -> AuditReport:
@@ -427,12 +425,7 @@ def substitution_audit(
         return stop(f"missing letter in fixed point: {missing[0]!r}")
 
     try:
-        certificate = three_iet_certificate(
-            u,
-            min_length=min(1000, prefix_len),
-            balance_window=balance_window,
-            complexity_window=complexity_window,
-        )
+        certificate = three_iet_certificate(u, min_length=min(1000, prefix_len))
     except ValueError as exc:
         return stop(f"certificate not evaluable: {exc}")
     fields["certificate"] = certificate
@@ -462,7 +455,7 @@ def substitution_audit(
     fields["l_exact"] = l_exact
 
     # empirical letter frequencies as an independent cross-check
-    freq_len = max(frequency_prefix, prefix_len)
+    freq_len = max(FREQUENCY_PREFIX, prefix_len)
     u_long = fixed_point_prefix(m, seed=seed, n=freq_len)
     deviation = max(
         abs(u_long.count(a) / freq_len - float(rho))
@@ -472,7 +465,7 @@ def substitution_audit(
     fields["frequencies_consistent"] = deviation < 1e-3
 
     try:
-        recovery = recover_parameters(u, eps, min_match=min_match)
+        recovery = recover_parameters(u, eps)
     except ValueError as exc:
         return stop(f"parameter recovery failed: {exc}")
     fields["recovery"] = recovery
@@ -512,7 +505,7 @@ def substitution_audit(
         (1 - eps_conj, 1 - 2 * eps_conj, -eps_conj)
     )
 
-    checked = min(scaling_prefixes, len(u))
+    checked = min(SCALING_PREFIXES, len(u))
     starts = [0]
     for ch in u.letters[:checked]:
         starts.append(starts[-1] + len(m.images[ch]))
@@ -520,7 +513,7 @@ def substitution_audit(
         checked -= 1
     # heights are p - q*eps, so g[starts[n]] - lam_conj * g[n] is an integer
     # combination of 1, -eps, lam_conj and -lam_conj*eps that must vanish
-    g = height_g(u[: starts[checked]], eps).values
+    g = height_g(u[: starts[checked]], eps)
     gp, gq = g.p.tolist(), g.q.tolist()
     frame = Frame((1, -eps, lam_conj, -lam_conj * eps))
     fields["scaling_relation_holds"] = all(
@@ -622,7 +615,7 @@ def facts_check(
         (1, -eps, c, c + params.alpha, c + eps, c + params.length_l, *overrides.values())
     )
     cuts = frame.rows[2:6]
-    lattice = height_g(u, params).values
+    lattice = height_g(u, params)
     heights = [frame.combine(pq) for pq in zip(lattice.p.tolist(), lattice.q.tolist())]
 
     def letter_at(point) -> str | None:
@@ -632,7 +625,7 @@ def facts_check(
 
     prefix_heights: dict[tuple[str, int], tuple[int, int]] = {}
     for letter in m.source:
-        image = height_g(m.images[letter], params).values
+        image = height_g(m.images[letter], params)
         # the proper prefixes: every pair but the whole image's
         for j, pq in enumerate(zip(image.p[:-1].tolist(), image.q[:-1].tolist())):
             prefix_heights[(letter, j)] = frame.combine(pq)
@@ -741,7 +734,7 @@ class SearchReport:
         return tuple(s for s in self.audited if s.overall == "fail")
 
 
-def _search_stage(m: Morphism, certificate_prefix: int) -> str:
+def _search_stage(m: Morphism) -> str:
     """The first stage of ``search_substitutions`` that disposes of m."""
     expanding = find_expanding_letter(m, max_power=1)
     if expanding is None:
@@ -752,9 +745,9 @@ def _search_stage(m: Morphism, certificate_prefix: int) -> str:
     image = B_AS_01.apply(fixed_point_prefix(m, seed, 400))
     if first_unbalanced_length(image, 25) is not None:
         return "quick-imbalance"
-    prefix = fixed_point_prefix(m, seed, certificate_prefix)
+    prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
     try:
-        cert = three_iet_certificate(prefix, min_length=min(1000, certificate_prefix))
+        cert = three_iet_certificate(prefix)
     except ValueError:
         return "certificate-error"
     if cert.is_consistent:
@@ -765,7 +758,6 @@ def _search_stage(m: Morphism, certificate_prefix: int) -> str:
 def search_substitutions(
     max_total: int = 8,
     max_image: int | None = None,
-    certificate_prefix: int = 2000,
     audit_prefix: int = 10_000,
 ) -> SearchReport:
     """Audit every ternary substitution within the given size bounds.
@@ -781,7 +773,7 @@ def search_substitutions(
     certificate; it stops at the first such length, most often 2), else
     "certificate-error", "-refuted", "-periodic" or
     "-consistent" from ``three_iet_certificate`` on a
-    certificate_prefix-letter prefix.
+    ``CERTIFICATE_PREFIX``-letter prefix.
     Only certificate-consistent candidates reach ``substitution_audit``;
     results are deterministic, ordered by the textual form.
     """
@@ -808,7 +800,7 @@ def search_substitutions(
             continue
         for images in product(pool[la], pool[lb], pool[lc]):
             m = Morphism(dict(zip(TERNARY, images)), source=TERNARY, target=TERNARY)
-            stage = _search_stage(m, certificate_prefix)
+            stage = _search_stage(m)
             counts["total"] += 1
             counts[stage] += 1
             if stage == "certificate-consistent":

@@ -587,7 +587,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, text, code = args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError, ReturnTimeCapError) as exc:
+    except (
+        ValueError, ZeroDivisionError, OverflowError, OSError, ReturnTimeCapError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rendered = json.dumps(payload, indent=2) if args.json else text

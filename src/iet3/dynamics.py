@@ -85,10 +85,6 @@ class Interval:
         x = as_quadratic(x)
         return self.lo < x <= self.hi
 
-    @property
-    def length(self) -> QuadraticNumber:
-        return self.hi - self.lo
-
     def __str__(self):
         return f"[{self.lo}, {self.hi})"
 
@@ -158,18 +154,6 @@ class IetParameters:
     def translations(self) -> dict[str, QuadraticNumber]:
         eps = self.epsilon
         return {"A": 1 - eps, "B": 1 - 2 * eps, "C": -eps}
-
-    @property
-    def translation_vector(self) -> tuple[QuadraticNumber, ...]:
-        t = self.translations
-        return (t["A"], t["B"], t["C"])
-
-    @property
-    def radicand(self) -> int | None:
-        for v in (self.epsilon, self.length_l, self.offset_c):
-            if v.radicand is not None:
-                return v.radicand
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, IetParameters):
@@ -333,10 +317,6 @@ class Rotation:
     @property
     def domain(self) -> Interval:
         return Interval(self.lo, self.hi)
-
-    @property
-    def angle(self) -> QuadraticNumber:
-        return self.shift_low
 
     def apply(self, x) -> QuadraticNumber:
         x = as_quadratic(x)
@@ -529,7 +509,11 @@ class DensityResult:
     period: int | None = None
 
 
-def densities(params: IetParameters, period_cap: int = 10**6) -> DensityResult:
+#: most letters of a rational coding's period that ``densities`` will code
+PERIOD_CAP = 10**6
+
+
+def densities(params: IetParameters) -> DensityResult:
     """Exact densities of A, B, C in the coded word; always sums to 1."""
     if params.epsilon.radicand is not None:
         ell = params.length_l
@@ -540,12 +524,12 @@ def densities(params: IetParameters, period_cap: int = 10**6) -> DensityResult:
     # rational slope e = r/s: the coding is periodic.  The rotation
     # x -> x - e (mod 1) first returns to 0 after exactly s steps, and the
     # period codes its visits to the domain before then, at least s/2 of
-    # them; so min(s, 2*period_cap + 2) steps hold either the whole period
-    # or more than period_cap letters.
+    # them; so min(s, 2*PERIOD_CAP + 2) steps hold either the whole period
+    # or more than PERIOD_CAP letters.
     s = params.epsilon.rational_value.denominator
-    letters = ThreeIet(params)._first_return(min(s, 2 * period_cap + 2) + 1)
-    if len(letters) > period_cap:
-        raise ReturnTimeCapError(f"no period found within {period_cap} steps")
+    letters = ThreeIet(params)._first_return(min(s, 2 * PERIOD_CAP + 2) + 1)
+    if len(letters) > PERIOD_CAP:
+        raise ReturnTimeCapError(f"no period found within {PERIOD_CAP} steps")
     n = len(letters)
     return DensityResult(
         "periodic-word",

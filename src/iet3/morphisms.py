@@ -247,15 +247,6 @@ class IncidenceMatrix:
         )
         return IncidenceMatrix(rows, self.row_alphabet, other.col_alphabet)
 
-    def row_apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Row vector times matrix: (v @ M)."""
-        n, m = self.shape
-        if len(vector) != n:
-            raise ValueError("vector length must match the row count")
-        return tuple(
-            sum(vector[i] * self.rows[i][j] for i in range(n)) for j in range(m)
-        )
-
     def column_apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector: (M @ v); exact over any field."""
         n, m = self.shape

@@ -452,10 +452,6 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, token: str) -> bool:
         self.skip_ws()
         if self.text.startswith(token, self.pos):

@@ -15,10 +15,10 @@ last length at which the factors of the word's first half still carry
 every label.
 
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
-at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so a
-height series is two int64 prefix-sum arrays (p, q).  The value p - q*e is
-the integer numerator a + b*sqrt(d) of a ``qfield.Frame`` over its common
-denominator.  Minima and maxima are array kernels (``_kernels``): a float64
+at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
+``height_f`` and ``height_g`` return ``LatticePoints`` over two int64
+prefix-sum arrays (p, q).  The value p - q*e is the integer numerator
+a + b*sqrt(d) of a ``qfield.Frame`` over its common denominator.  Minima and maxima are array kernels (``_kernels``): a float64
 pass with a rigorous error bound keeps only the indices whose value can
 reach the extreme, and exact signs of integer differences, from the float
 where its bound clears zero and from ``qfield.int_sign`` where it does not,
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .qfield import Frame, QuadraticNumber, as_quadratic, int_sign
+from .qfield import Frame, as_quadratic, int_sign
 
 __all__ = [
     "BINARY",
@@ -45,20 +45,15 @@ __all__ = [
     "TERNARY_STEPS",
     "BalanceReport",
     "ComplexityProfile",
-    "HeightSeries",
     "LatticePoints",
-    "SwapError",
-    "SwapResult",
     "Word",
     "balance",
     "check_alphabet",
     "complexity",
-    "e_sets",
     "first_unbalanced_length",
     "height_f",
     "height_g",
     "imbalance_witness",
-    "swap_transform",
 ]
 
 TERNARY = ("A", "B", "C")
@@ -152,9 +147,6 @@ class Word:
 
     def count(self, letter: str) -> int:
         return self.letters.count(letter)
-
-    def counts(self) -> dict[str, int]:
-        return {a: self.letters.count(a) for a in self.alphabet}
 
     def count_vector(self) -> tuple[int, ...]:
         return tuple(self.letters.count(a) for a in self.alphabet)
@@ -455,51 +447,12 @@ BINARY_STEPS = {"0": (1, 1), "1": (0, 1)}
 TERNARY_STEPS = {"A": (1, 1), "B": (1, 2), "C": (0, 1)}
 
 
-@dataclass(frozen=True)
-class HeightSeries:
-    """Exact per-prefix heights, starting from the empty prefix at 0."""
-
-    values: LatticePoints
-
-    @property
-    def running_min(self) -> LatticePoints:
-        v = self.values
-        best, keep = 0, []
-        for i in range(len(v)):
-            if v.compare(i, best) < 0:
-                best = i
-            keep.append(best)
-        return LatticePoints(v.frame, v.p[keep], v.q[keep])
-
-    @property
-    def minimum(self) -> QuadraticNumber:
-        return self.values[self.values.argmin()]
-
-    @property
-    def maximum(self) -> QuadraticNumber:
-        return self.values[self.values.argmax()]
-
-    @property
-    def final(self) -> QuadraticNumber:
-        return self.values[-1]
-
-    @property
-    def spread(self) -> QuadraticNumber:
-        return self.maximum - self.minimum
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> QuadraticNumber:
-        return self.values[n]
-
-
-def _heights(letters: str, epsilon, steps) -> HeightSeries:
+def _heights(letters: str, epsilon, steps) -> LatticePoints:
     frame = Frame((1, -as_quadratic(epsilon)))
-    return HeightSeries(LatticePoints.prefix_sums(frame, letters, steps))
+    return LatticePoints.prefix_sums(frame, letters, steps)
 
 
-def height_f(v, epsilon) -> HeightSeries:
+def height_f(v, epsilon) -> LatticePoints:
     """Heights |V|_0*(1-e) - |V|_1*e of every prefix V of a binary word."""
     v = _as_word(v)
     if not v.is_over(BINARY):
@@ -507,7 +460,7 @@ def height_f(v, epsilon) -> HeightSeries:
     return _heights(v.letters, epsilon, BINARY_STEPS)
 
 
-def height_g(u, params) -> HeightSeries:
+def height_g(u, params) -> LatticePoints:
     """Per-prefix displacement sums |w|_A*t_A + |w|_B*t_B + |w|_C*t_C.
 
     When u codes the orbit of 0 under the three-interval exchange with
@@ -517,73 +470,3 @@ def height_g(u, params) -> HeightSeries:
     if not u.is_over(TERNARY):
         raise ValueError("height_g is defined for ternary words")
     return _heights(u.letters, getattr(params, "epsilon", params), TERNARY_STEPS)
-
-
-def e_sets(u, params) -> dict[str, tuple[QuadraticNumber, ...]]:
-    """Sampled per-letter displacement sets.
-
-    For each letter X, collects the height of the prefix preceding every
-    occurrence of X — the orbit points about to be translated by t_X.
-    """
-    u = _as_word(u)
-    series = height_g(u, params)
-    out: dict[str, list[QuadraticNumber]] = {a: [] for a in TERNARY}
-    for n, ch in enumerate(u.letters):
-        out[ch].append(series[n])
-    return {a: tuple(points) for a, points in out.items()}
-
-
-# -- paired-index swap ---------------------------------------------------------
-
-
-class SwapError(ValueError):
-    """A swap position does not sit on a '01' pair."""
-
-
-@dataclass(frozen=True)
-class SwapResult:
-    word: Word
-    criterion_holds: bool | None
-
-
-def swap_transform(v, positions: Iterable[int], epsilon=None) -> SwapResult:
-    """Replace '01' by '10' at each given pair (p-1, p) of indices.
-
-    Each position p must satisfy v[p-1] == '0' and v[p] == '1'; positions
-    must be strictly increasing and non-adjacent.  When ``epsilon`` is
-    supplied, also reports whether every swapped prefix height strictly
-    exceeds every non-swapped one over the sampled window (the exact
-    condition under which the swap preserves 1-balance).
-    """
-    v = _as_word(v)
-    if not v.is_over(BINARY):
-        raise ValueError("swap_transform is defined for binary words")
-    positions = list(positions)
-    previous = None
-    letters = list(v.letters)
-    for p in positions:
-        if previous is not None and p <= previous:
-            raise SwapError(f"positions not strictly increasing at {p}")
-        if previous is not None and p - previous < 2:
-            raise SwapError(f"adjacent swap pair at position {p}")
-        if not 1 <= p < len(letters):
-            raise SwapError(f"position {p} out of range")
-        if letters[p - 1] != "0" or letters[p] != "1":
-            raise SwapError(f"expected '01' at positions ({p - 1}, {p})")
-        letters[p - 1], letters[p] = "1", "0"
-        previous = p
-    swapped = Word._trusted("".join(letters), BINARY)
-
-    criterion = None
-    if epsilon is not None:
-        heights = height_f(v, epsilon).values
-        swap_low = heights.argmin(positions)
-        others = np.ones(len(heights), dtype=bool)
-        others[positions] = False
-        other_high = heights.argmax(others)
-        criterion = (
-            swap_low is None
-            or other_high is None
-            or heights.compare(swap_low, other_high) > 0
-        )
-    return SwapResult(swapped, criterion)

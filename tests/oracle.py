@@ -188,20 +188,14 @@ def orbit_json(points) -> list[dict]:
     return orbit
 
 
-def height_series(letters: str, steps) -> tuple[list, list]:
-    """Per-prefix sums of the letter steps, and their running minima."""
-    zero = QuadraticNumber(0)
-    values = [zero]
-    mins = [zero]
-    h = zero
-    low = zero
+def height_series(letters: str, steps) -> list:
+    """Per-prefix sums of the letter steps, the empty prefix first."""
+    h = QuadraticNumber(0)
+    values = [h]
     for ch in letters:
         h = h + steps[ch]
         values.append(h)
-        if h < low:
-            low = h
-        mins.append(low)
-    return values, mins
+    return values
 
 
 def binary_steps(epsilon) -> dict:
@@ -214,7 +208,7 @@ def ternary_steps(epsilon) -> dict:
     return {"A": 1 - eps, "B": 1 - 2 * eps, "C": -eps}
 
 
-def recover(u: str, epsilon, min_match: Fraction = Fraction(99, 100)) -> dict:
+def recover(u: str, epsilon) -> dict:
     """Fields of ``recover_parameters``, computed on field values throughout."""
     eps = as_quadratic(epsilon)
     if len(u) < 2:
@@ -222,8 +216,8 @@ def recover(u: str, epsilon, min_match: Fraction = Fraction(99, 100)) -> dict:
     if u.count("B") == 0:
         raise RecoveryError("no B occurrences in the word")
     v = B_AS_01.apply(Word(u, TERNARY)).letters
-    values, mins = height_series(v, binary_steps(eps))
-    c_hat = mins[-1]
+    values = height_series(v, binary_steps(eps))
+    c_hat = min(values)
     positions = []
     offset = 0
     for letter in u:
@@ -260,7 +254,7 @@ def recover(u: str, epsilon, min_match: Fraction = Fraction(99, 100)) -> dict:
         if fraction == 1:
             break
     convention, fraction, first = best
-    if fraction < min_match:
+    if fraction < Fraction(99, 100):
         raise RecoveryError(
             f"re-generation mismatch at index {first}: "
             f"matched {fraction.numerator} of {fraction.denominator} letters"

@@ -386,6 +386,15 @@ def test_sturm_verdict_payload(capsys, schema):
     assert doc["conjugate_outside_unit_interval"] is False
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_sturm_value_past_the_float_range_is_an_input_error(flags, capsys):
+    # the payload carries a float approximation, built in both modes
+    code, out, err = run([*flags, "sturm", "--value", "1" + "0" * 400], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- recovery and audit ----------------------------------------------------------
 
 

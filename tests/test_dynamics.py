@@ -56,10 +56,10 @@ def test_interval_lengths_recover_the_three_pieces(golden_params):
 
 
 def test_translation_vector_is_tied_to_epsilon(golden_params):
-    t = golden_params.translation_vector
+    t = golden_params.translations
     eps = golden_params.epsilon
-    assert t == (1 - eps, 1 - 2 * eps, -eps)
-    assert t[0] + t[2] == t[1]
+    assert t == {"A": 1 - eps, "B": 1 - 2 * eps, "C": -eps}
+    assert t["A"] + t["C"] == t["B"]
 
 
 # -- orbit codings ------------------------------------------------------------------

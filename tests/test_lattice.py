@@ -113,9 +113,10 @@ def test_heights_with_frame_rows_past_int64_keep_their_extremes(text):
     # (0, 0), as for the empty word
     eps = Fraction(1, 2**64 + 1)
     series = height_f(Word(text, BINARY), eps)
-    values, _ = oracle.height_series(text, oracle.binary_steps(eps))
-    assert series.values.keys()[0].dtype == object
-    assert (series.minimum, series.maximum) == (min(values), max(values))
+    values = oracle.height_series(text, oracle.binary_steps(eps))
+    assert series.keys()[0].dtype == object
+    extremes = series[series.argmin()], series[series.argmax()]
+    assert extremes == (min(values), max(values))
 
 
 # -- orbit codings -----------------------------------------------------------------------
@@ -157,15 +158,13 @@ def test_right_closed_coding_reports_the_point_that_leaves_the_domain():
 
 
 def _assert_series_match(series, steps, letters):
-    values, mins = oracle.height_series(letters, steps)
+    values = oracle.height_series(letters, steps)
     assert len(series) == len(values)
-    assert list(series.values) == values
+    assert list(series) == values
     assert [series[k] for k in range(len(values))] == values
-    assert list(series.running_min) == mins
-    assert series.minimum == min(values)
-    assert series.maximum == max(values)
-    assert series.final == values[-1]
-    assert series.spread == max(values) - min(values)
+    assert series[series.argmin()] == min(values)
+    assert series[series.argmax()] == max(values)
+    assert series[-1] == values[-1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,7 +183,7 @@ def test_ternary_heights_match_the_field_loop(text, params):
 
 def test_equal_heights_at_distinct_pairs_compare_as_equal():
     # for epsilon = 1/3 the word 011 climbs back to 0 at the pair (1, 3)
-    values = height_f(Word("011", BINARY), Fraction(1, 3)).values
+    values = height_f(Word("011", BINARY), Fraction(1, 3))
     assert (values.p[3], values.q[3]) == (1, 3)
     assert values[3] == values[0] == 0
     assert values.key(3) == values.key(0)

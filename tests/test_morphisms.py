@@ -32,6 +32,14 @@ FIBONACCI = Morphism.from_text("0>01;1>0")
 TRIBONACCI = Morphism.from_text("A>AB;B>AC;C>A")
 
 
+def _row_times(vector, matrix) -> tuple:
+    """The row vector times the matrix, v @ M."""
+    rows, columns = matrix.shape
+    return tuple(
+        sum(vector[i] * matrix[i, j] for i in range(rows)) for j in range(columns)
+    )
+
+
 # -- morphism basics -----------------------------------------------------------
 
 
@@ -160,7 +168,7 @@ def test_composition_acts_by_substituting_images():
 @given(st.text(alphabet="ABC", max_size=40))
 def test_counts_transform_through_the_incidence_matrix(text):
     m = Morphism.from_text("A>ACB;B>AC;C>BBA")
-    counted = incidence(m).row_apply(Word(text).count_vector())
+    counted = _row_times(Word(text).count_vector(), incidence(m))
     assert counted == m(Word(text)).count_vector()
 
 
@@ -190,7 +198,6 @@ def test_negative_and_ragged_matrices_are_rejected():
 
 def test_vector_products_on_both_sides():
     m = IncidenceMatrix([[1, 2], [3, 4]])
-    assert m.row_apply((1, 1)) == (4, 6)
     assert m.column_apply((1, 1)) == (3, 7)
     with pytest.raises(ValueError, match="dimension mismatch"):
         m @ IncidenceMatrix([[1, 2, 3]])
@@ -358,7 +365,7 @@ def test_left_eigenvector_satisfies_its_equation():
     matrix = incidence(FIBONACCI)
     lam = spectral_class(matrix).dominant
     v = left_eigenvector(matrix, lam)
-    assert matrix.row_apply(v) == tuple(lam * x for x in v)
+    assert _row_times(v, matrix) == tuple(lam * x for x in v)
 
 
 def test_left_eigenvector_of_a_ternary_instance():
@@ -366,7 +373,7 @@ def test_left_eigenvector_of_a_ternary_instance():
     lam = spectral_class(matrix).dominant
     v = left_eigenvector(matrix, lam)
     assert any(x != 0 for x in v)
-    assert matrix.row_apply(v) == tuple(lam * x for x in v)
+    assert _row_times(v, matrix) == tuple(lam * x for x in v)
 
 
 def test_translation_vector_scales_by_the_conjugate():
@@ -376,7 +383,7 @@ def test_translation_vector_scales_by_the_conjugate():
     params = IetParameters(eps, parse_quadratic("(3-sqrt(2))/2"), 0)
     matrix = incidence(Morphism.from_text("A>AB;B>AACA;C>A"))
     spectral = spectral_class(matrix)
-    t = params.translation_vector
+    t = (1 - eps, 1 - 2 * eps, -eps)
     assert translation_image(matrix, params) == tuple(
         spectral.dominant_conjugate * x for x in t
     )

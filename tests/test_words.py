@@ -1,25 +1,22 @@
-"""Finite words: complexity, balance, height sequences, paired swaps."""
+"""Finite words: complexity, balance, height sequences."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from iet3.morphisms import SIGMA, SIGMA_PRIME
+from iet3.morphisms import SIGMA
 from iet3.qfield import parse_quadratic
 from iet3.words import (
     BINARY,
     TERNARY,
-    SwapError,
     Word,
     balance,
     complexity,
-    e_sets,
     height_f,
     height_g,
     imbalance_witness,
-    swap_transform,
 )
 
 binary_words = st.text(alphabet="01", max_size=60)
@@ -160,7 +157,7 @@ def test_binary_heights_track_zero_and_one_counts():
     assert series[0] == 0
     assert series[1] == 1 - eps
     assert series[2] == 1 - 2 * eps
-    assert series.minimum == min(0, 1 - 2 * eps)
+    assert series[series.argmin()] == min(0, 1 - 2 * eps)
 
 
 @given(
@@ -169,7 +166,7 @@ def test_binary_heights_track_zero_and_one_counts():
 )
 def test_final_height_counts_zeros_minus_slope(text, eps):
     series = height_f(Word(text, BINARY), eps)
-    assert series.final == text.count("0") - len(text) * eps
+    assert series[-1] == text.count("0") - len(text) * eps
 
 
 def test_ternary_heights_are_the_orbit_points(golden_params, golden_word_100k):
@@ -191,8 +188,9 @@ def test_coding_heights_stay_inside_the_domain(golden_params, golden_word_100k):
     series = height_g(golden_word_100k[:2000], golden_params)
     lo = golden_params.offset_c
     hi = lo + golden_params.length_l
-    assert lo <= series.minimum and series.maximum < hi
-    assert series.spread < 1
+    low, high = series[series.argmin()], series[series.argmax()]
+    assert lo <= low and high < hi
+    assert high - low < 1
 
 
 # -- per-letter displacement sets ---------------------------------------------------
@@ -201,50 +199,12 @@ def test_coding_heights_stay_inside_the_domain(golden_params, golden_word_100k):
 def test_sampled_sets_live_in_their_own_intervals(golden_params, golden_word_100k):
     from iet3.dynamics import ThreeIet
 
+    # the height before each occurrence of a letter is the orbit point
+    # about to be translated by that letter's translation
     iet = ThreeIet(golden_params)
-    sets = e_sets(golden_word_100k[:300], golden_params)
-    for letter, points in sets.items():
+    u = golden_word_100k[:300]
+    heights = height_g(u, golden_params)
+    for letter in TERNARY:
+        points = [heights[n] for n, ch in enumerate(u.letters) if ch == letter]
         assert points, f"letter {letter} never sampled"
         assert all(x in iet.intervals[letter] for x in points)
-
-
-# -- paired swaps -------------------------------------------------------------------
-
-
-def _pair_positions(u: str) -> list[int]:
-    """Index of the '1' inside each two-letter image of B under b->01."""
-    out, offset = [], 0
-    for ch in u:
-        if ch == "B":
-            out.append(offset + 1)
-        offset += 2 if ch == "B" else 1
-    return out
-
-
-def test_swapping_the_b_images_turns_01_codings_into_10_codings(golden_word_100k):
-    u = golden_word_100k[:400]
-    v = SIGMA(u)
-    swapped = swap_transform(v, _pair_positions(u.letters))
-    assert swapped.word == SIGMA_PRIME(u)
-    assert swapped.criterion_holds is None
-
-
-def test_swap_threshold_holds_on_genuine_codings(golden_params, golden_word_100k):
-    u = golden_word_100k[:400]
-    v = SIGMA(u)
-    swapped = swap_transform(
-        v, _pair_positions(u.letters), epsilon=golden_params.epsilon
-    )
-    assert swapped.criterion_holds is True
-
-
-def test_swap_rejects_malformed_positions():
-    v = Word("0101", BINARY)
-    with pytest.raises(SwapError):
-        swap_transform(v, [2])  # v[1:3] == '10', not '01'
-    with pytest.raises(SwapError):
-        swap_transform(v, [1, 1])
-    with pytest.raises(SwapError):
-        swap_transform(v, [1, 2])
-    with pytest.raises(SwapError):
-        swap_transform(v, [9])
