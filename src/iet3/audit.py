@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import ConstraintError, IetParameters, ThreeIet
+from .dynamics import ConstraintError, IetParameters, ThreeIet, _common_field
 from .morphisms import (
     Expanding,
     Morphism,
@@ -286,7 +286,7 @@ def recover_parameters(u, epsilon) -> RecoveredParameters:
     others[positions] = False
     other_high = heights.argmax(others)
     threshold_consistent = (
-        other_high is None or heights.compare(floor_at, other_high) > 0
+        other_high is None or heights[floor_at] > heights[other_high]
     )
 
     try:
@@ -607,29 +607,22 @@ def facts_check(
     total = sum(len(m.images[ch]) for ch in u_head.letters)
     u = fixed_point_prefix(m, seed=seed, n=total)
 
-    # every point is an integer numerator over one frame: the height
-    # generators 1 and -epsilon, the four cuts, then any planted heights
-    overrides = dict(t_override or {})
     c, eps = params.offset_c, params.epsilon
-    frame = Frame(
-        (1, -eps, c, c + params.alpha, c + eps, c + params.length_l, *overrides.values())
-    )
-    cuts = frame.rows[2:6]
-    lattice = height_g(u, params)
-    heights = [frame.combine(pq) for pq in zip(lattice.p.tolist(), lattice.q.tolist())]
+    cuts = (c, c + params.alpha, c + eps, c + params.length_l)
+    heights = list(height_g(u, params))
 
     def letter_at(point) -> str | None:
         # the count of cuts at or below a point names its left-closed interval
-        below = sum(frame.sign((point[0] - a, point[1] - b)) >= 0 for a, b in cuts)
-        return (None, "A", "B", "C", None)[below]
+        return (None, "A", "B", "C", None)[sum(point >= cut for cut in cuts)]
 
-    prefix_heights: dict[tuple[str, int], tuple[int, int]] = {}
+    prefix_heights = {}
     for letter in m.source:
-        image = height_g(m.images[letter], params)
-        # the proper prefixes: every pair but the whole image's
-        for j, pq in enumerate(zip(image.p[:-1].tolist(), image.q[:-1].tolist())):
-            prefix_heights[(letter, j)] = frame.combine(pq)
-    prefix_heights.update(zip(overrides, frame.rows[6:]))
+        # the proper prefixes: every height but the whole image's
+        for j, height in enumerate(height_g(m.images[letter], params)[:-1]):
+            prefix_heights[(letter, j)] = height
+    overrides = {key: as_quadratic(h) for key, h in (t_override or {}).items()}
+    _common_field((eps, *overrides.values()), "planted heights")
+    prefix_heights.update(overrides)
 
     starts = [0]
     for ch in u_head.letters:
@@ -639,16 +632,15 @@ def facts_check(
     shift_consistent = True
     sets_disjoint = True
     uniform_next_letter = True
-    seen: dict[tuple[int, int], tuple] = {}
-    union: set[tuple[int, int]] = set()
+    seen: dict[QuadraticNumber, tuple] = {}
+    union: set[QuadraticNumber] = set()
     for letter in m.source:
         occurrences = [n for n in range(depth) if u_head.letters[n] == letter]
         for j in range(len(m.images[letter])):
             t_w = prefix_heights[(letter, j)]
             next_letters = set()
             for n in occurrences:
-                start = heights[starts[n]]
-                point = (start[0] + t_w[0], start[1] + t_w[1])
+                point = heights[starts[n]] + t_w
                 if point != heights[starts[n] + j]:
                     shift_consistent = False
                     findings.append(
@@ -661,7 +653,7 @@ def facts_check(
                     findings.append(
                         f"sets for ({letter}, prefix {j}) and "
                         f"({other[0]}, prefix {other[1]}) share the point "
-                        f"{frame.value(point)} (occurrences {n} and {other[2]})"
+                        f"{point} (occurrences {n} and {other[2]})"
                     )
                 else:
                     seen[point] = (letter, j, n)
@@ -671,7 +663,7 @@ def facts_check(
                 if interval_letter != u.letters[starts[n] + j]:
                     uniform_next_letter = False
                     findings.append(
-                        f"point {frame.value(point)} of ({letter}, prefix {j}) sits in "
+                        f"point {point} of ({letter}, prefix {j}) sits in "
                         f"interval {interval_letter} but precedes letter "
                         f"{u.letters[starts[n] + j]}"
                     )

@@ -119,7 +119,7 @@ def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):
     return parse
 
 
-_orbit_length = _bounded_int("orbit length", MAX_ORBIT_LENGTH, " points")
+_orbit_length = _bounded_int("orbit length", MAX_ORBIT_LENGTH, " points", least=0)
 _prefix_length = _bounded_int("prefix length", MAX_ORBIT_LENGTH, " letters")
 _total_length = _bounded_int("total image length", MAX_SEARCH_LENGTH, "")
 _image_length = _bounded_int("image length", MAX_SEARCH_LENGTH, "")
@@ -188,8 +188,6 @@ def _json(value):
 
 def _cmd_gen3iet(args):
     params = _parameters(args)
-    if args.n < 0:
-        raise ValueError("n must be non-negative")
     coding = ThreeIet(params).code_orbit(args.n, right_closed=args.right_closed)
     payload = {
         "command": "gen3iet",
@@ -207,8 +205,6 @@ def _cmd_gensturm(args):
     lo = parse_quadratic(args.lo)
     if not 0 < eps < 1:
         raise ValueError(f"constraint violated: require 0 < epsilon < 1, got {eps}")
-    if args.n < 0:
-        raise ValueError("n must be non-negative")
     rotation = Rotation(lo, lo + eps, lo + 1)
     coding = rotation.code_orbit(args.n)
     payload = {

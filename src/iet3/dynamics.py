@@ -14,9 +14,10 @@ x -> x - e (mod 1) on [c, c+1): step m of that rotation lands in the domain
 when frac(-m*e - c) < l, a return time of 2 codes B, and a return time of 1
 codes A when the integer part dropped (the rotation wrapped) and C when it
 did not.  The right-closed convention takes ceilings instead.  Each floor
-is of (A + B*sqrt(d))/D with integer numerators of a ``qfield.Frame``, and
-comes from ``_kernels``: a float64 pass with a rigorous error bound decides
-every element whose enclosure holds a single integer part, and
+is of (A + B*sqrt(d))/D with integer numerators of a ``qfield.Frame`` (the
+numerator form of ``QuadraticNumber``, one denominator D for e, c and l),
+and comes from ``_kernels``: a float64 pass with a rigorous error bound
+decides every element whose enclosure holds a single integer part, and
 ``qfield.int_floor`` decides the rest exactly; numerators are int64 when
 they cannot reach 2**62 and Python ints in an object array otherwise.  No
 float ever decides a letter on its own.  The visited points are integer

@@ -1,19 +1,22 @@
 """Exact arithmetic in real quadratic fields.
 
-A value is ``rational + surd*sqrt(radicand)`` with ``Fraction`` components
-and a square-free integer radicand >= 2; the radicand is dropped whenever
-the surd part vanishes, so every value has exactly one representation.
-Signs, comparisons and floors are decided by integer arithmetic alone
-(cross-multiplication and squaring) -- floats never enter the core.
-Values from distinct quadratic fields refuse to combine rather than
-coerce.
+A value is ``(a + b*sqrt(d))/n`` with integers a, b and n > 0 in lowest
+terms (gcd(a, b, n) == 1) and a square-free radicand d >= 2; the radicand
+is dropped whenever b vanishes, so every value has exactly one
+representation (the integral representation of Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, ch. 4).  Signs, comparisons
+and floors are decided by integer arithmetic alone (``int_sign`` and
+``int_floor``: cross-multiplication and squaring) -- floats never enter
+the core.  ``Frame`` holds several values of one field over a shared
+denominator, for the array paths.  Values from distinct quadratic fields
+refuse to combine rather than coerce.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "FieldMismatchError",
@@ -27,8 +30,6 @@ __all__ = [
     "quadratic_text",
     "sqrt_int",
 ]
-
-_RationalLike = Union[int, Fraction]
 
 #: largest radicand that is not a perfect square: splitting off its square
 #: part tries divisors up to its square root, at most 10**6 of them here
@@ -77,48 +78,57 @@ def _as_fraction(value) -> Fraction:
 
 
 class QuadraticNumber:
-    """An element a + b*sqrt(d) of a real quadratic field (or of Q)."""
+    """An element (a + b*sqrt(d))/n of a real quadratic field (or of Q).
 
-    __slots__ = ("_a", "_b", "_d")
+    The integers satisfy n > 0 and gcd(a, b, n) == 1, and d is None exactly
+    when b == 0, so every value has one representation.
+    """
+
+    __slots__ = ("_a", "_b", "_n", "_d")
 
     def __init__(self, rational=0, surd=0, radicand: int | None = None):
-        a = _as_fraction(rational)
-        b = _as_fraction(surd)
+        r = _as_fraction(rational)
+        s = _as_fraction(surd)
         d = None
-        if b:
+        if s:
             if radicand is None:
                 raise ValueError("surd part given without a radicand")
-            k, m = _squarefree_split(int(radicand))
-            b *= k
+            k, m = _squarefree_split(operator.index(radicand))
+            s *= k
             if m == 1:
-                a += b
-                b = Fraction(0)
+                r += s
+                s = Fraction(0)
             else:
                 d = m
-        else:
-            b = Fraction(0)
-        self._a, self._b, self._d = a, b, d
+        n = math.lcm(r.denominator, s.denominator)
+        a = r.numerator * (n // r.denominator)
+        b = s.numerator * (n // s.denominator)
+        # n is the lcm of two reduced denominators, so gcd(a, b, n) == 1
+        self._a, self._b, self._n, self._d = a, b, n, d
 
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int | None) -> "QuadraticNumber":
-        # internal fast path: d is already square-free
-        self = object.__new__(cls)
-        self._a = a
-        if b:
-            self._b, self._d = b, d
-        else:
-            self._b, self._d = Fraction(0), None
+    @staticmethod
+    def _make(a: int, b: int, n: int, d: int | None) -> "QuadraticNumber":
+        # internal fast path: integers with n != 0 and d square-free (or
+        # anything when b is 0); divides out gcd(a, b, n) and the sign of n
+        g = math.gcd(a, b, n)
+        if n < 0:
+            g = -g
+        if g != 1:
+            a, b, n = a // g, b // g, n // g
+        self = object.__new__(QuadraticNumber)
+        self._a, self._b, self._n = a, b, n
+        self._d = d if b else None
         return self
 
     # -- field components -------------------------------------------------
 
     @property
     def rational_part(self) -> Fraction:
-        return self._a
+        return Fraction(self._a, self._n)
 
     @property
     def surd_part(self) -> Fraction:
-        return self._b
+        return Fraction(self._b, self._n)
 
     @property
     def radicand(self) -> int | None:
@@ -132,7 +142,7 @@ class QuadraticNumber:
     def rational_value(self) -> Fraction:
         if self._d is not None:
             raise ValueError(f"{self} is irrational")
-        return self._a
+        return Fraction(self._a, self._n)
 
     # -- coercion ----------------------------------------------------------
 
@@ -141,7 +151,7 @@ class QuadraticNumber:
         if isinstance(other, QuadraticNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber._make(Fraction(other), Fraction(0), None)
+            return QuadraticNumber._make(other.numerator, 0, other.denominator, None)
         return None
 
     def _common_radicand(self, other: "QuadraticNumber") -> int | None:
@@ -160,7 +170,10 @@ class QuadraticNumber:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadraticNumber._make(self._a + o._a, self._b + o._b, d)
+        n, m = self._n, o._n
+        return QuadraticNumber._make(
+            self._a * m + o._a * n, self._b * m + o._b * n, n * m, d
+        )
 
     __radd__ = __add__
 
@@ -169,7 +182,10 @@ class QuadraticNumber:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadraticNumber._make(self._a - o._a, self._b - o._b, d)
+        n, m = self._n, o._n
+        return QuadraticNumber._make(
+            self._a * m - o._a * n, self._b * m - o._b * n, n * m, d
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -182,11 +198,11 @@ class QuadraticNumber:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        if d is None:
-            return QuadraticNumber._make(self._a * o._a, Fraction(0), None)
-        a = self._a * o._a + self._b * o._b * d
-        b = self._a * o._b + self._b * o._a
-        return QuadraticNumber._make(a, b, d)
+        a, b, x, y = self._a, self._b, o._a, o._b
+        # b and y are both 0 when d is None
+        return QuadraticNumber._make(
+            a * x + (b * y * d if d else 0), a * y + b * x, self._n * o._n, d
+        )
 
     __rmul__ = __mul__
 
@@ -197,9 +213,18 @@ class QuadraticNumber:
         d = self._common_radicand(o)
         if not o:
             raise ZeroDivisionError("division by zero")
-        norm = o._a * o._a - o._b * o._b * (d or 0)
-        inv = QuadraticNumber._make(o._a / norm, -o._b / norm, d)
-        return self * inv
+        a, b, x, y = self._a, self._b, o._a, o._b
+        m = o._n
+        if not y:
+            # a rational divisor x/m
+            return QuadraticNumber._make(a * m, b * m, self._n * x, d)
+        # multiply through by the conjugate x - y*sqrt(d) of the divisor
+        return QuadraticNumber._make(
+            (a * x - b * y * d) * m,
+            (b * x - a * y) * m,
+            self._n * (x * x - y * y * d),
+            d,
+        )
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -208,7 +233,7 @@ class QuadraticNumber:
         return o / self
 
     def __neg__(self):
-        return QuadraticNumber._make(-self._a, -self._b, self._d)
+        return QuadraticNumber._make(-self._a, -self._b, self._n, self._d)
 
     def __pos__(self):
         return self
@@ -219,7 +244,7 @@ class QuadraticNumber:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = QuadraticNumber._make(Fraction(1), Fraction(0), None)
+        out = QuadraticNumber._make(1, 0, 1, None)
         base = self
         e = exponent
         while e:
@@ -231,37 +256,39 @@ class QuadraticNumber:
 
     def conjugate(self) -> "QuadraticNumber":
         """Image under the field automorphism sqrt(d) -> -sqrt(d)."""
-        return QuadraticNumber._make(self._a, -self._b, self._d)
+        return QuadraticNumber._make(self._a, -self._b, self._n, self._d)
 
     # -- exact order --------------------------------------------------------
 
     def sign(self) -> int:
         """Sign in {-1, 0, +1}, decided by comparing integer squares."""
-        a, b = self._a, self._b
-        # scale both parts by the positive a.denominator * b.denominator
-        return int_sign(
-            a.numerator * b.denominator, b.numerator * a.denominator, self._d or 0
-        )
+        return int_sign(self._a, self._b, self._d)
 
     def __bool__(self):
-        return bool(self._a) or bool(self._b)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
+        return (
+            self._a == o._a and self._b == o._b and self._n == o._n and self._d == o._d
+        )
 
     def __hash__(self):
         if self._d is None:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+            # equal to the hash of the Fraction (or int) of the same value
+            return hash(self._a) if self._n == 1 else hash(Fraction(self._a, self._n))
+        return hash((self._a, self._b, self._n, self._d))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticNumber with {type(other)!r}")
-        return (self - o).sign()
+        d = self._common_radicand(o)
+        # the sign of self - o, scaled by the positive n * o.n
+        n, m = self._n, o._n
+        return int_sign(self._a * m - o._a * n, self._b * m - o._b * n, d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -279,32 +306,22 @@ class QuadraticNumber:
 
     def floor(self) -> int:
         """Greatest integer <= self, computed exactly."""
-        a, b = self._a, self._b
-        q = math.lcm(a.denominator, b.denominator)
-        big_a = a.numerator * (q // a.denominator)
-        big_b = b.numerator * (q // b.denominator)
-        return int_floor(big_a, big_b, self._d or 0, q)
+        return int_floor(self._a, self._b, self._d, self._n)
 
     __floor__ = floor
 
     def __float__(self):
-        # display only; never used for decisions
-        value = self._a.numerator / self._a.denominator
+        # display only; never used for decisions.  Int true division is
+        # correctly rounded, so a/n is the float of the rational part
+        value = self._a / self._n
         if self._b:
-            value += self._b.numerator / self._b.denominator * math.sqrt(self._d)
+            value += self._b / self._n * math.sqrt(self._d)
         return value
 
     # -- text form -------------------------------------------------------------
 
     def __str__(self):
-        a, b = self._a, self._b
-        q = math.lcm(a.denominator, b.denominator)
-        return quadratic_text(
-            a.numerator * (q // a.denominator),
-            b.numerator * (q // b.denominator),
-            q,
-            self._d,
-        )
+        return quadratic_text(self._a, self._b, self._n, self._d)
 
     def __repr__(self):
         return f"QuadraticNumber({str(self)!r})"
@@ -337,12 +354,12 @@ def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:
     return body if q == 1 else f"({body})/{q}"
 
 
-def int_sign(a: int, b: int, d: int) -> int:
+def int_sign(a: int, b: int, d: int | None) -> int:
     """Sign of a + b*sqrt(d) for integers a, b and a square-free d >= 2.
 
-    d may be anything when b is zero (0 for rational values).  Only integer
-    products are formed: when a and b*sqrt(d) pull in opposite directions
-    the larger of a*a and b*b*d wins, and the two are never equal.
+    d may be anything when b is zero (None or 0 for rational values).  Only
+    integer products are formed: when a and b*sqrt(d) pull in opposite
+    directions the larger of a*a and b*b*d wins, and the two are never equal.
     """
     if not b:
         return (a > 0) - (a < 0)
@@ -355,7 +372,7 @@ def int_sign(a: int, b: int, d: int) -> int:
     return 1 if b > 0 else -1
 
 
-def int_floor(a: int, b: int, d: int, q: int) -> int:
+def int_floor(a: int, b: int, d: int | None, q: int) -> int:
     """Floor of (a + b*sqrt(d))/q for integers a, b, q > 0 and a square-free d >= 2.
 
     d may be anything when b is zero.  floor(b*sqrt(d)) is isqrt(b*b*d) for
@@ -374,10 +391,11 @@ class Frame:
     Element k is ``(rows[k][0] + rows[k][1]*sqrt(d)) / denominator`` with
     integer rows, so an integer combination of the elements has an integer
     numerator pair, and two combinations are equal exactly when their
-    numerators are.  Signs and floors of numerators come from ``int_sign``
-    and ``int_floor`` (or from the float-filtered array kernels, which fall
-    back on them): orbit and height scans run on integers and build a
-    ``QuadraticNumber`` only for a value that is reported.
+    numerators are.  This is the numerator form of ``QuadraticNumber``
+    with one denominator shared by every element, for the array paths:
+    orbit and height scans decide signs and floors of whole numerator
+    columns with the kernels of ``_kernels`` and build a value only for a
+    point that is read.
     """
 
     __slots__ = ("rows", "denominator", "radicand")
@@ -389,10 +407,8 @@ class Frame:
             raise FieldMismatchError(
                 f"cannot mix {', '.join(f'sqrt({d})' for d in sorted(radicands))}"
             )
-        den = 1
-        for x in values:
-            den = math.lcm(den, x._a.denominator, x._b.denominator)
-        self.rows = tuple((int(x._a * den), int(x._b * den)) for x in values)
+        den = math.lcm(*(x._n for x in values))
+        self.rows = tuple((x._a * (den // x._n), x._b * (den // x._n)) for x in values)
         self.denominator = den
         self.radicand = radicands.pop() if radicands else 0
 
@@ -404,15 +420,8 @@ class Frame:
             b += c * rb
         return a, b
 
-    def sign(self, numerator: tuple[int, int]) -> int:
-        return int_sign(numerator[0], numerator[1], self.radicand)
-
     def value(self, numerator: tuple[int, int]) -> QuadraticNumber:
-        a, b = numerator
-        den = self.denominator
-        return QuadraticNumber._make(
-            Fraction(a, den), Fraction(b, den), self.radicand or None
-        )
+        return QuadraticNumber._make(*numerator, self.denominator, self.radicand)
 
 
 def sqrt_int(n: int) -> QuadraticNumber:

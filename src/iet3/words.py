@@ -17,15 +17,17 @@ every label.
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
 ``height_f`` and ``height_g`` return ``LatticePoints`` over two int64
-prefix-sum arrays (p, q).  The value p - q*e is the integer numerator
-a + b*sqrt(d) of a ``qfield.Frame`` over its common denominator.  Minima and maxima are array kernels (``_kernels``): a float64
-pass with a rigorous error bound keeps only the indices whose value can
-reach the extreme, and exact signs of integer differences, from the float
-where its bound clears zero and from ``qfield.int_sign`` where it does not,
-pick the first extreme index among them.  Numerator arrays are int64 when
-no value can reach 2**62 and Python ints in an object array otherwise.
-``QuadraticNumber`` values are built only when a height is read, for
-output.
+prefix-sum arrays (p, q).  The value p - q*e is (a + b*sqrt(d))/n, the
+numerator form of ``QuadraticNumber``, with integers a, b over the common
+denominator n of a ``qfield.Frame`` holding 1 and -e.  Minima and maxima
+are array kernels (``_kernels``): a float64 pass with a rigorous error
+bound keeps only the indices whose value can reach the extreme, and exact
+signs of integer differences, from the float where its bound clears zero
+and from ``qfield.int_sign`` where it does not, pick the first extreme
+index among them.  Numerator arrays are int64 when no value can reach
+2**62 and Python ints in an object array otherwise.  ``QuadraticNumber``
+values are built only when a height is read, for output or for a single
+comparison.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .qfield import Frame, as_quadratic, int_sign
+from .qfield import Frame, as_quadratic
 
 __all__ = [
     "BINARY",
@@ -147,9 +149,6 @@ class Word:
 
     def count(self, letter: str) -> int:
         return self.letters.count(letter)
-
-    def count_vector(self) -> tuple[int, ...]:
-        return tuple(self.letters.count(a) for a in self.alphabet)
 
     def is_over(self, alphabet: Sequence[str]) -> bool:
         return set(self.letters) <= set(alphabet)
@@ -334,8 +333,8 @@ class LatticePoints(Sequence):
     """Field values p*g + q*h at integer pairs (p, q), built only when read.
 
     g and h are the first two elements of ``frame``, and ``p`` and ``q``
-    are equal-length int64 arrays.  Comparisons, extremes and keys work on
-    the integer numerators of the frame, so a scan builds no
+    are equal-length int64 arrays.  Extremes and keys work on the integer
+    numerators of the frame, so a scan builds no
     ``QuadraticNumber``; indexing or iterating builds one per value read.
     Distinct pairs can be the same number (for rational epsilon = r/s the
     pairs (p, q) and (p + r, q + s) are), so equality and hashing go by
@@ -412,12 +411,6 @@ class LatticePoints(Sequence):
 
     def __repr__(self):
         return f"LatticePoints(<{len(self)} values>)"
-
-    def compare(self, i: int, j: int) -> int:
-        """Sign of value i minus value j."""
-        (ga, gb), (ha, hb) = self.frame.rows[:2]
-        dp, dq = int(self.p[i] - self.p[j]), int(self.q[i] - self.q[j])
-        return int_sign(dp * ga + dq * ha, dp * gb + dq * hb, self.frame.radicand)
 
     def _extreme(self, indices, least: bool) -> int | None:
         if isinstance(indices, np.ndarray):

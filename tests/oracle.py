@@ -1,6 +1,10 @@
 """Reference implementations that ``iet3`` replaced, for differential tests.
 
-Most are the letter-by-letter field-arithmetic loops that the integer
+``FractionQuadratic`` is the exact number as ``QuadraticNumber`` stored it
+before it took reduced integer numerators: a rational and a surd
+``Fraction`` and a radicand, with arithmetic on the parts.
+
+Most of the rest are the letter-by-letter field-arithmetic loops that the integer
 lattice path replaced: every orbit point and prefix height is a
 ``QuadraticNumber``, every boundary test a field comparison.  A second set
 walks integer frame numerators one letter at a time with one ``int_sign``
@@ -23,8 +27,148 @@ import numpy as np
 from iet3.audit import B_AS_01, RecoveryError
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
 from iet3.morphisms import IncidenceMatrix, Morphism, compose
-from iet3.qfield import Frame, QuadraticNumber, as_quadratic, int_sign
+from iet3.qfield import (
+    FieldMismatchError,
+    Frame,
+    QuadraticNumber,
+    _squarefree_split,
+    as_quadratic,
+    int_floor,
+    int_sign,
+)
 from iet3.words import TERNARY, Word
+
+
+class FractionQuadratic:
+    """a + b*sqrt(d) with ``Fraction`` parts a and b; d is None when b is 0."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, rational=0, surd=0, radicand=None):
+        a, b, d = Fraction(rational), Fraction(surd), None
+        if b:
+            k, m = _squarefree_split(radicand)
+            b *= k
+            if m == 1:
+                a, b = a + b, Fraction(0)
+            else:
+                d = m
+        self._a, self._b, self._d = a, b, d
+
+    @classmethod
+    def _make(cls, a, b, d):
+        return cls(a, b, d) if b else cls(a)
+
+    rational_part = property(lambda self: self._a)
+    surd_part = property(lambda self: self._b)
+    radicand = property(lambda self: self._d)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, FractionQuadratic):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQuadratic(other)
+        return None
+
+    def _common_radicand(self, other):
+        if self._d is None:
+            return other._d
+        if other._d is None or other._d == self._d:
+            return self._d
+        raise FieldMismatchError(f"cannot mix sqrt({self._d}) with sqrt({other._d})")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        return self._make(self._a + o._a, self._b + o._b, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        a = self._a * o._a + self._b * o._b * (d or 0)
+        return self._make(a, self._a * o._b + self._b * o._a, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        if not o:
+            raise ZeroDivisionError("division by zero")
+        norm = o._a * o._a - o._b * o._b * (d or 0)
+        return self * self._make(o._a / norm, -o._b / norm, d)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return self._make(-self._a, -self._b, self._d)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __pow__(self, exponent):
+        out = FractionQuadratic(1)
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return self._make(self._a, -self._b, self._d)
+
+    def sign(self):
+        a, b = self._a, self._b
+        # scale both parts by the positive a.denominator * b.denominator
+        return int_sign(
+            a.numerator * b.denominator, b.numerator * a.denominator, self._d or 0
+        )
+
+    def __bool__(self):
+        return bool(self._a) or bool(self._b)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self._a == o._a and self._b == o._b and self._d == o._d
+
+    def __hash__(self):
+        return hash(self._a) if self._d is None else hash((self._a, self._b, self._d))
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def floor(self):
+        a, b = self._a, self._b
+        q = math.lcm(a.denominator, b.denominator)
+        big_a = a.numerator * (q // a.denominator)
+        big_b = b.numerator * (q // b.denominator)
+        return int_floor(big_a, big_b, self._d or 0, q)
+
+    def __float__(self):
+        value = self._a.numerator / self._a.denominator
+        if self._b:
+            value += self._b.numerator / self._b.denominator * math.sqrt(self._d)
+        return value
+
+    def __str__(self):
+        return quadratic_str(self)
 
 
 def code_exchange(iet: ThreeIet, n: int, right_closed: bool = False):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iet3.audit import (
+    FactsReport,
     RecoveryError,
     facts_check,
     is_sturm,
@@ -17,7 +18,7 @@ from iet3.audit import (
 )
 from iet3.dynamics import IetParameters, ThreeIet
 from iet3.morphisms import Morphism
-from iet3.qfield import parse_quadratic
+from iet3.qfield import FieldMismatchError, parse_quadratic, sqrt_int
 from iet3.words import Word
 
 GOOD = Morphism.from_text("A>AB;B>AACA;C>A")
@@ -232,11 +233,49 @@ def test_zero_depth_is_vacuously_true(good_params):
         facts_check(GOOD, good_params, -1)
 
 
+#: (occurrence, shared point) of each clash the planted height 0 at (B, 1)
+#: makes at depth 120, recorded before the values took integer numerators
+PLANTED_CLASHES = (
+    (1, "(4-3*sqrt(2))/2"), (7, "14-10*sqrt(2)"), (9, "(38-27*sqrt(2))/2"),
+    (12, "(52-37*sqrt(2))/2"), (14, "31-22*sqrt(2)"), (20, "(86-61*sqrt(2))/2"),
+    (26, "55-39*sqrt(2)"), (28, "(120-85*sqrt(2))/2"), (34, "72-51*sqrt(2)"),
+    (40, "(168-119*sqrt(2))/2"), (42, "89-63*sqrt(2)"), (45, "96-68*sqrt(2)"),
+    (47, "(202-143*sqrt(2))/2"), (53, "113-80*sqrt(2)"),
+    (55, "(236-167*sqrt(2))/2"), (58, "(250-177*sqrt(2))/2"),
+    (60, "130-92*sqrt(2)"), (66, "(284-201*sqrt(2))/2"), (72, "154-109*sqrt(2)"),
+    (74, "(318-225*sqrt(2))/2"), (77, "(332-235*sqrt(2))/2"),
+    (79, "171-121*sqrt(2)"), (85, "(366-259*sqrt(2))/2"), (87, "188-133*sqrt(2)"),
+    (90, "195-138*sqrt(2)"), (92, "(400-283*sqrt(2))/2"), (98, "212-150*sqrt(2)"),
+    (104, "(448-317*sqrt(2))/2"), (106, "229-162*sqrt(2)"),
+    (112, "(482-341*sqrt(2))/2"), (118, "253-179*sqrt(2)"),
+)
+
+
 def test_perturbing_one_translation_breaks_disjointness(good_params):
     report = facts_check(GOOD, good_params, 120, t_override={("B", 1): 0})
-    assert not report.all_hold
-    assert not report.sets_disjoint
-    assert report.findings
+    findings = []
+    for n, point in PLANTED_CLASHES:
+        findings.append(f"shift identity fails for (B, prefix 1) at occurrence {n}")
+        findings.append(
+            f"sets for (B, prefix 1) and (B, prefix 0) share the point {point} "
+            f"(occurrences {n} and {n})"
+        )
+    findings.append("union covers 258 of 289 sampled heights")
+    assert report == FactsReport(
+        depth=120,
+        sample_points=289,
+        shift_consistent=False,
+        sets_disjoint=False,
+        uniform_next_letter=True,
+        union_complete=False,
+        findings=tuple(findings),
+    )
+    assert len(report.findings) == 63 and not report.all_hold
+
+
+def test_a_planted_height_from_another_field_is_refused(good_params):
+    with pytest.raises(FieldMismatchError):
+        facts_check(GOOD, good_params, 120, t_override={("B", 1): sqrt_int(3)})
 
 
 # -- exhaustive search -------------------------------------------------------------

@@ -138,6 +138,17 @@ def test_factor_lengths_outside_one_to_the_limit_are_usage_errors(flag, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen3iet", "--l", GOLDEN_L], ["gensturm"]], ids=["gen3iet", "gensturm"]
+)
+def test_a_negative_orbit_length_is_a_usage_error(argv, capsys):
+    code, out, err = run([*argv, "--epsilon", GOLDEN, "--n", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert "orbit length -1 is below 0" in err
+    code, out, _err = run([*argv, "--epsilon", GOLDEN, "--n", "0"], capsys)
+    assert code == 0
+
+
 def test_induce_cap_limit_is_no_lower_than_its_default():
     from iet3.cli import MAX_RETURN_TIME, _build_parser
 

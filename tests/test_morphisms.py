@@ -168,8 +168,8 @@ def test_composition_acts_by_substituting_images():
 @given(st.text(alphabet="ABC", max_size=40))
 def test_counts_transform_through_the_incidence_matrix(text):
     m = Morphism.from_text("A>ACB;B>AC;C>BBA")
-    counted = _row_times(Word(text).count_vector(), incidence(m))
-    assert counted == m(Word(text)).count_vector()
+    counted = _row_times(tuple(text.count(a) for a in "ABC"), incidence(m))
+    assert counted == tuple(m(Word(text)).count(a) for a in "ABC")
 
 
 @given(st.text(alphabet="ABC", max_size=25))

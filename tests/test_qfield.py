@@ -1,5 +1,7 @@
 """Exact quadratic arithmetic: frozen values, order, parsing, round trips."""
 
+import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -111,6 +113,14 @@ def test_floats_are_rejected_as_inputs():
         QuadraticNumber(0.5)
     with pytest.raises(TypeError):
         Q("sqrt(2)") + 0.5
+
+
+def test_non_integer_radicands_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        sqrt_int(2.5)
+    with pytest.raises(TypeError):
+        QuadraticNumber(0, 1, Fraction(5, 2))
+    assert QuadraticNumber(0, 1, True) == 1  # bool is an int
 
 
 # -- canonical text form -------------------------------------------------------
@@ -279,3 +289,93 @@ def test_text_of_numerators_over_any_denominator(a, b, q, d):
     text = quadratic_text(a, b, q, d)
     assert text == oracle.quadratic_str(x) == str(x)
     assert parse_quadratic(text) == x
+
+
+# -- differential test against the Fraction-pair oracle ------------------------
+
+
+@st.composite
+def pairs(draw, radicand):
+    """A value and its oracle twin; about a third of them are rational."""
+    a = draw(_rationals)
+    b = draw(st.one_of(st.just(Fraction(0)), _rationals, _rationals))
+    return QuadraticNumber(a, b, radicand), oracle.FractionQuadratic(a, b, radicand)
+
+
+@st.composite
+def operands(draw):
+    """Two pairs, from one field three times in four."""
+    d = draw(_radicands)
+    other = draw(st.sampled_from([d, d, d, 2 if d != 2 else 3]))
+    return draw(pairs(d)), draw(pairs(other))
+
+
+def _assert_same(value, reference):
+    a, b, n, d = value._a, value._b, value._n, value._d
+    assert all(type(v) is int for v in (a, b, n))
+    assert n > 0 and math.gcd(a, b, n) == 1 and (d is None) == (b == 0)
+    assert (value.rational_part, value.surd_part, value.radicand) == (
+        reference.rational_part,
+        reference.surd_part,
+        reference.radicand,
+    )
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args), None
+    except (FieldMismatchError, ZeroDivisionError) as exc:
+        return None, type(exc)
+
+
+def _assert_same_outcome(op, args, reference_args):
+    got, raised = _outcome(op, *args)
+    want, expected = _outcome(op, *reference_args)
+    assert raised is expected
+    if isinstance(got, QuadraticNumber):
+        _assert_same(got, want)
+    else:
+        assert got == want
+
+
+NEGATIVE_NORM = Q("1+sqrt(2)"), oracle.FractionQuadratic(1, 1, 2)  # norm -1
+
+
+@settings(max_examples=400)
+@given(operands(), st.integers(-3, 3), st.fractions(max_denominator=9))
+@example(((Q("1/3"), oracle.FractionQuadratic(Fraction(1, 3))), NEGATIVE_NORM), 0, 0)
+@example((NEGATIVE_NORM, NEGATIVE_NORM), -2, Fraction(-7, 3))
+def test_arithmetic_matches_the_fraction_oracle(xy, k, r):
+    (x, fx), (y, fy) = xy
+    _assert_same(x, fx)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _assert_same_outcome(op, (x, y), (fx, fy))
+        for plain in (k, r):
+            _assert_same_outcome(op, (x, plain), (fx, plain))
+            _assert_same_outcome(op, (plain, x), (plain, fx))
+    for op in (operator.neg, operator.abs, lambda v: v.conjugate()):
+        _assert_same_outcome(op, (x,), (fx,))
+    for e in range(5):
+        _assert_same_outcome(operator.pow, (x, e), (fx, e))
+    assert (x.sign(), x.floor(), str(x), float(x)) == (
+        fx.sign(),
+        fx.floor(),
+        str(fx),
+        float(fx),
+    )
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+        _assert_same_outcome(op, (x, y), (fx, fy))
+        for plain in (k, r):
+            assert op(x, plain) == op(fx, plain) and op(plain, x) == op(plain, fx)
+
+
+@settings(max_examples=200)
+@given(operands())
+def test_equal_values_hash_equal(xy):
+    (x, _), (y, _) = xy
+    if x == y:
+        assert hash(x) == hash(y)
+    if x.is_rational:
+        assert hash(x) == hash(x.rational_value)
+    z = x * 3 + Fraction(1, 7) - x * 2 - Fraction(1, 7)
+    assert z == x and hash(z) == hash(x)

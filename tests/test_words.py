@@ -86,11 +86,6 @@ def test_word_is_immutable_and_compares_to_plain_strings():
     assert len(w) == 3
 
 
-def test_count_vector_follows_alphabet_order():
-    assert Word("AACAB").count_vector() == (3, 1, 1)
-    assert Word("10", BINARY).count_vector() == (1, 1)
-
-
 # -- complexity ------------------------------------------------------------------
 
 
