@@ -38,6 +38,7 @@ from .morphisms import (
 )
 from .qfield import Frame, QuadraticNumber, as_quadratic
 from .words import (
+    PAIR_LENGTH,
     TERNARY,
     Word,
     balance,
@@ -79,6 +80,8 @@ MIN_MATCH = Fraction(99, 100)
 SCALING_PREFIXES = 1_000
 #: least fixed-point length of the audit's letter-frequency cross-check
 FREQUENCY_PREFIX = 100_000
+#: largest gap between a letter's share of that prefix and its density
+FREQUENCY_TOLERANCE = Fraction(1, 1000)
 #: fixed-point prefix length on which the search runs the certificate
 CERTIFICATE_PREFIX = 2_000
 
@@ -160,7 +163,7 @@ def three_iet_certificate(u, min_length: int = 1000) -> CertificateReport:
         raise ValueError(
             f"word too short: need at least {min_length} letters, got {len(u)}"
         )
-    images = {name: morph.apply(u) for name, morph in _IMAGE_NAMES}
+    images = _binary_images(u)
     image_lengths = {name: len(v) for name, v in images.items()}
     max_imbalance = {}
     witness = None
@@ -189,21 +192,57 @@ def three_iet_certificate(u, min_length: int = 1000) -> CertificateReport:
     )
     if witness is not None:
         return CertificateReport("refuted", witness, **common)
+    witness = _periodic_witness(u, images)
+    if witness is not None:
+        return CertificateReport("periodic", witness, **common)
+    return CertificateReport("consistent-with-3iet", None, **common)
+
+
+def _binary_images(u: Word) -> dict[str, Word]:
+    return {name: morph.apply(u) for name, morph in _IMAGE_NAMES}
+
+
+def _periodic_witness(u: Word, images: Mapping[str, Word]) -> dict | None:
+    """The certificate's steps after a balanced verdict: the witness of the
+    first image whose complexity falls below n+1 at a reliable n, or None
+    when neither does and all three letters occur in u; a missing letter
+    raises ValueError."""
     for name, v in images.items():
         profile = complexity(v, n_max=min(COMPLEXITY_WINDOW, len(v) // 2))
         for n in range(1, min(COMPLEXITY_WINDOW, profile.reliable_up_to) + 1):
             if profile.count(n) < n + 1:
-                witness = {
+                return {
                     "image": name,
                     "factor_length": n,
                     "complexity": profile.count(n),
                     "required": n + 1,
                 }
-                return CertificateReport("periodic", witness, **common)
     missing = [a for a in TERNARY if u.count(a) == 0]
     if missing:
         raise ValueError(f"missing letter in word: {missing[0]!r}")
-    return CertificateReport("consistent-with-3iet", None, **common)
+    return None
+
+
+def _certificate_verdict(u: Word) -> str:
+    """The verdict of ``three_iet_certificate(u)`` for a word of at least
+    its minimum length, without the report.
+
+    It is "refuted" as soon as the early-exit scan
+    ``first_unbalanced_length`` finds an unbalanced length up to
+    ``BALANCE_WINDOW`` in either image.  Both images are first tested up
+    to ``PAIR_LENGTH`` by substring tests alone, so an image unbalanced at
+    a short length refutes the word before the other's long scan.
+    """
+    images = _binary_images(u)
+    if any(
+        first_unbalanced_length(v, window) is not None
+        for window in (PAIR_LENGTH, BALANCE_WINDOW)
+        for v in images.values()
+    ):
+        return "refuted"
+    if _periodic_witness(u, images) is not None:
+        return "periodic"
+    return "consistent-with-3iet"
 
 
 # -- constructive parameter recovery ----------------------------------------------
@@ -376,6 +415,21 @@ def _uniform_strict_sign(values: Sequence[QuadraticNumber]) -> bool:
     return signs == {1} or signs == {-1}
 
 
+def _frequency_check(u: Word, densities: Sequence[QuadraticNumber]) -> tuple[float, bool]:
+    """The largest gap between a letter's share of u and its density, as a
+    float for the report, and whether every gap is below
+    ``FREQUENCY_TOLERANCE``, decided exactly."""
+    counts = [u.count(a) for a in TERNARY]
+    deviation = max(
+        abs(count / len(u) - float(rho)) for count, rho in zip(counts, densities)
+    )
+    consistent = all(
+        abs(QuadraticNumber(Fraction(count, len(u))) - rho) < FREQUENCY_TOLERANCE
+        for count, rho in zip(counts, densities)
+    )
+    return deviation, consistent
+
+
 def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     """Audit a ternary substitution against every available necessary condition.
 
@@ -457,12 +511,10 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     # empirical letter frequencies as an independent cross-check
     freq_len = max(FREQUENCY_PREFIX, prefix_len)
     u_long = fixed_point_prefix(m, seed=seed, n=freq_len)
-    deviation = max(
-        abs(u_long.count(a) / freq_len - float(rho))
-        for a, rho in zip(TERNARY, densities)
-    )
-    fields["frequency_deviation"] = deviation
-    fields["frequencies_consistent"] = deviation < 1e-3
+    (
+        fields["frequency_deviation"],
+        fields["frequencies_consistent"],
+    ) = _frequency_check(u_long, densities)
 
     try:
         recovery = recover_parameters(u, eps)
@@ -726,6 +778,12 @@ class SearchReport:
         return tuple(s for s in self.audited if s.overall == "fail")
 
 
+#: (fixed-point prefix length, factor lengths) of the search's quick
+#: filter, in the order it tries them; the prefixes are nested, so an
+#: unbalanced pair in the short one is also in the long one
+QUICK_FILTER = ((60, PAIR_LENGTH), (400, 25))
+
+
 def _search_stage(m: Morphism) -> str:
     """The first stage of ``search_substitutions`` that disposes of m."""
     expanding = find_expanding_letter(m, max_power=1)
@@ -733,18 +791,18 @@ def _search_stage(m: Morphism) -> str:
         return "no-fixed-point"
     if not is_primitive(incidence(m)):
         return "non-primitive"
-    seed, _power = expanding
-    image = B_AS_01.apply(fixed_point_prefix(m, seed, 400))
-    if first_unbalanced_length(image, 25) is not None:
-        return "quick-imbalance"
-    prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
+    seed = expanding.letter
+    for prefix_length, window in QUICK_FILTER:
+        image = B_AS_01.apply(fixed_point_prefix(m, seed, prefix_length))
+        if first_unbalanced_length(image, window) is not None:
+            return "quick-imbalance"
     try:
-        cert = three_iet_certificate(prefix)
+        verdict = _certificate_verdict(fixed_point_prefix(m, seed, CERTIFICATE_PREFIX))
     except ValueError:
         return "certificate-error"
-    if cert.is_consistent:
+    if verdict == "consistent-with-3iet":
         return "certificate-consistent"
-    return f"certificate-{cert.verdict}"
+    return f"certificate-{verdict}"
 
 
 def search_substitutions(
@@ -756,16 +814,22 @@ def search_substitutions(
 
     Candidates are the morphisms A, B, C -> images of lengths (la, lb, lc),
     each at most max_image, with la + lb + lc <= max_total.  Each leaves
-    through the first stage that disposes of it: "no-fixed-point" when
+    through the first stage that disposes of it, and each stage is decided
+    at its cheapest exact level: "no-fixed-point" when
     ``find_expanding_letter`` finds no letter at power 1, "non-primitive"
-    by ``is_primitive(incidence(m))``, "quick-imbalance" when the
-    early-exit scan ``first_unbalanced_length`` finds a factor length up to
-    25 with imbalance 2 or more in the first binary image of a 400-letter
+    by ``is_primitive(incidence(m))``, "quick-imbalance" when the early-exit
+    scan ``first_unbalanced_length`` finds a factor length up to 25 with
+    imbalance 2 or more in the first binary image of a 400-letter
     ``fixed_point_prefix`` (a sound refutation, cheaper than the
-    certificate; it stops at the first such length, most often 2), else
-    "certificate-error", "-refuted", "-periodic" or
-    "-consistent" from ``three_iet_certificate`` on a
-    ``CERTIFICATE_PREFIX``-letter prefix.
+    certificate), else "certificate-error", "-refuted", "-periodic" or
+    "-consistent", the verdict of ``three_iet_certificate`` on a
+    ``CERTIFICATE_PREFIX``-letter prefix.  The quick filter first tests the
+    image of a 60-letter prefix up to ``PAIR_LENGTH``, by substring tests
+    alone; the prefixes are nested, so what it finds is in the 400-letter
+    image too, and most candidates stop there at length 2.  The
+    certificate stage computes the verdict only, and refutes a word by the
+    early-exit scan of both images.  Candidates are built unchecked, from
+    letters the loop generated itself.
     Only certificate-consistent candidates reach ``substitution_audit``;
     results are deterministic, ordered by the textual form.
     """
@@ -791,7 +855,8 @@ def search_substitutions(
         if la + lb + lc > max_total:
             continue
         for images in product(pool[la], pool[lb], pool[lc]):
-            m = Morphism(dict(zip(TERNARY, images)), source=TERNARY, target=TERNARY)
+            # letters of TERNARY, each image non-empty
+            m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
             stage = _search_stage(m)
             counts["total"] += 1
             counts[stage] += 1

@@ -120,10 +120,11 @@ def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):
 
 
 _orbit_length = _bounded_int("orbit length", MAX_ORBIT_LENGTH, " points", least=0)
-_prefix_length = _bounded_int("prefix length", MAX_ORBIT_LENGTH, " letters")
-_total_length = _bounded_int("total image length", MAX_SEARCH_LENGTH, "")
-_image_length = _bounded_int("image length", MAX_SEARCH_LENGTH, "")
-_return_time = _bounded_int("return-time cap", MAX_RETURN_TIME, " steps")
+_prefix_length = _bounded_int("prefix length", MAX_ORBIT_LENGTH, " letters", least=0)
+# each of the three images has a letter at least
+_total_length = _bounded_int("total image length", MAX_SEARCH_LENGTH, "", least=3)
+_image_length = _bounded_int("image length", MAX_SEARCH_LENGTH, "", least=1)
+_return_time = _bounded_int("return-time cap", MAX_RETURN_TIME, " steps", least=1)
 _factor_length = _bounded_int("factor length", MAX_ORBIT_LENGTH, " letters", least=1)
 
 

@@ -9,6 +9,7 @@ pinned by tests rather than prose.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -78,7 +79,25 @@ class Morphism:
                                      f"outside target alphabet {target}")
         # image words are built unchecked over these alphabets
         check_alphabet((*source, *target))
-        object.__setattr__(self, "images", dict(images))
+        self._set(dict(images), source, target)
+
+    @classmethod
+    def _trusted(
+        cls, images: dict[str, str], source: tuple[str, ...], target: tuple[str, ...]
+    ) -> "Morphism":
+        """The morphism of checked images, without checking them again.
+
+        The caller guarantees what ``__init__`` checks: the keys of
+        ``images`` are the letters of ``source``, every image is a non-empty
+        string of ``target`` letters, and both alphabets are tuples of
+        single characters.  The dict is kept, not copied.
+        """
+        m = object.__new__(cls)
+        m._set(images, source, target)
+        return m
+
+    def _set(self, images, source, target):
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 
@@ -131,7 +150,7 @@ class Morphism:
 
     @property
     def is_endomorphism(self) -> bool:
-        return set(self.target) <= set(self.source)
+        return self.target == self.source or set(self.target) <= set(self.source)
 
     def apply_text(self, text: str) -> str:
         images = self.images
@@ -318,16 +337,27 @@ def incidence(m: Morphism) -> IncidenceMatrix:
 def is_primitive(matrix: IncidenceMatrix) -> bool:
     """Whether some power within the Wielandt bound (n-1)^2 + 1 is entrywise positive.
 
-    Only the zero pattern matters, so each row is a bitmask of its nonzero
-    columns, and row i of the next power is the union of the base rows that
-    row i of the current power reaches.  A pattern that repeats itself
-    before turning positive never will.
+    Only the zero pattern matters, so the answer is cached by pattern.  The
+    cache holds 1024 patterns, all 2^9 = 512 of a 3x3 matrix among them;
+    past that, the least recently used pattern is dropped.
     """
     if not matrix.is_square:
         raise ValueError("primitivity requires a square matrix")
-    n, _ = matrix.shape
+    return _pattern_is_primitive(tuple(tuple(map(bool, row)) for row in matrix.rows))
+
+
+@functools.lru_cache(maxsize=1024)
+def _pattern_is_primitive(pattern: tuple[tuple[bool, ...], ...]) -> bool:
+    """``is_primitive`` of a square zero pattern.
+
+    Each row is a bitmask of its nonzero columns, and row i of the next
+    power is the union of the base rows that row i of the current power
+    reaches.  A pattern that repeats itself before turning positive never
+    will.
+    """
+    n = len(pattern)
     full = (1 << n) - 1
-    base = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix.rows]
+    base = [sum(1 << j for j, x in enumerate(row) if x) for row in pattern]
     power = base
     for _ in range((n - 1) ** 2 + 1):
         if power.count(full) == n:
@@ -363,14 +393,14 @@ def _expanding_power(
 ) -> Expanding | None:
     """(letter, k) for the least k <= max_power at which m^k maps one of
     ``letters`` (the first in order) to two letters or more starting with it."""
-    current = {a: m.images[a] for a in letters}
+    current = m.images
     for k in range(1, max_power + 1):
         for a in letters:
             img = current[a]
             if len(img) >= 2 and img[0] == a:
                 return Expanding(a, k)
         if k < max_power:
-            current = {a: m.apply_text(img) for a, img in current.items()}
+            current = {a: m.apply_text(current[a]) for a in letters}
     return None
 
 

@@ -32,8 +32,10 @@ comparison.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -262,22 +264,24 @@ def _letter_prefix_sums(w: Word, letter: str) -> np.ndarray:
     return sums
 
 
-def _imbalance_row(sums: np.ndarray, window: int) -> Iterator[int]:
-    """Imbalance of factor lengths 1..window, one length at a time."""
-    for n in range(1, window + 1):
+def _imbalance_row(sums: np.ndarray, window: int, first: int = 1) -> Iterator[int]:
+    """Imbalance of factor lengths first..window, one length at a time."""
+    for n in range(first, window + 1):
         counts = sums[n:] - sums[:-n]
         yield int(counts.max() - counts.min())
 
 
-def _imbalance_rows(w: Word, window: int) -> dict[str, Iterator[int]]:
-    """Lazy imbalance rows, one per letter that needs its own.
+def _imbalance_rows(w: Word, window: int, first: int = 1) -> dict[str, Iterator[int]]:
+    """Lazy imbalance rows from length ``first``, one per letter that needs its own.
 
     Over a two-letter alphabet one row serves both letters: a factor of
     length n holds n minus its count of the other letter, so the two rows
     are equal and only the second letter's is computed.
     """
     letters = w.alphabet[1:] if len(w.alphabet) == 2 else w.alphabet
-    return {a: _imbalance_row(_letter_prefix_sums(w, a), window) for a in letters}
+    return {
+        a: _imbalance_row(_letter_prefix_sums(w, a), window, first) for a in letters
+    }
 
 
 def balance(w, n_max: int) -> BalanceReport:
@@ -290,18 +294,53 @@ def balance(w, n_max: int) -> BalanceReport:
     return BalanceReport(table, window)
 
 
+#: the longest pair 0p0 / 1p1 that ``first_unbalanced_length`` looks for
+#: as a substring before it scans rows
+PAIR_LENGTH = 8
+
+
+@functools.lru_cache(maxsize=16)
+def _unbalanced_pairs(a: str, b: str) -> tuple[tuple[int, str, str], ...]:
+    """(n, apa, bpb) for every palindrome p over {a, b} with n = |p| + 2 at
+    most ``PAIR_LENGTH``, by increasing n."""
+    pairs = []
+    for n in range(2, PAIR_LENGTH + 1):
+        half, middle = divmod(n - 2, 2)
+        for left in product(a + b, repeat=half):
+            for centre in (a, b) if middle else ("",):
+                p = "".join(left) + centre + "".join(reversed(left))
+                pairs.append((n, a + p + a, b + p + b))
+    return tuple(pairs)
+
+
 def first_unbalanced_length(w, n_max: int) -> int | None:
     """The least factor length n <= n_max at which some letter's imbalance
     is 2 or more, or None when no length up to min(n_max, len(w)) has one.
 
-    It reads the rows of ``balance`` one length at a time and stops at the
-    first unbalanced length.  A minimal unbalanced pair is 0p0 / 1p1 with
-    p a palindrome (Lothaire, *Algebraic Combinatorics on Words*, 2002,
-    section 2.1), so most unbalanced words stop after a few lengths.
+    Over a two-letter alphabet {a, b} the lengths up to ``PAIR_LENGTH``
+    are decided by substring tests, 29 at most.  A word is unbalanced at
+    its least unbalanced length n exactly when it holds a pair apa and
+    bpb with p a palindrome of length n - 2 (Lothaire, *Algebraic
+    Combinatorics on Words*, 2002, Prop. 2.1.3), and any such pair has
+    imbalance 2; length 1 never does.  The remaining lengths, and every
+    length of a larger alphabet, are read from the rows of ``balance``
+    one length at a time, stopping at the first unbalanced one.
     """
     w = _as_word(w)
-    rows = _imbalance_rows(w, min(n_max, len(w))).values()
-    for n, imbalances in enumerate(zip(*rows), start=1):
+    window = min(n_max, len(w))
+    decided = 0
+    if len(w.alphabet) == 2 and w.alphabet[0] != w.alphabet[1]:
+        decided = min(window, PAIR_LENGTH)
+        text = w.letters
+        for n, left, right in _unbalanced_pairs(*w.alphabet):
+            if n > decided:
+                break
+            if left in text and right in text:
+                return n
+    if window <= decided:
+        return None
+    rows = _imbalance_rows(w, window, first=decided + 1).values()
+    for n, imbalances in enumerate(zip(*rows), start=decided + 1):
         if max(imbalances) >= 2:
             return n
     return None

@@ -15,7 +15,9 @@ integer-root search tries every divisor in turn.  The canonical text is
 formatted from ``Fraction`` parts, and the CLI's orbit array builds one
 ``QuadraticNumber`` per point.  Primitivity multiplies
 incidence matrices power by power, balance fills one row per letter, and
-the fixed-point generator searches powers on its own.  They are slow and
+the fixed-point generator searches powers on its own.  The search's
+stage function decides each candidate on a validated morphism, with the
+400-letter quick filter alone and the full certificate.  They are slow and
 obviously right, which is what an oracle is for.
 """
 
@@ -24,9 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from iet3.audit import B_AS_01, RecoveryError
+from iet3.audit import (
+    B_AS_01,
+    CERTIFICATE_PREFIX,
+    RecoveryError,
+    three_iet_certificate,
+)
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
-from iet3.morphisms import IncidenceMatrix, Morphism, compose
+from iet3.morphisms import IncidenceMatrix, Morphism, compose, incidence
 from iet3.qfield import (
     FieldMismatchError,
     Frame,
@@ -36,7 +43,7 @@ from iet3.qfield import (
     int_floor,
     int_sign,
 )
-from iet3.words import TERNARY, Word
+from iet3.words import TERNARY, Word, first_unbalanced_length
 
 
 class FractionQuadratic:
@@ -532,3 +539,30 @@ def fixed_point_prefix(m: Morphism, seed: str, n: int) -> str:
     while len(text) < n:
         text = "".join(step.images[ch] for ch in text)
     return text[:n]
+
+
+def search_stage(m: Morphism) -> str:
+    """The first stage of ``audit.search_substitutions`` that disposes of m.
+
+    The quick filter scans the first binary image of a 400-letter prefix
+    up to length 25 at once, and the certificate stage builds the whole
+    ``three_iet_certificate``; the primitives are the ones above.
+    """
+    m = Morphism(m.images, source=m.source, target=m.target)
+    expanding = find_expanding_letter(m, max_power=1)
+    if expanding is None:
+        return "no-fixed-point"
+    if not is_primitive(incidence(m)):
+        return "non-primitive"
+    seed, _power = expanding
+    image = B_AS_01.apply(fixed_point_prefix(m, seed, 400))
+    if first_unbalanced_length(image, 25) is not None:
+        return "quick-imbalance"
+    prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
+    try:
+        cert = three_iet_certificate(prefix)
+    except ValueError:
+        return "certificate-error"
+    if cert.is_consistent:
+        return "certificate-consistent"
+    return f"certificate-{cert.verdict}"

@@ -1,13 +1,19 @@
 """Certificates, parameter recovery, substitution audits, searches."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iet3.audit import (
+    FREQUENCY_TOLERANCE,
     FactsReport,
+    _frequency_check,
+    _search_stage,
     RecoveryError,
     facts_check,
     is_sturm,
@@ -18,8 +24,8 @@ from iet3.audit import (
 )
 from iet3.dynamics import IetParameters, ThreeIet
 from iet3.morphisms import Morphism
-from iet3.qfield import FieldMismatchError, parse_quadratic, sqrt_int
-from iet3.words import Word
+from iet3.qfield import FieldMismatchError, QuadraticNumber, parse_quadratic, sqrt_int
+from iet3.words import TERNARY, Word
 
 GOOD = Morphism.from_text("A>AB;B>AACA;C>A")
 
@@ -330,3 +336,42 @@ def test_small_search_is_exhaustive_and_violation_free():
 def test_search_reaching_the_audit_is_exhaustive_and_violation_free():
     # total length 7 is the least bound with certificate-consistent candidates
     assert_search_is_exhaustive_and_violation_free(7)
+
+
+def test_every_candidate_leaves_at_the_stage_of_the_oracle():
+    # the candidates of search_substitutions(7), in its order
+    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in range(1, 6)}
+    stages = Counter()
+    for la, lb, lc in product(range(1, 6), repeat=3):
+        if la + lb + lc > 7:
+            continue
+        for images in product(pool[la], pool[lb], pool[lc]):
+            m = Morphism(dict(zip(TERNARY, images)))
+            stage = _search_stage(m)
+            assert stage == oracle.search_stage(m), m
+            stages[stage] += 1
+    assert sum(stages.values()) == SEARCH_COUNTS[7]["total"]
+    assert stages == {
+        k: v for k, v in SEARCH_COUNTS[7].items()
+        if k != "total" and not k.startswith("audit-")
+    }
+
+
+# -- letter frequencies ------------------------------------------------------------
+
+
+def test_the_frequency_gate_decides_a_near_tie_exactly():
+    u = Word("A" * 500 + "B" * 250 + "C" * 250)
+    quarter = QuadraticNumber(Fraction(1, 4))
+    # A's share 1/2 sits 1/1000 - 1e-20, then 1/1000 + 1e-20, above its
+    # density: both densities round to one float, so only exact
+    # arithmetic tells the two gaps apart
+    tiny = Fraction(1, 10**20)
+    near, far = (
+        _frequency_check(u, (QuadraticNumber(Fraction(499, 1000) + t), quarter, quarter))
+        for t in (tiny, -tiny)
+    )
+    assert FREQUENCY_TOLERANCE == Fraction(1, 1000)
+    assert near == (far[0], True)
+    assert far[1] is False
+    assert abs(far[0] - 1e-3) < 1e-15

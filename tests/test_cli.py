@@ -118,6 +118,31 @@ def test_oversized_sizes_are_usage_errors(argv, dest, limit_name, capsys):
     assert f"{10**12} exceeds the limit of {limit}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, least, message",
+    [
+        (["audit", "--morphism", "A>AB;B>AACA;C>A", "--seed-prefix-len"], 0,
+         "prefix length -5 is below 0"),
+        (["search", "--max-total-length"], 3, "total image length -5 is below 3"),
+        (["search", "--max-image-length"], 1, "image length -5 is below 1"),
+        (["induce", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--cap"], 1,
+         "return-time cap -5 is below 1"),
+    ],
+    ids=["seed-prefix-len", "max-total-length", "max-image-length", "cap"],
+)
+def test_sizes_below_their_least_are_usage_errors(argv, least, message, capsys):
+    from iet3.cli import _build_parser
+
+    # the parser alone accepts the least value: no audit, search or induction runs
+    dest = argv[-1][2:].replace("-", "_")
+    assert getattr(_build_parser().parse_args(argv + [str(least)]), dest) == least
+    for bad in (least - 1, -5):
+        code, out, err = run(argv + [str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert f"{bad} is below {least}" in err
+    assert message in err
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--balance-window"])
 def test_factor_lengths_outside_one_to_the_limit_are_usage_errors(flag, capsys):
     from iet3.cli import MAX_ORBIT_LENGTH, _build_parser

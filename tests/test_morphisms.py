@@ -138,6 +138,21 @@ def test_incidence_equals_the_validated_matrix(source, data):
     assert matrix.col_alphabet == validated.col_alphabet == m.target
 
 
+@given(st.tuples(*[st.text(alphabet="ABC", min_size=1, max_size=5)] * 3))
+def test_trusted_morphisms_equal_validated_ones(triple):
+    images = dict(zip(TERNARY, triple))
+    validated = Morphism(images, source=TERNARY, target=TERNARY)
+    trusted = Morphism._trusted(dict(images), TERNARY, TERNARY)
+    assert trusted == validated
+    assert hash(trusted) == hash(validated)
+    assert (trusted.images, trusted.source, trusted.target) == (
+        validated.images, validated.source, validated.target
+    )
+    assert incidence(trusted) == incidence(validated)
+    with pytest.raises(AttributeError):
+        trusted.images = {}
+
+
 def test_a_morphism_without_letters_has_no_incidence_matrix():
     with pytest.raises(ValueError, match="non-empty"):
         incidence(Morphism({}))

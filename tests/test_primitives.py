@@ -1,9 +1,11 @@
 """The search's library primitives against their oracles.
 
 ``search_substitutions`` decides every candidate through ``is_primitive``
-(row bitmasks), ``first_unbalanced_length`` (the early-exit scan over the
-rows of ``balance``, one row for a two-letter alphabet, on int32 prefix
-sums) and the power search shared by ``find_expanding_letter`` and
+(row bitmasks, cached by zero pattern), ``first_unbalanced_length``
+(substring tests for the pairs 0p0 / 1p1 up to ``PAIR_LENGTH`` on a
+two-letter alphabet, then the early-exit scan over the rows of
+``balance``, one row for a two-letter alphabet, on int32 prefix sums) and
+the power search shared by ``find_expanding_letter`` and
 ``fixed_point_prefix``.  Each must answer exactly as its reference in
 ``oracle``: matrix powers, one int64 prefix-sum row per letter, and a
 fixed-point generator with its own power search.
@@ -14,7 +16,7 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_complexity import windows, words_over
+from test_complexity import periodic_text, windows, words_over
 from test_lattice import exchange_params
 
 from iet3.dynamics import ThreeIet
@@ -23,12 +25,14 @@ from iet3.morphisms import (
     SIGMA_PRIME,
     IncidenceMatrix,
     Morphism,
+    _pattern_is_primitive,
     find_expanding_letter,
     fixed_point_prefix,
     is_primitive,
 )
 from iet3.words import (
     BINARY,
+    PAIR_LENGTH,
     TERNARY,
     Word,
     _letter_prefix_sums,
@@ -69,6 +73,20 @@ def test_bitmask_primitivity_matches_matrix_powers(matrix):
 def test_primitivity_of_known_patterns(rows, expected):
     assert is_primitive(IncidenceMatrix(rows)) is expected
     assert oracle.is_primitive(IncidenceMatrix(rows)) is expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_zero_pattern_matches_matrix_powers_fresh_and_cached(n):
+    _pattern_is_primitive.cache_clear()
+    for bits in range(2 ** (n * n)):
+        pattern = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
+        expected = oracle.is_primitive(IncidenceMatrix(pattern))
+        # the second call reads the cache with other nonzero values
+        for scale in (1, 2):
+            rows = [[x * (scale + i) for x in row] for i, row in enumerate(pattern)]
+            assert is_primitive(IncidenceMatrix(rows)) is expected
+    info = _pattern_is_primitive.cache_info()
+    assert (info.misses, info.hits) == (2 ** (n * n), 2 ** (n * n))
 
 
 def test_primitivity_needs_a_square_matrix():
@@ -123,6 +141,34 @@ def test_codings_and_their_binary_images_match_every_letter_rows(
     for word in (u, SIGMA.apply(u), SIGMA_PRIME.apply(u)):
         for n_max in [*windows(data, len(word)), len(word) + 7]:
             assert_balance_matches_oracle(word, n_max)
+
+
+@st.composite
+def binary_words(draw):
+    """Random, periodic and sturmian binary words: the images of 3iet
+    codings, balanced unless one letter is flipped, which can unbalance
+    them first at a length past ``PAIR_LENGTH``."""
+    kind = draw(st.sampled_from(["random", "periodic", "sturmian"]))
+    if kind == "random":
+        return draw(st.text(alphabet="01", max_size=90))
+    if kind == "periodic":
+        return draw(periodic_text("01"))
+    u = ThreeIet(draw(exchange_params())).code_orbit(draw(st.integers(1, 300))).word
+    text = draw(st.sampled_from([SIGMA, SIGMA_PRIME])).apply(u).letters
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + "10"[int(text[i])] + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_words(), st.sampled_from([BINARY, ("1", "0")]), st.data())
+def test_pair_tests_and_the_row_scan_match_every_letter_rows(text, alphabet, data):
+    word = Word(text, alphabet)
+    below = data.draw(st.integers(-1, PAIR_LENGTH))
+    above = data.draw(st.integers(PAIR_LENGTH + 1, 4 * PAIR_LENGTH))
+    for n_max in (below, above, len(word), len(word) + 1):
+        assert_balance_matches_oracle(word, n_max)
 
 
 def test_int32_sums_keep_the_rows_of_a_long_coding(golden_word_100k):
