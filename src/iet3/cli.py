@@ -62,6 +62,11 @@ MAX_ORBIT_LENGTH = 10**6
 MAX_SEARCH_LENGTH = 12
 #: largest induce --cap, the return time at which first_return gives up
 MAX_RETURN_TIME = 10**6
+#: largest balance work analyze takes on, its window times the word's
+#: length: words.balance makes at most window + 1 passes over the positions
+#: of the letters it keeps rows for, N in all.  The default window of 300
+#: fits at 10^6 letters
+MAX_BALANCE_WORK = 10**9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,13 +133,33 @@ _return_time = _bounded_int("return-time cap", MAX_RETURN_TIME, " steps", least=
 _factor_length = _bounded_int("factor length", MAX_ORBIT_LENGTH, " letters", least=1)
 
 
-def _read_word_argument(args) -> Word:
+def _read_word_argument(args, allow_empty: bool = False) -> Word:
+    """The word of --word or --file, of at most ``MAX_ORBIT_LENGTH`` letters.
+
+    A file is read up to one character past the limit, and the newlines
+    that end it are not letters.  An empty or absent word is an error
+    unless ``allow_empty``.
+    """
     if args.word is not None:
         text = args.word
-    else:
+    elif args.file is not None:
         with open(args.file, "r", encoding="ascii") as handle:
-            text = handle.read().rstrip("\n")
-    if not text:
+            text = handle.read(MAX_ORBIT_LENGTH + 1)
+            if len(text) > MAX_ORBIT_LENGTH >= len(text.rstrip("\n")):
+                # newlines at the limit: the word ends there unless more follows
+                while (more := handle.read(2**16)) and not more.strip("\n"):
+                    pass
+                text += more
+        text = text.rstrip("\n")
+    else:
+        text = ""
+    if len(text) > MAX_ORBIT_LENGTH:
+        # a file is read only so far
+        length = len(text) if args.word is not None else f"at least {len(text)}"
+        raise ValueError(
+            f"word length {length} exceeds the limit of {MAX_ORBIT_LENGTH} letters"
+        )
+    if not text and not allow_empty:
         raise ValueError("empty input word")
     return Word(text)
 
@@ -274,6 +299,14 @@ def _cmd_analyze(args):
         checks = ["complexity", "balance"]
         if alphabet == "ternary":
             checks.append("certificate")
+    if "balance" in checks:
+        work = min(args.balance_window, len(word)) * len(word)
+        if work > MAX_BALANCE_WORK:
+            raise ValueError(
+                f"--balance-window {args.balance_window} on {len(word)} letters needs "
+                f"{work} steps, above the limit of {MAX_BALANCE_WORK}; lower "
+                "--balance-window"
+            )
     payload = {
         "command": "analyze",
         "word_length": len(word),
@@ -431,13 +464,7 @@ def _cmd_search(args):
 
 def _cmd_svg(args):
     # an empty word is legal here: the figure degrades to bare axes
-    if args.word is not None:
-        word = Word(args.word)
-    elif args.file is not None:
-        with open(args.file, "r", encoding="ascii") as handle:
-            word = Word(handle.read().rstrip("\n"))
-    else:
-        word = Word("")
+    word = _read_word_argument(args, allow_empty=True)
     if args.out is None:
         raise ValueError("--out is required for svg output")
     document = stepped_line_svg(word, unit=args.unit)

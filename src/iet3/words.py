@@ -6,13 +6,18 @@ given finite window — the counts are exact, and a separate reliability
 cutoff records how far the finite sample can be trusted as a census of
 the underlying infinite word.
 
-Factor complexity works on integer ranks, not on string slices: each
-factor of length n is a dense label built from the label of its length
-n-1 prefix and its last letter (rank refinement), so counting every
-length up to n_max is O(n_max * N) integer work on numpy arrays.  The
-cutoff is read off the same labels: the counts are trusted up to the
-last length at which the factors of the word's first half still carry
-every label.
+Neither analysis makes a pass per factor length.  Factor complexity
+comes from one sort of the suffixes cut to n_max letters, packed into
+int64 keys (Manber and Myers, 1993): C(n) is the number of factor
+positions less the number of sorted neighbours sharing n letters or more,
+so every length up to n_max costs one O(N log N) sort, with a
+prefix-doubling round on dense ranks for each doubling of n_max past the
+letters one key holds.  The cutoff is the last length at which the
+word's first half, counted the same way, still shows every factor.
+Balance reads each letter's row off its occurrence gaps (Burcsi,
+Cicalese, Fici and Lipták, 2012): the shortest factor holding k
+occurrences and the longest holding at most k give the largest and the
+least count at every length, one pass over the occurrences per count.
 
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
@@ -183,50 +188,158 @@ class ComplexityProfile:
         return len(self.counts) - 1
 
 
+def _letter_codes(text: str) -> np.ndarray:
+    """The code point of every letter: uint8 for an ASCII text, uint32 otherwise."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+#: k for each residue (2**k - 1) % 67, k = 0..63: the powers of two are
+#: distinct modulo 67, as 2 has order 66 there
+_ONES_LENGTH = np.zeros(67, dtype=np.int64)
+_ONES_LENGTH[[(2**k - 1) % 67 for k in range(64)]] = np.arange(64)
+
+
+def _bit_lengths(x: np.ndarray) -> np.ndarray:
+    """Bit length of each non-negative int64: the top bit is smeared into
+    every lower bit, and the resulting 2**k - 1 names k modulo 67."""
+    x = x.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        x |= x >> shift
+    return _ONES_LENGTH[x % 67]
+
+
+def _dense_ranks(keys: np.ndarray, pad: int) -> np.ndarray:
+    """1 + the rank of each key among the distinct keys, then ``pad`` zeros."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    rank = np.ones(len(keys), dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=rank[1:])
+    np.cumsum(rank, out=rank)
+    ranks = np.zeros(len(keys) + pad, dtype=np.int32 if len(keys) < 2**31 else np.int64)
+    ranks[order] = rank
+    return ranks
+
+
+def _shared_prefix_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarray:
+    """How many neighbours in the sorted order of the word's suffixes, cut
+    to n_max letters, share their first n letters, for n = 0..n_max.
+
+    ``code`` holds the letter indices 0..sigma-1.  Each suffix is read as
+    one int64 key of ``width`` letters, ``bits`` bits each, built by
+    doubling the number of letters per key.  When the letters leave a code
+    unused they take 1..sigma and the end of the word reads as 0, which
+    ends every short suffix; otherwise the key's low bits hold the suffix
+    length, so that a short suffix sorts before the keys its zero padding
+    ties with.  Two sorted neighbours then share as many letters as their
+    XOR has leading zero letters, capped by their lengths.
+
+    Past ``width`` letters, prefix-doubling rounds (Manber and Myers, 1993)
+    replace the keys by dense ranks and pair the rank of each block with
+    the rank of the block that follows it, until the blocks hold n_max
+    letters.  The neighbours' shared prefix is then found from the widest
+    block down: a block with equal ranks is skipped whole, and the letters
+    of the first unequal one are compared in their packed keys.
+    """
+    size = len(code)
+    bits = max(1, (sigma - 1).bit_length())
+    end_code = sigma < 1 << bits
+    width = min(n_max, 63 // bits)
+    if not end_code:
+        while bits * width + width.bit_length() > 63:
+            width -= 1
+    width = max(width, 1)
+    length_bits = 0 if end_code else width.bit_length()
+    packed = np.zeros(size + width, dtype=np.int64)
+    head = packed[:size]
+    head[:] = code
+    head += end_code
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        tail = packed[span : size + span] >> bits * (span - step)
+        head <<= bits * step
+        head |= tail
+        span += step
+    if length_bits:
+        head <<= length_bits
+        head |= np.minimum(np.arange(size, 0, -1), width)
+    levels = []
+    keys = head
+    while span < n_max:
+        ranks = _dense_ranks(keys, span)
+        levels.append((ranks, span))
+        keys = ranks[:size].astype(np.int64) * (int(ranks.max()) + 1)
+        keys += ranks[span : size + span]
+        span *= 2
+    # sorted neighbours with equal keys share all n_max letters; the others
+    # are few on a word of low complexity
+    if levels:
+        order = np.argsort(keys)
+        apart = np.flatnonzero(keys[order[:-1]] != keys[order[1:]])
+        first, second = order[apart], order[apart + 1]
+        shift = np.zeros(len(apart), dtype=np.int64)
+        for ranks, span in reversed(levels):
+            shift += span * (ranks[first + shift] == ranks[second + shift])
+        low, high = packed[first + shift], packed[second + shift]
+    else:
+        ordered = np.sort(keys)
+        apart = np.flatnonzero(ordered[:-1] != ordered[1:])
+        low, high, shift = ordered[apart], ordered[apart + 1], 0
+    differing = _bit_lengths((low ^ high) >> length_bits)
+    shared = width - (differing + bits - 1) // bits
+    if length_bits:
+        mask = (1 << length_bits) - 1
+        shared = np.minimum(shared, np.minimum(low & mask, high & mask))
+    shared = np.bincount(np.minimum(shared + shift, n_max), minlength=n_max + 1)
+    shared[n_max] += max(size - 1, 0) - len(apart)
+    return np.cumsum(shared[::-1])[::-1]
+
+
+def _factor_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarray:
+    """C(0..n_max): the length-n factors start at N - n + 1 positions, and
+    sorted neighbours sharing n letters repeat one of them."""
+    counts = len(code) + 1 - np.arange(n_max + 1)
+    counts -= _shared_prefix_counts(code, sigma, n_max)
+    counts[0] = 1
+    return counts
+
+
 def complexity(w, n_max: int) -> ComplexityProfile:
     """Count distinct factors of each length 0..n_max in the word.
 
-    One pass of rank refinement (Manber and Myers, 1993): ``rank[i]`` is a
-    dense label of the length-n factor at position i, and the length-(n+1)
-    factor there is keyed by ``rank[i] * sigma + code[i + n]`` for an
-    alphabet of sigma letters.  Marking the keys in a boolean table of
-    C(n) * sigma cells and taking its cumulative sum relabels them densely,
-    without sorting, so each length costs O(N) integer work and the whole
-    profile O(n_max * N) for a word of N letters.  The label count is C(n).
+    The whole profile comes from one sort of the suffixes cut to n_max
+    letters (Manber and Myers, 1993): C(n) is N - n + 1, the number of
+    length-n factor positions in a word of N letters, less the number of
+    sorted neighbours whose longest common prefix is n letters or more.
+    The suffixes are packed into int64 keys of as many letters as fit (57
+    binary letters, 31 ternary ones), and prefix-doubling rounds on dense
+    ranks take over past that width; see ``_shared_prefix_counts``.  While
+    n_max letters fit one key the cost is one O(N log N) sort and
+    O(N log n_max) packing, and each doubling of n_max past that adds one
+    more sort, against O(n_max * N) for counting one length at a time.
+    Only the sorted neighbours that differ within n_max letters are
+    compared letter by letter, and on a word of low complexity they are
+    few: C(n_max) + n_max - 2 at most.
 
-    The trust cutoff comes from the same ranks: the factors of the first
-    half h = N // 2 of the word are those starting at positions below
-    h - n + 1, and their count equals C(n) exactly when their ranks cover
-    every label.  ``reliable_up_to`` is the last n before the first length
-    at which they do not.
+    The trust cutoff is ``reliable_up_to``: the last n, from 1 up, at which
+    the profile of the first half h = N // 2 of the word, computed the same
+    way, still equals C(n), i.e. the first half already shows every factor.
     """
     w = _as_word(w)
     if n_max > len(w):
         raise ValueError(f"nMax {n_max} exceeds word length {len(w)}")
-    size, half = len(w), len(w) // 2
-    # letter codes: the index of each letter among the sorted alphabet
-    alphabet = np.array(sorted({ord(a) for a in w.alphabet}), dtype=np.uint32)
-    sigma = len(alphabet)
-    code = np.searchsorted(
-        alphabet, np.frombuffer(w.letters.encode("utf-32-le"), dtype=np.uint32)
-    )
-    counts = [1]
-    reliable = 0
-    rank = np.zeros(size, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        keys = rank[: size - n + 1] * sigma + code[n - 1 :]
-        seen = np.zeros(counts[-1] * sigma, dtype=bool)
-        seen[keys] = True
-        labels = np.cumsum(seen, dtype=np.int64)
-        count = int(labels[-1])
-        rank = labels[keys] - 1
-        counts.append(count)
-        if reliable == n - 1 and n <= half:
-            covered = np.zeros(count, dtype=bool)
-            covered[rank[: half - n + 1]] = True
-            if covered.all():
-                reliable = n
-    return ComplexityProfile(tuple(counts), reliable)
+    alphabet = sorted({ord(a) for a in w.alphabet})
+    letters = np.array(alphabet, dtype=np.uint32)
+    code = np.searchsorted(letters, _letter_codes(w.letters))
+    counts = _factor_counts(code, len(alphabet), max(n_max, 0))
+    half = len(w) // 2
+    top = max(min(n_max, half), 0)
+    own = _factor_counts(code[:half], len(alphabet), top)
+    differ = np.flatnonzero(own[1:] != counts[1 : top + 1])
+    reliable = int(differ[0]) if len(differ) else top
+    return ComplexityProfile(tuple(counts.tolist()), reliable)
 
 
 # -- balance -------------------------------------------------------------------
@@ -248,54 +361,124 @@ class BalanceReport:
 
 
 def _letter_prefix_sums(w: Word, letter: str) -> np.ndarray:
-    """Occurrences of one letter in every prefix of the word, the empty one first.
-
-    Letters are compared as uint8 codes when the word is ASCII and as
-    utf-32 code points otherwise; the sums are int32 whenever no count can
-    reach 2**31, which halves the memory each length's differences stream.
-    """
-    text = w.letters
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    sums = np.zeros(len(text) + 1, dtype=np.int32 if len(text) < 2**31 else np.int64)
-    np.cumsum(codes == ord(letter), out=sums[1:])
+    """Occurrences of one letter in every prefix of the word, the empty one
+    first, as int32 sums whenever no count can reach 2**31."""
+    sums = np.zeros(len(w) + 1, dtype=np.int32 if len(w) < 2**31 else np.int64)
+    np.cumsum(_letter_codes(w.letters) == ord(letter), out=sums[1:])
     return sums
 
 
-def _imbalance_row(sums: np.ndarray, window: int, first: int = 1) -> Iterator[int]:
-    """Imbalance of factor lengths first..window, one length at a time."""
-    for n in range(first, window + 1):
-        counts = sums[n:] - sums[:-n]
-        yield int(counts.max() - counts.min())
-
-
-def _imbalance_rows(w: Word, window: int, first: int = 1) -> dict[str, Iterator[int]]:
-    """Lazy imbalance rows from length ``first``, one per letter that needs its own.
+def _row_letters(w: Word) -> dict[str, np.ndarray]:
+    """The positions of each letter that needs its own imbalance row.
 
     Over a two-letter alphabet one row serves both letters: a factor of
     length n holds n minus its count of the other letter, so the two rows
-    are equal and only the second letter's is computed.
+    are equal, and the rarer letter's row is the cheaper one.
     """
-    letters = w.alphabet[1:] if len(w.alphabet) == 2 else w.alphabet
-    return {
-        a: _imbalance_row(_letter_prefix_sums(w, a), window, first) for a in letters
-    }
+    codes = _letter_codes(w.letters)
+    positions = {a: np.flatnonzero(codes == ord(a)) for a in w.alphabet}
+    if len(positions) == 2:
+        rarer = min(positions, key=lambda a: len(positions[a]))
+        return {rarer: positions[rarer]}
+    return positions
+
+
+#: about how many gap differences one pass of ``_gap_extremes`` computes:
+#: a letter with few occurrences takes several lags per pass
+GAP_PASS_CELLS = 2**16
+
+
+def _gap_extremes(positions: np.ndarray, size: int) -> Iterator[tuple[int, int | None]]:
+    """(G(k), S(k + 2)) for k = 0, 1, ..., m, of a letter at the given m
+    positions in a word of ``size`` letters.
+
+    S(j) is the shortest factor holding j occurrences of the letter and
+    G(k) the longest holding at most k (Burcsi, Cicalese, Fici and Lipták,
+    "Algorithms for jumbled pattern matching in strings", 2012).  Both come
+    from the differences of the positions at lag k + 1, with -1 and
+    ``size`` as sentinels on either side: G(k) is the largest difference
+    less one, and S(k + 2) the smallest between two occurrences plus one,
+    or None when the letter occurs fewer than k + 2 times.  Each lag costs
+    O(m); a pass takes as many consecutive lags as fit in
+    ``GAP_PASS_CELLS`` differences, at least one.
+    """
+    m = len(positions)
+    block = max(1, min(m + 1, GAP_PASS_CELLS // (m + 2)))
+    beyond = 2 * size + 2  # above every difference, and int32 while it fits
+    dtype = np.int32 if beyond < 2**31 else np.int64
+    # copies of the end sentinel past it give differences no larger than
+    # the last real one, so they never raise a maximum
+    padded = np.full(m + 1 + block, size, dtype=dtype)
+    padded[0], padded[1 : m + 1] = -1, positions
+    step = padded.strides[0]
+    for first in range(1, m + 2, block):
+        count, columns = min(block, m + 2 - first), m + 2 - first
+        # row b holds the differences at lag first + b, from a strided view
+        lagged = np.ndarray((count, columns), dtype, padded, first * step, (step, step))
+        gaps = lagged - padded[:columns]
+        # between two occurrences, row b reads columns 1..m - first - b: all
+        # rows in the columns before the last count, a staircase in those
+        split = max(columns - count, 1)
+        least = gaps[:, 1:split].min(axis=1, initial=beyond)
+        if split < columns - 1:
+            rows = np.arange(count)[:, None]
+            inside = rows + np.arange(split, columns - 1) <= m - first
+            least = np.minimum(
+                least,
+                gaps[:, split:-1].min(axis=1, initial=beyond, where=inside),
+            )
+        for most, shortest in zip(gaps.max(axis=1).tolist(), least.tolist()):
+            yield most - 1, shortest + 1 if shortest < beyond else None
+
+
+def _gap_row(positions: np.ndarray, size: int, window: int) -> tuple[int, ...]:
+    """The imbalance of one letter at factor lengths 0..window.
+
+    A factor of length n holds at most #{j >= 1 : S(j) <= n} occurrences
+    and at least #{k >= 0 : G(k) < n}; the row is their difference.  S
+    grows with j and G with k, so only the S(j) up to the window and the
+    G(k) below it are needed: about as many gap passes as the letter has
+    occurrences in a factor of ``window`` letters.
+    """
+    shortest = [1] if len(positions) else []
+    longest = []
+    for most, least in _gap_extremes(positions, size):
+        if most < window:
+            longest.append(most)
+        if least is not None and least <= window:
+            shortest.append(least)
+        elif most >= window:
+            break
+    lengths = np.arange(max(window, 0) + 1)
+    row = np.searchsorted(shortest, lengths, "right")
+    row -= np.searchsorted(longest, lengths, "left")
+    return tuple(row.tolist())
 
 
 def balance(w, n_max: int) -> BalanceReport:
-    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max."""
+    """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max.
+
+    The row of each letter is read off the occurrence gaps of the letter
+    (``_gap_row``): one O(m) pass per count of the letter that a
+    factor of up to n_max letters can hold, where m is the number of
+    occurrences.  For a letter spread evenly over a word of N letters that
+    is O(m^2 * n_max / N), against O(n_max * N) for one pass per length,
+    and never more than n_max + 1 passes.  A two-letter alphabet needs
+    only its rarer letter's row.
+    """
     w = _as_word(w)
     window = min(n_max, len(w))
-    table = {a: (0, *row) for a, row in _imbalance_rows(w, window).items()}
+    table = {
+        a: _gap_row(positions, len(w), window)
+        for a, positions in _row_letters(w).items()
+    }
     if len(w.alphabet) == 2:
-        table = dict.fromkeys(w.alphabet, table[w.alphabet[1]])
+        table = dict.fromkeys(w.alphabet, *table.values())
     return BalanceReport(table, window)
 
 
 #: the longest pair 0p0 / 1p1 that ``first_unbalanced_length`` looks for
-#: as a substring before it scans rows
+#: as a substring before it reads occurrence gaps
 PAIR_LENGTH = 8
 
 
@@ -322,9 +505,14 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
     its least unbalanced length n exactly when it holds a pair apa and
     bpb with p a palindrome of length n - 2 (Lothaire, *Algebraic
     Combinatorics on Words*, 2002, Prop. 2.1.3), and any such pair has
-    imbalance 2; length 1 never does.  The remaining lengths, and every
-    length of a larger alphabet, are read from the rows of ``balance``
-    one length at a time, stopping at the first unbalanced one.
+    imbalance 2; length 1 never does.
+
+    Past them, and on a larger alphabet, the occurrence gaps decide: a
+    letter is unbalanced at length n exactly when S(k + 2) <= n <= G(k)
+    for some k (see ``_gap_extremes``), so its least unbalanced length is
+    S(k + 2) for the least k with S(k + 2) <= G(k).  S grows with k, so
+    the passes stop once S(k + 2) exceeds the window, or the least length
+    another letter already has.
     """
     w = _as_word(w)
     window = min(n_max, len(w))
@@ -339,11 +527,15 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
                 return n
     if window <= decided:
         return None
-    rows = _imbalance_rows(w, window, first=decided + 1).values()
-    for n, imbalances in enumerate(zip(*rows), start=decided + 1):
-        if max(imbalances) >= 2:
-            return n
-    return None
+    found = None
+    for positions in _row_letters(w).values():
+        for most, least in _gap_extremes(positions, len(w)):
+            if least is None or least > window:
+                break
+            if least <= most:
+                found, window = least, least - 1
+                break
+    return found
 
 
 def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:

@@ -10,12 +10,15 @@ lattice path replaced: every orbit point and prefix height is a
 walks integer frame numerators one letter at a time with one ``int_sign``
 call per boundary test, as the orbit codings and lattice extremes did
 before they became float-filtered array kernels.  The factor
-count is the set-of-slices loop that rank refinement replaced, and the
-integer-root search tries every divisor in turn.  The canonical text is
-formatted from ``Fraction`` parts, and the CLI's orbit array builds one
-``QuadraticNumber`` per point.  Primitivity multiplies
-incidence matrices power by power, balance fills one row per letter, and
-the fixed-point generator searches powers on its own.  The search's
+count takes a set of slices per length, where ``words.complexity`` sorts
+the suffixes once, and the integer-root search tries every divisor in
+turn.  The canonical text is formatted from ``Fraction`` parts, and the
+CLI's orbit array builds one ``QuadraticNumber`` per point.  Primitivity
+multiplies incidence matrices power by power.  Balance fills one row per
+letter, one prefix-sum difference per length, where ``words.balance``
+reads the rows off occurrence gaps and ``first_unbalanced_length`` stops
+at the first gap that decides; the rows also stand in for the latter.
+The fixed-point generator searches powers on its own.  The search's
 stage function decides each candidate on a validated morphism, with the
 400-letter quick filter alone and the full certificate.  They are slow and
 obviously right, which is what an oracle is for.
@@ -496,12 +499,13 @@ def is_primitive(matrix: IncidenceMatrix) -> bool:
 
 
 def balance(w: Word, n_max: int) -> tuple[dict, int]:
-    """Table and window of ``words.balance``, one row per letter."""
+    """Table and window of ``words.balance``: one row per letter, one
+    prefix-sum difference per length."""
     window = min(n_max, len(w))
-    arr = np.frombuffer(w.letters.encode("ascii"), dtype=np.uint8)
     table = {}
     for a in w.alphabet:
-        s = np.concatenate(([0], np.cumsum(arr == ord(a), dtype=np.int64)))
+        hits = np.array([letter == a for letter in w.letters], dtype=np.int64)
+        s = np.concatenate(([0], np.cumsum(hits)))
         row = [0]
         for n in range(1, window + 1):
             counts = s[n:] - s[:-n]

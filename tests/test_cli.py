@@ -1,8 +1,10 @@
 """Command-line behaviour: payload shapes, exit codes, determinism, SVG."""
 
+import argparse
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -386,6 +388,83 @@ def test_analyze_requires_exactly_one_word_source(capsys):
         ["analyze", "--word", "A", "--file", "/nonexistent"], capsys
     )
     assert code == 1
+
+
+def test_analyze_refuses_a_balance_window_past_the_work_limit(
+    capsys, golden_params, tmp_path
+):
+    from iet3.cli import MAX_BALANCE_WORK, MAX_ORBIT_LENGTH
+
+    path = tmp_path / "coding.txt"
+    path.write_text(ThreeIet(golden_params).code_orbit(MAX_ORBIT_LENGTH).word.letters)
+    largest = str(MAX_ORBIT_LENGTH)
+    start = time.perf_counter()
+    code, out, err = run(
+        ["analyze", "--file", str(path), "--n-max", largest,
+         "--balance-window", largest],
+        capsys,
+    )
+    # refused before any check runs
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert "--balance-window" in err and f"above the limit of {MAX_BALANCE_WORK}" in err
+
+
+def test_the_balance_work_limit_is_the_window_times_the_length(capsys, monkeypatch):
+    from iet3 import cli
+
+    monkeypatch.setattr(cli, "MAX_BALANCE_WORK", 100)
+    # the window stops at the word: 10 letters at any window is 10 * 10 steps
+    for argv in (["--word", "A" * 10, "--balance-window", "50"],
+                 ["--word", "A" * 50, "--balance-window", "2"]):
+        code, out, err = run(["analyze", "--checks", "balance", *argv], capsys)
+        assert (code, err) == (0, "")
+    for argv in (["--word", "A" * 11, "--balance-window", "11"],
+                 ["--word", "A" * 51, "--balance-window", "2"]):
+        code, out, err = run(["analyze", "--checks", "balance", *argv], capsys)
+        assert (code, out) == (1, "") and "lower --balance-window" in err
+    # the limit is on balance alone
+    code, out, err = run(
+        ["analyze", "--word", "A" * 51, "--checks", "complexity"], capsys
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "recover", "svg"])
+@pytest.mark.parametrize("flag", ["--word", "--file"])
+def test_a_word_past_the_length_limit_is_refused(command, flag, capsys, tmp_path):
+    from iet3.cli import MAX_ORBIT_LENGTH
+
+    figure = tmp_path / "unwritten.svg"
+    rest = {
+        "analyze": [],
+        "recover": ["--epsilon", GOLDEN],
+        "svg": ["--out", str(figure)],
+    }
+    letters = "A" * (MAX_ORBIT_LENGTH + 1)
+    if flag == "--file":
+        path = tmp_path / "long.txt"
+        path.write_text(letters + "\n")
+        letters = str(path)
+    code, out, err = run([command, flag, letters, *rest[command]], capsys)
+    assert (code, out) == (1, "")
+    assert f"exceeds the limit of {MAX_ORBIT_LENGTH} letters" in err
+    assert not figure.exists()
+
+
+def test_a_file_may_end_in_newlines_past_the_length_limit(tmp_path):
+    from iet3.cli import MAX_ORBIT_LENGTH, _read_word_argument
+
+    def read(text):
+        path = tmp_path / "word.txt"
+        path.write_text(text)
+        return _read_word_argument(argparse.Namespace(word=None, file=str(path)))
+
+    letters = "AB" * (MAX_ORBIT_LENGTH // 2)
+    assert read(letters + "\n" * 70_000).letters == letters
+    for tail in ("\nA", "\n" * 70_000 + "C\n", "A"):
+        with pytest.raises(ValueError, match="word length at least"):
+            read(letters + tail)
 
 
 # -- predicates ----------------------------------------------------------------

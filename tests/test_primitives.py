@@ -3,20 +3,25 @@
 ``search_substitutions`` decides every candidate through ``is_primitive``
 (row bitmasks, cached by zero pattern), ``first_unbalanced_length``
 (substring tests for the pairs 0p0 / 1p1 up to ``PAIR_LENGTH`` on a
-two-letter alphabet, then the early-exit scan over the rows of
-``balance``, one row for a two-letter alphabet, on int32 prefix sums) and
-the power search shared by ``find_expanding_letter`` and
+two-letter alphabet, then the occurrence gaps of each letter, the rarer
+one for a two-letter alphabet, until the first gap that decides) and the
+power search shared by ``find_expanding_letter`` and
 ``fixed_point_prefix``.  Each must answer exactly as its reference in
-``oracle``: matrix powers, one int64 prefix-sum row per letter, and a
-fixed-point generator with its own power search.
+``oracle``: matrix powers, one prefix-sum row per letter and length, and
+a fixed-point generator with its own power search.  The rows of
+``balance`` come from the same gaps and meet the same row oracle: on every
+binary word up to 12 letters, on random words over binary, ternary and
+non-ASCII alphabets, on the empty word and on windows past the word.
 """
+
+from itertools import product
 
 import numpy as np
 import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_complexity import periodic_text, windows, words_over
+from test_complexity import ALPHABETS, periodic_text, windows, words_over
 from test_lattice import exchange_params
 
 from iet3.dynamics import ThreeIet
@@ -112,13 +117,32 @@ def assert_balance_matches_oracle(word: Word, n_max: int):
     assert first_unbalanced_length(word, n_max) == min(unbalanced, default=None)
 
 
+@pytest.mark.parametrize("alphabet", [BINARY, ("1", "0")])
+def test_every_binary_word_up_to_twelve_letters_matches_every_letter_rows(alphabet):
+    for length in range(13):
+        for letters in product("01", repeat=length):
+            word = Word("".join(letters), alphabet)
+            assert_balance_matches_oracle(word, length)
+            least = first_unbalanced_length(word, length)
+            if least is not None:
+                assert first_unbalanced_length(word, least - 1) is None
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([("01", BINARY), ("ABC", TERNARY)]), st.data())
+@given(st.sampled_from(ALPHABETS), st.data())
 def test_random_words_match_every_letter_rows(alphabet, data):
     letters, declared = alphabet
     word = Word(data.draw(words_over(letters)), declared)
     for n_max in [*windows(data, len(word)), len(word) + 1, len(word) + 50]:
         assert_balance_matches_oracle(word, n_max)
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, TERNARY, ("é",), ("α", "β", "γ")])
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 5])
+def test_the_empty_word_has_empty_rows(alphabet, n_max):
+    word = Word("", alphabet)
+    assert_balance_matches_oracle(word, n_max)
+    assert balance(word, n_max).table == dict.fromkeys(alphabet, (0,))
 
 
 @given(st.sampled_from("01AB"), st.integers(0, 30), st.integers(-1, 40))
