@@ -28,6 +28,8 @@ from .morphisms import (
     SIGMA,
     SIGMA_PRIME,
     SpectralClass,
+    _image_offsets,
+    _image_prefix,
     find_expanding_letter,
     fixed_point_prefix,
     incidence,
@@ -163,7 +165,7 @@ def three_iet_certificate(u, min_length: int = 1000) -> CertificateReport:
         raise ValueError(
             f"word too short: need at least {min_length} letters, got {len(u)}"
         )
-    images = _binary_images(u)
+    images = {name: morph.apply(u) for name, morph in _IMAGE_NAMES}
     image_lengths = {name: len(v) for name, v in images.items()}
     max_imbalance = {}
     witness = None
@@ -192,57 +194,21 @@ def three_iet_certificate(u, min_length: int = 1000) -> CertificateReport:
     )
     if witness is not None:
         return CertificateReport("refuted", witness, **common)
-    witness = _periodic_witness(u, images)
-    if witness is not None:
-        return CertificateReport("periodic", witness, **common)
-    return CertificateReport("consistent-with-3iet", None, **common)
-
-
-def _binary_images(u: Word) -> dict[str, Word]:
-    return {name: morph.apply(u) for name, morph in _IMAGE_NAMES}
-
-
-def _periodic_witness(u: Word, images: Mapping[str, Word]) -> dict | None:
-    """The certificate's steps after a balanced verdict: the witness of the
-    first image whose complexity falls below n+1 at a reliable n, or None
-    when neither does and all three letters occur in u; a missing letter
-    raises ValueError."""
     for name, v in images.items():
         profile = complexity(v, n_max=min(COMPLEXITY_WINDOW, len(v) // 2))
         for n in range(1, min(COMPLEXITY_WINDOW, profile.reliable_up_to) + 1):
             if profile.count(n) < n + 1:
-                return {
+                witness = {
                     "image": name,
                     "factor_length": n,
                     "complexity": profile.count(n),
                     "required": n + 1,
                 }
+                return CertificateReport("periodic", witness, **common)
     missing = [a for a in TERNARY if u.count(a) == 0]
     if missing:
         raise ValueError(f"missing letter in word: {missing[0]!r}")
-    return None
-
-
-def _certificate_verdict(u: Word) -> str:
-    """The verdict of ``three_iet_certificate(u)`` for a word of at least
-    its minimum length, without the report.
-
-    It is "refuted" as soon as the early-exit scan
-    ``first_unbalanced_length`` finds an unbalanced length up to
-    ``BALANCE_WINDOW`` in either image.  Both images are first tested up
-    to ``PAIR_LENGTH`` by substring tests alone, so an image unbalanced at
-    a short length refutes the word before the other's long scan.
-    """
-    images = _binary_images(u)
-    if any(
-        first_unbalanced_length(v, window) is not None
-        for window in (PAIR_LENGTH, BALANCE_WINDOW)
-        for v in images.values()
-    ):
-        return "refuted"
-    if _periodic_witness(u, images) is not None:
-        return "periodic"
-    return "consistent-with-3iet"
+    return CertificateReport("consistent-with-3iet", None, **common)
 
 
 # -- constructive parameter recovery ----------------------------------------------
@@ -274,17 +240,6 @@ class RecoveredParameters:
     first_mismatch: int | None
 
 
-def _b_second_letter_indices(u: Word) -> np.ndarray:
-    """Indices in the first binary image holding the '1' of each B-image."""
-    codes = np.frombuffer(u.letters.encode("ascii"), dtype=np.uint8)
-    lengths = np.zeros(256, dtype=np.int64)
-    for letter, image in B_AS_01.images.items():
-        lengths[ord(letter)] = len(image)
-    sizes = lengths[codes]
-    starts = np.cumsum(sizes) - sizes
-    return starts[codes == ord("B")] + 1
-
-
 def _match_statistics(expected: str, produced: str) -> tuple[Fraction, int | None]:
     n = min(len(expected), len(produced))
     same = np.frombuffer(expected[:n].encode("ascii"), dtype=np.uint8) == np.frombuffer(
@@ -314,7 +269,9 @@ def recover_parameters(u, epsilon) -> RecoveredParameters:
     v = B_AS_01.apply(u)
     heights = height_f(v, eps)
     c_hat = heights[heights.argmin()]
-    positions = _b_second_letter_indices(u)
+    # the indices in v of the '1' of each B-image, the one two-letter image
+    offsets = _image_offsets(B_AS_01, u.letters)
+    positions = offsets[:-1][np.diff(offsets) == 2] + 1
     floor_at = heights.argmin(positions)
     a, b = heights.keys(positions)
     floor_a, floor_b = heights.key(floor_at)
@@ -461,8 +418,7 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     seed, _power = expanding
 
     u = fixed_point_prefix(m, seed=seed, n=prefix_len)
-    image = m.apply_text(u.letters)
-    consistent = image[:prefix_len] == u.letters[: min(prefix_len, len(image))]
+    consistent = _image_prefix(m, u.letters, prefix_len)[:prefix_len] == u.letters
     fields["fixed_point_consistent"] = consistent
 
     matrix = incidence(m)
@@ -557,12 +513,10 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
         (1 - eps_conj, 1 - 2 * eps_conj, -eps_conj)
     )
 
-    checked = min(SCALING_PREFIXES, len(u))
-    starts = [0]
-    for ch in u.letters[:checked]:
-        starts.append(starts[-1] + len(m.images[ch]))
-    while starts[checked] > len(u):
-        checked -= 1
+    offsets = _image_offsets(m, u.letters[:SCALING_PREFIXES])
+    # the prefixes whose image fits in u
+    checked = int(np.searchsorted(offsets, len(u), "right")) - 1
+    starts = offsets[: checked + 1].tolist()
     # heights are p - q*eps, so g[starts[n]] - lam_conj * g[n] is an integer
     # combination of 1, -eps, lam_conj and -lam_conj*eps that must vanish
     g = height_g(u[: starts[checked]], eps)
@@ -656,8 +610,8 @@ def facts_check(
         return FactsReport(0, 0, True, True, True, True, ())
 
     u_head = fixed_point_prefix(m, seed=seed, n=depth)
-    total = sum(len(m.images[ch]) for ch in u_head.letters)
-    u = fixed_point_prefix(m, seed=seed, n=total)
+    starts = _image_offsets(m, u_head.letters).tolist()
+    u = fixed_point_prefix(m, seed=seed, n=starts[depth])
 
     c, eps = params.offset_c, params.epsilon
     cuts = (c, c + params.alpha, c + eps, c + params.length_l)
@@ -675,10 +629,6 @@ def facts_check(
     overrides = {key: as_quadratic(h) for key, h in (t_override or {}).items()}
     _common_field((eps, *overrides.values()), "planted heights")
     prefix_heights.update(overrides)
-
-    starts = [0]
-    for ch in u_head.letters:
-        starts.append(starts[-1] + len(m.images[ch]))
 
     findings = []
     shift_consistent = True
@@ -797,12 +747,13 @@ def _search_stage(m: Morphism) -> str:
         if first_unbalanced_length(image, window) is not None:
             return "quick-imbalance"
     try:
-        verdict = _certificate_verdict(fixed_point_prefix(m, seed, CERTIFICATE_PREFIX))
+        prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
+        certificate = three_iet_certificate(prefix)
     except ValueError:
         return "certificate-error"
-    if verdict == "consistent-with-3iet":
+    if certificate.is_consistent:
         return "certificate-consistent"
-    return f"certificate-{verdict}"
+    return f"certificate-{certificate.verdict}"
 
 
 def search_substitutions(
@@ -817,19 +768,18 @@ def search_substitutions(
     through the first stage that disposes of it, and each stage is decided
     at its cheapest exact level: "no-fixed-point" when
     ``find_expanding_letter`` finds no letter at power 1, "non-primitive"
-    by ``is_primitive(incidence(m))``, "quick-imbalance" when the early-exit
-    scan ``first_unbalanced_length`` finds a factor length up to 25 with
+    by ``is_primitive(incidence(m))``, "quick-imbalance" when
+    ``first_unbalanced_length`` finds a factor length up to 25 with
     imbalance 2 or more in the first binary image of a 400-letter
     ``fixed_point_prefix`` (a sound refutation, cheaper than the
     certificate), else "certificate-error", "-refuted", "-periodic" or
     "-consistent", the verdict of ``three_iet_certificate`` on a
-    ``CERTIFICATE_PREFIX``-letter prefix.  The quick filter first tests the
-    image of a 60-letter prefix up to ``PAIR_LENGTH``, by substring tests
-    alone; the prefixes are nested, so what it finds is in the 400-letter
-    image too, and most candidates stop there at length 2.  The
-    certificate stage computes the verdict only, and refutes a word by the
-    early-exit scan of both images.  Candidates are built unchecked, from
-    letters the loop generated itself.
+    ``CERTIFICATE_PREFIX``-letter prefix, the same certificate the audit
+    reports.  The quick filter first tests the image of a 60-letter prefix
+    up to ``PAIR_LENGTH``, by substring tests alone; the prefixes are
+    nested, so what it finds is in the 400-letter image too, and most
+    candidates stop there at length 2.  Candidates are built unchecked,
+    from letters the loop generated itself.
     Only certificate-consistent candidates reach ``substitution_audit``;
     results are deterministic, ordered by the textual form.
     """

@@ -10,12 +10,14 @@ in declaration order, except that AuditReport.l_exact is written as "l"
 and AuditSummary.text as "morphism".  The orbit points of gen3iet and
 gensturm are written straight from the integer numerators of their
 lattice frame, with no exact number built per point: the string is the
-one ``str`` gives, and the float is the correctly rounded quotient, equal
-to ``float`` of the point.  The option parser is built once per process
-and reused by every ``main`` call.  Exit codes:
-0 for success (including not-applicable audit outcomes), 1 for usage or
-input errors, 2 when a verified instance violates a necessary condition,
-which indicates a bug in this artifact rather than new mathematics.
+one ``str`` gives, and the float equals ``float`` of the point.  Its
+quotients a/n and b/n are correctly rounded, their sum is not, and it can
+lose a small value (``sqrt_int(2) - Fraction(1855077841, 1311738121)``
+reads 0.0); no verdict reads it.  The option parser is built once per
+process and reused by every ``main`` call.  Exit codes: 0 for success
+(including not-applicable audit outcomes), 1 for usage or input errors,
+2 when a verified instance violates a necessary condition, which
+indicates a bug in this artifact rather than new mathematics.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .qfield import QuadraticNumber, as_quadratic, sqrt_int
-from .words import BINARY, TERNARY, Word, check_alphabet
+from .words import BINARY, TERNARY, Word, _letter_codes, check_alphabet
 
 __all__ = [
     "Expanding",
@@ -388,11 +390,43 @@ class Expanding(NamedTuple):
     power: int
 
 
+def _image_offsets(m: Morphism, text: str) -> np.ndarray:
+    """Where the image of each letter of text starts in m(text), then the
+    length of m(text): len(text) + 1 int64 offsets, 0 first."""
+    source = sorted(m.images)
+    letters = np.array([ord(a) for a in source], dtype=np.uint32)
+    sizes = np.array([len(m.images[a]) for a in source], dtype=np.int64)
+    codes = _letter_codes(text)
+    at = np.minimum(np.searchsorted(letters, codes), len(letters) - 1)
+    outside = np.flatnonzero(letters[at] != codes)
+    if len(outside):
+        raise ValueError(f"letter {text[outside[0]]!r} outside source alphabet")
+    offsets = np.zeros(len(text) + 1, dtype=np.int64)
+    np.cumsum(sizes[at], out=offsets[1:])
+    return offsets
+
+
+def _image_prefix(m: Morphism, text: str, n: int) -> str:
+    """The image of the shortest prefix of text whose image holds n letters
+    or more (of text when none does): fewer than n + (the longest image)
+    letters.  Every image is non-empty, so that prefix has at most n
+    letters."""
+    head = text[:n]
+    return m.apply_text(head[: int(np.searchsorted(_image_offsets(m, head), n))])
+
+
+#: ``fixed_point_prefix`` maps a text whole while its image cannot pass
+#: this many times the letters asked for
+OVERSHOOT = 4
+
+
 def _expanding_power(
     m: Morphism, letters: Sequence[str], max_power: int
 ) -> Expanding | None:
     """(letter, k) for the least k <= max_power at which m^k maps one of
-    ``letters`` (the first in order) to two letters or more starting with it."""
+    ``letters`` (the first in order) to two letters or more starting with it.
+    Images are non-empty, so the first two letters of m^k(a) are those of
+    m applied to the first two of m^(k-1)(a): no whole power is built."""
     current = m.images
     for k in range(1, max_power + 1):
         for a in letters:
@@ -400,7 +434,7 @@ def _expanding_power(
             if len(img) >= 2 and img[0] == a:
                 return Expanding(a, k)
         if k < max_power:
-            current = {a: m.apply_text(current[a]) for a in letters}
+            current = {a: m.apply_text(current[a][:2]) for a in letters}
     return None
 
 
@@ -422,8 +456,11 @@ def fixed_point_prefix(m: Morphism, seed: str | None = None, n: int = 1000) -> W
 
     The seed (or, when omitted, the first qualifying letter) must satisfy
     m^k(seed) = seed... for some power k <= MAX_POWER, the bound of
-    ``find_expanding_letter``; iteration then extends the prefix until it
-    reaches length n.
+    ``find_expanding_letter``; iteration then applies m, k times a round,
+    until the prefix reaches length n.  Each application maps the whole
+    text while its image cannot pass ``OVERSHOOT`` * n letters, else only
+    the shortest prefix whose image reaches n letters (``_image_prefix``):
+    no image built passes max(OVERSHOOT * n, n + the longest image) letters.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -438,15 +475,15 @@ def fixed_point_prefix(m: Morphism, seed: str | None = None, n: int = 1000) -> W
         if found is None:
             raise ValueError(f"letter {seed!r} does not generate a fixed point")
     seed, power = found
-    step = m
-    for _ in range(power - 1):
-        step = compose(m, step)
+    whole = OVERSHOOT * n // max(map(len, m.images.values()))
     text = seed
+    # each round grows the text: m^power(seed) is seed and more
     while len(text) < n:
-        grown = step.apply_text(text)
-        if len(grown) == len(text):
-            raise ValueError("growth stalls before reaching the requested length")
-        text = grown
+        for _ in range(power):
+            if len(text) <= whole:
+                text = m.apply_text(text)
+            else:
+                text = _image_prefix(m, text, n)
     if not m.is_endomorphism:
         # the last image may hold target letters outside the source
         return Word(text[:n], m.source)

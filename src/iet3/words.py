@@ -388,9 +388,11 @@ def _row_letters(w: Word) -> dict[str, np.ndarray]:
 GAP_PASS_CELLS = 2**16
 
 
-def _gap_extremes(positions: np.ndarray, size: int) -> Iterator[tuple[int, int | None]]:
-    """(G(k), S(k + 2)) for k = 0, 1, ..., m, of a letter at the given m
-    positions in a word of ``size`` letters.
+def _gap_extremes(
+    positions: np.ndarray, size: int, window: int
+) -> Iterator[tuple[int, int | None]]:
+    """(G(k), S(k + 2)) for k = 0, 1, ..., min(m, window - 1), of a letter
+    at the given m positions in a word of ``size`` >= ``window`` letters.
 
     S(j) is the shortest factor holding j occurrences of the letter and
     G(k) the longest holding at most k (Burcsi, Cicalese, Fici and Lipták,
@@ -398,12 +400,15 @@ def _gap_extremes(positions: np.ndarray, size: int) -> Iterator[tuple[int, int |
     from the differences of the positions at lag k + 1, with -1 and
     ``size`` as sentinels on either side: G(k) is the largest difference
     less one, and S(k + 2) the smallest between two occurrences plus one,
-    or None when the letter occurs fewer than k + 2 times.  Each lag costs
-    O(m); a pass takes as many consecutive lags as fit in
-    ``GAP_PASS_CELLS`` differences, at least one.
+    or None when the letter occurs fewer than k + 2 times.  No factor
+    length up to the window needs a count k of the window or more, as
+    S(k + 2) >= k + 2 and G(k) >= min(k, size), so no lag past the window
+    is computed.  Each lag costs O(m); a pass takes as many consecutive
+    lags as fit in ``GAP_PASS_CELLS`` differences, at least one.
     """
     m = len(positions)
-    block = max(1, min(m + 1, GAP_PASS_CELLS // (m + 2)))
+    lags = min(m + 1, max(window, 0))
+    block = max(1, min(lags, GAP_PASS_CELLS // (m + 2)))
     beyond = 2 * size + 2  # above every difference, and int32 while it fits
     dtype = np.int32 if beyond < 2**31 else np.int64
     # copies of the end sentinel past it give differences no larger than
@@ -411,8 +416,8 @@ def _gap_extremes(positions: np.ndarray, size: int) -> Iterator[tuple[int, int |
     padded = np.full(m + 1 + block, size, dtype=dtype)
     padded[0], padded[1 : m + 1] = -1, positions
     step = padded.strides[0]
-    for first in range(1, m + 2, block):
-        count, columns = min(block, m + 2 - first), m + 2 - first
+    for first in range(1, lags + 1, block):
+        count, columns = min(block, lags + 1 - first), m + 2 - first
         # row b holds the differences at lag first + b, from a strided view
         lagged = np.ndarray((count, columns), dtype, padded, first * step, (step, step))
         gaps = lagged - padded[:columns]
@@ -431,7 +436,7 @@ def _gap_extremes(positions: np.ndarray, size: int) -> Iterator[tuple[int, int |
             yield most - 1, shortest + 1 if shortest < beyond else None
 
 
-def _gap_row(positions: np.ndarray, size: int, window: int) -> tuple[int, ...]:
+def _gap_row(positions: np.ndarray, size: int, window: int) -> np.ndarray:
     """The imbalance of one letter at factor lengths 0..window.
 
     A factor of length n holds at most #{j >= 1 : S(j) <= n} occurrences
@@ -442,7 +447,7 @@ def _gap_row(positions: np.ndarray, size: int, window: int) -> tuple[int, ...]:
     """
     shortest = [1] if len(positions) else []
     longest = []
-    for most, least in _gap_extremes(positions, size):
+    for most, least in _gap_extremes(positions, size, window):
         if most < window:
             longest.append(most)
         if least is not None and least <= window:
@@ -452,7 +457,7 @@ def _gap_row(positions: np.ndarray, size: int, window: int) -> tuple[int, ...]:
     lengths = np.arange(max(window, 0) + 1)
     row = np.searchsorted(shortest, lengths, "right")
     row -= np.searchsorted(longest, lengths, "left")
-    return tuple(row.tolist())
+    return row
 
 
 def balance(w, n_max: int) -> BalanceReport:
@@ -469,7 +474,7 @@ def balance(w, n_max: int) -> BalanceReport:
     w = _as_word(w)
     window = min(n_max, len(w))
     table = {
-        a: _gap_row(positions, len(w), window)
+        a: tuple(_gap_row(positions, len(w), window).tolist())
         for a, positions in _row_letters(w).items()
     }
     if len(w.alphabet) == 2:
@@ -507,12 +512,10 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
     Combinatorics on Words*, 2002, Prop. 2.1.3), and any such pair has
     imbalance 2; length 1 never does.
 
-    Past them, and on a larger alphabet, the occurrence gaps decide: a
-    letter is unbalanced at length n exactly when S(k + 2) <= n <= G(k)
-    for some k (see ``_gap_extremes``), so its least unbalanced length is
-    S(k + 2) for the least k with S(k + 2) <= G(k).  S grows with k, so
-    the passes stop once S(k + 2) exceeds the window, or the least length
-    another letter already has.
+    Past them, and on a larger alphabet, the answer is the least length
+    at which a letter's row of ``balance`` (``_gap_row``, up to the
+    window) reaches 2; each further letter's row need only reach the
+    least length found so far.
     """
     w = _as_word(w)
     window = min(n_max, len(w))
@@ -529,12 +532,10 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
         return None
     found = None
     for positions in _row_letters(w).values():
-        for most, least in _gap_extremes(positions, len(w)):
-            if least is None or least > window:
-                break
-            if least <= most:
-                found, window = least, least - 1
-                break
+        unbalanced = np.flatnonzero(_gap_row(positions, len(w), window) >= 2)
+        if len(unbalanced):
+            found = int(unbalanced[0])
+            window = found - 1
     return found
 
 

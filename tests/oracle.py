@@ -16,12 +16,14 @@ turn.  The canonical text is formatted from ``Fraction`` parts, and the
 CLI's orbit array builds one ``QuadraticNumber`` per point.  Primitivity
 multiplies incidence matrices power by power.  Balance fills one row per
 letter, one prefix-sum difference per length, where ``words.balance``
-reads the rows off occurrence gaps and ``first_unbalanced_length`` stops
-at the first gap that decides; the rows also stand in for the latter.
-The fixed-point generator searches powers on its own.  The search's
-stage function decides each candidate on a validated morphism, with the
-400-letter quick filter alone and the full certificate.  They are slow and
-obviously right, which is what an oracle is for.
+and ``first_unbalanced_length`` read the rows off occurrence gaps; the
+rows also stand in for the latter.  The fixed-point generator searches
+powers on whole images and applies a composed power to the whole text,
+where ``morphisms`` reads two letters per power and maps no more of the
+text than the prefix needs.  The search's stage function decides each
+candidate on a validated morphism, with the 400-letter quick filter
+alone.  They are slow and obviously right, which is what an oracle is
+for.
 """
 
 import math
@@ -549,8 +551,9 @@ def search_stage(m: Morphism) -> str:
     """The first stage of ``audit.search_substitutions`` that disposes of m.
 
     The quick filter scans the first binary image of a 400-letter prefix
-    up to length 25 at once, and the certificate stage builds the whole
-    ``three_iet_certificate``; the primitives are the ones above.
+    up to length 25 at once, without the 60-letter level, and the
+    certificate stage builds ``three_iet_certificate``; the primitives are
+    the ones above.
     """
     m = Morphism(m.images, source=m.source, target=m.target)
     expanding = find_expanding_letter(m, max_power=1)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -550,6 +551,30 @@ def test_audit_not_applicable_exits_zero(capsys, schema):
 def test_audit_parse_errors_exit_one(capsys):
     code, out, err = run(["audit", "--morphism", "A>"], capsys)
     assert code == 1 and "error" in err
+
+
+def test_audit_of_long_images_builds_only_the_letters_it_reads(capsys, schema):
+    # A is expanding for the cube only, whose fixed point is all A, while
+    # the image of that prefix is all B; each power and image of the whole
+    # prefix holds tens of millions of letters
+    morphism = f"A>{'B' * 4000};B>{'C' * 4000};C>A"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, doc, err = run_json(["audit", "--morphism", morphism], capsys, schema)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert doc["expanding"] == {"letter": "A", "power": 3}
+    assert doc["fixed_point_consistent"] is False
+    assert doc["overall"] == "not-applicable"
+    assert doc["reason"] == (
+        "the generated word is fixed by a power of the substitution only"
+    )
+    assert peak < 4 * 2**20
+    assert elapsed < 10
 
 
 def test_seed_prefix_length_is_adjustable(capsys, schema):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import mpmath
 import oracle
@@ -285,6 +286,34 @@ def test_fixed_point_prefix_is_invariant_under_the_morphism():
 def test_fixed_point_requires_an_expanding_letter():
     with pytest.raises(ValueError, match="expanding"):
         fixed_point_prefix(Morphism.from_text("A>B;B>A"), n=5)
+
+
+#: peak traced allocation of one fixed-point build from images of thousands
+#: of letters: the image of a whole power or prefix is ten megabytes or more
+FIXED_POINT_PEAK = 4 * 2**20
+
+
+@pytest.mark.parametrize("power", [1, 3])
+def test_long_images_build_only_the_letters_read(power):
+    n = 10_000
+    if power == 1:
+        head = "A" + "B" * 4000
+        m = Morphism.from_text(f"A>{head};B>A;C>C")
+        # m(A), then the images of its 4000 B, then m(A) again
+        expected = (head + "A" * 4000 + head)[:n]
+    else:
+        m = Morphism.from_text(f"A>{'B' * 4000};B>{'C' * 4000};C>A")
+        expected = "A" * n
+    tracemalloc.start()
+    try:
+        found = find_expanding_letter(m)
+        prefix = fixed_point_prefix(m, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == ("A", power)
+    assert prefix.letters == expected
+    assert peak < FIXED_POINT_PEAK
 
 
 # -- spectral classification --------------------------------------------------------

@@ -3,15 +3,17 @@
 ``search_substitutions`` decides every candidate through ``is_primitive``
 (row bitmasks, cached by zero pattern), ``first_unbalanced_length``
 (substring tests for the pairs 0p0 / 1p1 up to ``PAIR_LENGTH`` on a
-two-letter alphabet, then the occurrence gaps of each letter, the rarer
-one for a two-letter alphabet, until the first gap that decides) and the
+two-letter alphabet, then the least length at which the gap row of a
+letter, the rarer one for a two-letter alphabet, reaches 2) and the
 power search shared by ``find_expanding_letter`` and
 ``fixed_point_prefix``.  Each must answer exactly as its reference in
 ``oracle``: matrix powers, one prefix-sum row per letter and length, and
-a fixed-point generator with its own power search.  The rows of
-``balance`` come from the same gaps and meet the same row oracle: on every
-binary word up to 12 letters, on random words over binary, ternary and
-non-ASCII alphabets, on the empty word and on windows past the word.
+a fixed-point generator with its own power search on whole images; the
+generator's differential reaches powers 2 to 4 with images longer than
+the prefix asked for.  The rows of ``balance`` come from the same gaps
+and meet the same row oracle: on every binary word up to 12 letters, on
+random words over binary, ternary and non-ASCII alphabets, on the empty
+word and on windows past the word.
 """
 
 from itertools import product
@@ -19,7 +21,7 @@ from itertools import product
 import numpy as np
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_complexity import ALPHABETS, periodic_text, windows, words_over
 from test_lattice import exchange_params
@@ -103,8 +105,9 @@ def test_primitivity_needs_a_square_matrix():
 
 
 def assert_balance_matches_oracle(word: Word, n_max: int):
-    """The table of ``balance`` and the early-exit scan against the oracle's
-    rows: the scan answers the least n with a row entry of 2 or more."""
+    """The table of ``balance`` and ``first_unbalanced_length`` against the
+    oracle's rows: the latter answers the least n with a row entry of 2 or
+    more."""
     report = balance(word, n_max)
     table, window = oracle.balance(word, n_max)
     assert report.window == window
@@ -269,17 +272,30 @@ def test_a_seed_without_a_fixed_point():
         fixed_point_prefix(m, seed="D")
 
 
-images = st.text(alphabet="ABC", min_size=1, max_size=3)
+@st.composite
+def morphisms(draw):
+    """Endomorphisms over three or four letters, with images of one to three
+    letters or, now and then, up to nine."""
+    letters = draw(st.sampled_from(["ABC", "ABCD"]))
+    short = st.text(alphabet=letters, min_size=1, max_size=3)
+    image = st.one_of(short, short, st.text(alphabet=letters, min_size=1, max_size=9))
+    return Morphism({a: draw(image) for a in letters})
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(images, images, images), st.integers(1, 5), st.integers(0, 200))
-def test_power_search_matches_the_oracle(triple, max_power, n):
-    m = Morphism(dict(zip(TERNARY, triple)))
+@given(
+    morphisms(), st.integers(1, 5), st.one_of(st.integers(0, 8), st.integers(0, 200))
+)
+# seeds of powers 2, 3 and 4 whose images are longer than n, so that
+# fixed_point_prefix maps only a prefix of its text
+@example(Morphism.from_text(f"A>{'B' * 12};B>{'A' * 12};C>AC"), 4, 7)
+@example(Morphism.from_text(f"A>{'B' * 12};B>{'C' * 12};C>A"), 4, 7)
+@example(Morphism.from_text(f"A>{'B' * 9};B>{'C' * 9};C>{'D' * 9};D>A"), 4, 5)
+def test_power_search_matches_the_oracle(m, max_power, n):
     assert find_expanding_letter(m, max_power) == oracle.find_expanding_letter(
         m, max_power
     )
-    for seed in TERNARY:
+    for seed in m.source:
         try:
             expected = oracle.fixed_point_prefix(m, seed, n)
         except ValueError as exc:
