@@ -7,17 +7,22 @@ the library (RecoveredParameters, SturmVerdict, CertificateReport,
 AuditReport and the SpectralClass, Expanding and AuditSummary values it
 or the search carries) is written by ``_json``: its keys are the fields,
 in declaration order, except that AuditReport.l_exact is written as "l"
-and AuditSummary.text as "morphism".  The orbit points of gen3iet and
-gensturm are written straight from the integer numerators of their
-lattice frame, with no exact number built per point: the string is the
-one ``str`` gives, and the float equals ``float`` of the point.  Its
+and AuditSummary.text as "morphism".  Every payload is rendered by
+``json.dumps(indent=2)``, except the orbit points of gen3iet and gensturm,
+the last key of their payloads: each point is one row of a fixed text
+template, written straight from the integer numerators of the lattice
+frame, with no exact number and no dict built per point, and the rows are
+spliced in after the rest.  The document is byte for byte the one
+``json.dumps(indent=2)`` writes for the same values.  A row's string is
+the one ``str`` gives, and its float equals ``float`` of the point.  Its
 quotients a/n and b/n are correctly rounded, their sum is not, and it can
 lose a small value (``sqrt_int(2) - Fraction(1855077841, 1311738121)``
 reads 0.0); no verdict reads it.  The option parser is built once per
 process and reused by every ``main`` call.  Exit codes: 0 for success
-(including not-applicable audit outcomes), 1 for usage or input errors,
-2 when a verified instance violates a necessary condition, which
-indicates a bug in this artifact rather than new mathematics.
+(including not-applicable audit outcomes), 1 for usage or input errors
+and for a reader that closed the output pipe early, 2 when a verified
+instance violates a necessary condition, which indicates a bug in this
+artifact rather than new mathematics.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_text
 from xml.etree import ElementTree
 
 from .audit import (
@@ -84,26 +91,48 @@ def _num(x) -> dict:
     return {"exact": str(q), "approx": float(q)}
 
 
-def _orbit_json(points: LatticePoints) -> list[dict]:
-    """``_num`` of every orbit point, written from its frame numerators.
+def _orbit_rows(points: LatticePoints) -> list[str]:
+    """The rows of the "orbit" array of ``points`` as ``json.dumps(indent=2)``
+    writes them under a top-level key: each is ``_num`` of one point.
 
     Point i is (a + b*sqrt(d))/den with the integers a, b of
-    ``points.keys()``; no ``QuadraticNumber`` is built.  Python's int true
-    division is correctly rounded, so a/den and b/den are the quotients
-    ``float`` of the point takes from its reduced fractions, and ``approx``
-    is the same float at any numerator size.
+    ``points.keys()``; no ``QuadraticNumber`` and no dict is built.  Python's
+    int true division is correctly rounded, so a/den and b/den are the
+    quotients ``float`` of the point takes from its reduced fractions, and
+    ``approx`` is the same float at any numerator size.  The exact string is
+    escaped and the float written as the standard library's encoder does
+    (``repr``, and ``json.dumps`` for the infinities).
     """
     frame = points.frame
     den, d = frame.denominator, frame.radicand
     root = math.sqrt(d)
     a_column, b_column = points.keys()
-    orbit = []
+    rows = []
     for a, b in zip(a_column.tolist(), b_column.tolist()):
         approx = a / den
         if b:
             approx += b / den * root
-        orbit.append({"exact": quadratic_text(a, b, den, d), "approx": approx})
-    return orbit
+        exact = _encode_text(quadratic_text(a, b, den, d))
+        number = float.__repr__(approx) if math.isfinite(approx) else json.dumps(approx)
+        rows.append(f'    {{\n      "exact": {exact},\n      "approx": {number}\n    }}')
+    return rows
+
+
+def _render(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``; orbit points a handler left under
+    "orbit" are written last, by ``_orbit_rows``."""
+    if "orbit" not in payload:
+        return json.dumps(payload, indent=2)
+    head = dict(payload)
+    rows = _orbit_rows(head.pop("orbit"))
+    text = json.dumps({**head, "orbit": []}, indent=2)
+    if not rows:
+        return text
+    # one join copies the text once: the head, up to the "[]" of the empty
+    # array, opens the first row and the closing brackets end the last
+    rows[0] = text[: -len("[]\n}")] + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}"
+    return ",\n".join(rows)
 
 
 def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):
@@ -224,7 +253,7 @@ def _cmd_gen3iet(args):
         "word": coding.word.letters,
     }
     if args.json:
-        payload["orbit"] = _orbit_json(coding.points)
+        payload["orbit"] = coding.points
     return payload, coding.word.letters, 0
 
 
@@ -243,7 +272,7 @@ def _cmd_gensturm(args):
         "word": coding.word.letters,
     }
     if args.json:
-        payload["orbit"] = _orbit_json(coding.points)
+        payload["orbit"] = coding.points
     return payload, coding.word.letters, 0
 
 
@@ -613,17 +642,25 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, text, code = args.handler(args)
+        rendered = _render(payload) if args.json else text
+        if args.out and args.command != "svg":
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
     except (
         ValueError, ZeroDivisionError, OverflowError, OSError, ReturnTimeCapError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rendered = json.dumps(payload, indent=2) if args.json else text
-    if args.json or rendered:
-        print(rendered)
-    if args.out and args.command != "svg":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+    try:
+        if args.json or rendered:
+            print(rendered)
+            # a reader that left raises here, not in the flush at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit writes what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

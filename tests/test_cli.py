@@ -1,17 +1,23 @@
 """Command-line behaviour: payload shapes, exit codes, determinism, SVG."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import oracle
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_lattice import epsilons, exchange_params
 
@@ -191,15 +197,17 @@ def test_induce_cap_limit_is_no_lower_than_its_default():
         ["gensturm", "--epsilon", GOLDEN, "--n", "40"],
     ],
 )
-def test_text_mode_builds_no_orbit_array(argv, capsys, schema):
-    from iet3.cli import _build_parser
+def test_text_mode_builds_no_orbit_array(argv, capsys, schema, monkeypatch):
+    from iet3 import cli
 
-    args = _build_parser().parse_args(argv)
+    args = cli._build_parser().parse_args(argv)
     payload, text, code = args.handler(args)
     assert "orbit" not in payload and code == 0
     code, doc, err = run_json(argv, capsys, schema)
     assert doc["word"] == text and len(doc["orbit"]) == 40
-    assert run(argv, capsys) == (0, text + "\n", "")
+    writes = []
+    monkeypatch.setattr(cli, "_orbit_rows", writes.append)
+    assert run(argv, capsys) == (0, text + "\n", "") and writes == []
 
 
 def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
@@ -218,14 +226,16 @@ def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
 TINY = Fraction(1, 2**64 + 1)
 
 
-def _assert_orbit_json_matches_the_oracle(points, huge):
-    from iet3.cli import _orbit_json
-
+def _assert_orbit_json_matches_the_oracle(argv, head, points, huge):
+    """The whole --json text of argv is json.dumps(indent=2) of the payload
+    with its orbit built point by point."""
     if huge:
         assert points.keys()[0].dtype == object
-    shipped, expected = _orbit_json(points), oracle.orbit_json(points)
-    assert json.dumps(shipped, indent=2) == json.dumps(expected, indent=2)
-    assert shipped == expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--json"]) == 0
+    expected = {**head, "orbit": oracle.orbit_json(points)}
+    assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
 
 @settings(max_examples=120, deadline=None)
@@ -236,19 +246,57 @@ def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
     if huge:
         params = IetParameters(params.epsilon, params.length_l, params.offset_c - TINY)
     assume(not (right_closed and n and not params.offset_c))
+    values = (params.epsilon, params.length_l, params.offset_c)
+    argv = ["gen3iet", *(f"--{k}={v}" for k, v in zip(("epsilon", "l", "c"), values))]
+    argv += ["--n", str(n)] + ["--right-closed"] * right_closed
     coding = ThreeIet(params).code_orbit(n, right_closed=right_closed)
-    _assert_orbit_json_matches_the_oracle(coding.points, huge)
+    head = {
+        "command": "gen3iet",
+        "parameters": dict(zip(("epsilon", "l", "c"), oracle.orbit_json(values))),
+        "n": n,
+        "word": coding.word.letters,
+    }
+    _assert_orbit_json_matches_the_oracle(argv, head, coding.points, huge)
+
+
+#: with a = floor(b*sqrt(2)), a converts to the largest float but b times
+#: the float of sqrt(2) rounds past it: the float of b*sqrt(2) - a, summed
+#: from its two parts, is inf, and that of the next orbit point -inf, which
+#: JSON writes as Infinity and -Infinity
+OVERFLOW_B = 1592262918131443 * 2**973
+OVERFLOWING = parse_quadratic(f"{OVERFLOW_B}*sqrt(2)-{math.isqrt(2 * OVERFLOW_B**2)}")
 
 
 @settings(max_examples=80, deadline=None)
 @given(epsilons(), st.integers(0, 24), st.integers(0, 60), st.booleans())
+@example(OVERFLOWING, 0, 2, False)
 def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, huge):
     # the rotation gensturm codes: [lo, lo + 1) cut at lo + epsilon
     if huge:
         eps = eps - TINY
     lo = Fraction(-j, 25)
+    argv = ["gensturm", f"--epsilon={eps}", f"--lo={lo}", "--n", str(n)]
     coding = Rotation(lo, lo + eps, lo + 1).code_orbit(n)
-    _assert_orbit_json_matches_the_oracle(coding.points, huge)
+    exact_eps, exact_lo = oracle.orbit_json([eps, lo])
+    head = {
+        "command": "gensturm",
+        "epsilon": exact_eps,
+        "lo": exact_lo,
+        "n": n,
+        "word": coding.word.letters,
+    }
+    _assert_orbit_json_matches_the_oracle(argv, head, coding.points, huge)
+
+
+def test_an_orbit_point_past_the_float_range_is_an_input_error(capsys):
+    # epsilon's parts are near 10**307, and those of the later points
+    # pass the float range, where the exact text still reads
+    b = 10**307
+    argv = ["gensturm", f"--epsilon={b}*sqrt(2)-{math.isqrt(2 * b * b)}", "--n", "40"]
+    code, out, err = run(argv, capsys)
+    assert (code, len(out), err) == (0, 41, "")
+    code, out, err = run([*argv, "--json"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["gen3iet", "gensturm"])
@@ -717,6 +765,49 @@ def test_out_duplicates_the_rendered_payload(capsys, tmp_path):
     )
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen3iet", "--epsilon", GOLDEN, "--l", GOLDEN_L, "--n", "300"],
+        ["gensturm", "--epsilon", GOLDEN, "--n", "300"],
+    ],
+)
+def test_out_of_an_orbit_command_duplicates_the_payload(argv, capsys, tmp_path):
+    path = tmp_path / "orbit.json"
+    code, out, err = run([*argv, "--json", "--out", str(path)], capsys)
+    assert (code, err) == (0, "") and len(json.loads(out)["orbit"]) == 300
+    assert path.read_text() == out
+
+
+def test_an_unwritable_out_path_is_an_input_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-directory" / "verdict.json"
+    code, out, err = run(
+        ["--json", "--out", str(missing), "sturm", "--value", "1/2"], capsys
+    )
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_a_reader_that_leaves_early_ends_the_output_without_a_traceback():
+    import iet3
+
+    src = str(Path(iet3.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [
+        sys.executable, "-m", "iet3.cli", "gen3iet", "--epsilon", GOLDEN,
+        "--l", GOLDEN_L, "--n", "100000", "--json",
+    ]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as child:
+        head = child.stdout.read(10)
+        # the payload is megabytes, far more than the pipe holds
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (head, err, code) == (b'{\n  "comma', b"", 1)
 
 
 def test_flags_are_accepted_on_either_side_of_the_subcommand(capsys):
