@@ -28,8 +28,10 @@ from .morphisms import (
     SIGMA,
     SIGMA_PRIME,
     SpectralClass,
+    _fixed_point_counts,
     _image_offsets,
     _image_prefix,
+    _pattern_is_primitive,
     find_expanding_letter,
     fixed_point_prefix,
     incidence,
@@ -372,16 +374,18 @@ def _uniform_strict_sign(values: Sequence[QuadraticNumber]) -> bool:
     return signs == {1} or signs == {-1}
 
 
-def _frequency_check(u: Word, densities: Sequence[QuadraticNumber]) -> tuple[float, bool]:
-    """The largest gap between a letter's share of u and its density, as a
-    float for the report, and whether every gap is below
-    ``FREQUENCY_TOLERANCE``, decided exactly."""
-    counts = [u.count(a) for a in TERNARY]
+def _frequency_check(
+    counts: Sequence[int], length: int, densities: Sequence[QuadraticNumber]
+) -> tuple[float, bool]:
+    """The largest gap between a letter's share of a word and its density,
+    as a float for the report, and whether every gap is below
+    ``FREQUENCY_TOLERANCE``, decided exactly.  counts are the word's
+    letter counts in the order of ``TERNARY``, length its length."""
     deviation = max(
-        abs(count / len(u) - float(rho)) for count, rho in zip(counts, densities)
+        abs(count / length - float(rho)) for count, rho in zip(counts, densities)
     )
     consistent = all(
-        abs(QuadraticNumber(Fraction(count, len(u))) - rho) < FREQUENCY_TOLERANCE
+        abs(QuadraticNumber(Fraction(count, length)) - rho) < FREQUENCY_TOLERANCE
         for count, rho in zip(counts, densities)
     )
     return deviation, consistent
@@ -397,7 +401,11 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     non-singular with a quadratic-unit dominant eigenvalue, the recovered
     offsets live in the same quadratic field, the conjugated translation
     vector has one strict sign, and the cumulative heights scale exactly
-    under the substitution.  A pass asserts only that nothing failed.
+    under the substitution.  The letter shares of the first
+    max(``FREQUENCY_PREFIX``, prefix_len) letters of the fixed point are
+    compared with the eigenvector's densities; those letters are counted by
+    descent through the powers of the substitution (``_fixed_point_counts``),
+    not built.  A pass asserts only that nothing failed.
     """
     if set(m.source) != set(TERNARY):
         raise ValueError("substitution must be over the letters A, B, C")
@@ -464,13 +472,15 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     fields["epsilon"] = eps
     fields["l_exact"] = l_exact
 
-    # empirical letter frequencies as an independent cross-check
+    # empirical letter frequencies as an independent cross-check; every
+    # letter occurs in u and the spectrum is quadratic, so the descent of
+    # _fixed_point_counts takes O(log freq_len) levels
     freq_len = max(FREQUENCY_PREFIX, prefix_len)
-    u_long = fixed_point_prefix(m, seed=seed, n=freq_len)
+    counts = _fixed_point_counts(m, seed, freq_len)
     (
         fields["frequency_deviation"],
         fields["frequencies_consistent"],
-    ) = _frequency_check(u_long, densities)
+    ) = _frequency_check([counts[a] for a in TERNARY], freq_len, densities)
 
     try:
         recovery = recover_parameters(u, eps)
@@ -734,14 +744,10 @@ class SearchReport:
 QUICK_FILTER = ((60, PAIR_LENGTH), (400, 25))
 
 
-def _search_stage(m: Morphism) -> str:
-    """The first stage of ``search_substitutions`` that disposes of m."""
-    expanding = find_expanding_letter(m, max_power=1)
-    if expanding is None:
-        return "no-fixed-point"
-    if not is_primitive(incidence(m)):
-        return "non-primitive"
-    seed = expanding.letter
+def _search_stage(m: Morphism, seed: str) -> str:
+    """The stage of ``search_substitutions`` that disposes of m, a primitive
+    candidate whose image of seed starts with seed and has two letters or
+    more: the quick filter, else the certificate, on the fixed point of seed."""
     for prefix_length, window in QUICK_FILTER:
         image = B_AS_01.apply(fixed_point_prefix(m, seed, prefix_length))
         if first_unbalanced_length(image, window) is not None:
@@ -756,6 +762,42 @@ def _search_stage(m: Morphism) -> str:
     return f"certificate-{certificate.verdict}"
 
 
+def _candidate_stages(max_total: int, max_image: int):
+    """(images, stage) for each candidate of ``search_substitutions``, in its
+    order: images is the triple of images of A, B and C.
+
+    Stages 1 and 2 are read from tables of one entry per image.  For each
+    letter a, an image seeds a when it starts with a and has two letters or
+    more; the candidate's seed is the first letter of ``TERNARY`` that its
+    image seeds, which is ``find_expanding_letter(m, max_power=1)``.  The
+    three zero-pattern rows of the images form the pattern that
+    ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
+    both become a ``Morphism``, built unchecked from letters the loop
+    generated itself.
+    """
+    lengths = range(1, min(max_image, max_total - 2) + 1)
+    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}
+    every = [img for k in lengths for img in pool[k]]
+    seeds = [
+        {img: a if len(img) >= 2 and img[0] == a else "" for img in every}
+        for a in TERNARY
+    ]
+    rows = {img: tuple(a in img for a in TERNARY) for img in every}
+    for la, lb, lc in product(lengths, repeat=3):
+        if la + lb + lc > max_total:
+            continue
+        for images in product(pool[la], pool[lb], pool[lc]):
+            ia, ib, ic = images
+            seed = seeds[0][ia] or seeds[1][ib] or seeds[2][ic]
+            if not seed:
+                yield images, "no-fixed-point"
+            elif not _pattern_is_primitive((rows[ia], rows[ib], rows[ic])):
+                yield images, "non-primitive"
+            else:
+                m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
+                yield images, _search_stage(m, seed)
+
+
 def search_substitutions(
     max_total: int = 8,
     max_image: int | None = None,
@@ -766,9 +808,12 @@ def search_substitutions(
     Candidates are the morphisms A, B, C -> images of lengths (la, lb, lc),
     each at most max_image, with la + lb + lc <= max_total.  Each leaves
     through the first stage that disposes of it, and each stage is decided
-    at its cheapest exact level: "no-fixed-point" when
-    ``find_expanding_letter`` finds no letter at power 1, "non-primitive"
-    by ``is_primitive(incidence(m))``, "quick-imbalance" when
+    at its cheapest exact level.  Stages 1 and 2 come from per-image
+    tables (``_candidate_stages``), and no ``Morphism`` is built for the
+    candidates that leave there: "no-fixed-point" when no letter's image
+    starts with it and has two letters or more (``find_expanding_letter``
+    at power 1), "non-primitive" when the images' zero pattern is not
+    primitive (the test of ``is_primitive``).  Then "quick-imbalance" when
     ``first_unbalanced_length`` finds a factor length up to 25 with
     imbalance 2 or more in the first binary image of a 400-letter
     ``fixed_point_prefix`` (a sound refutation, cheaper than the
@@ -778,8 +823,7 @@ def search_substitutions(
     reports.  The quick filter first tests the image of a 60-letter prefix
     up to ``PAIR_LENGTH``, by substring tests alone; the prefixes are
     nested, so what it finds is in the 400-letter image too, and most
-    candidates stop there at length 2.  Candidates are built unchecked,
-    from letters the loop generated itself.
+    candidates stop there at length 2.
     Only certificate-consistent candidates reach ``substitution_audit``;
     results are deterministic, ordered by the textual form.
     """
@@ -799,19 +843,13 @@ def search_substitutions(
         "audit-not-applicable": 0,
     }
     consistent = []
-    lengths = range(1, min(max_image, max_total - 2) + 1)
-    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}
-    for la, lb, lc in product(lengths, repeat=3):
-        if la + lb + lc > max_total:
-            continue
-        for images in product(pool[la], pool[lb], pool[lc]):
-            # letters of TERNARY, each image non-empty
-            m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
-            stage = _search_stage(m)
-            counts["total"] += 1
-            counts[stage] += 1
-            if stage == "certificate-consistent":
-                consistent.append(m)
+    for images, stage in _candidate_stages(max_total, max_image):
+        counts["total"] += 1
+        counts[stage] += 1
+        if stage == "certificate-consistent":
+            consistent.append(
+                Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
+            )
 
     audited = []
     for m in sorted(consistent, key=Morphism.to_text):

@@ -451,43 +451,124 @@ def find_expanding_letter(
     return _expanding_power(m, m.source, max_power)
 
 
+def _seed_power(m: Morphism, seed: str | None) -> Expanding:
+    """The seed and power of ``fixed_point_prefix``: the given seed with its
+    least power up to ``MAX_POWER``, else the first qualifying letter."""
+    if seed is None:
+        found = find_expanding_letter(m)
+        if found is None:
+            raise ValueError("no expanding fixed letter")
+        return found
+    if seed not in m.source:
+        raise ValueError(f"seed {seed!r} outside source alphabet")
+    found = _expanding_power(m, (seed,), MAX_POWER)
+    if found is None:
+        raise ValueError(f"letter {seed!r} does not generate a fixed point")
+    return found
+
+
+def _power_image(m: Morphism, text: str, power: int, n: int, missing: int) -> str:
+    """m^power(text), or a prefix of it holding ``missing`` letters or more.
+
+    Each application maps the whole text while its image cannot pass
+    ``OVERSHOOT`` * n letters, else only the shortest prefix whose image
+    reaches ``missing`` letters (``_image_prefix``).  Images are non-empty,
+    so the first k letters of m(w) depend on the first k letters of w alone.
+    """
+    longest = max(map(len, m.images.values()))
+    for _ in range(power):
+        if len(text) * longest <= OVERSHOOT * n:
+            text = m.apply_text(text)
+        else:
+            text = _image_prefix(m, text, missing)
+    return text
+
+
 def fixed_point_prefix(m: Morphism, seed: str | None = None, n: int = 1000) -> Word:
     """First n letters of the invariant word obtained by iterating from seed.
 
     The seed (or, when omitted, the first qualifying letter) must satisfy
     m^k(seed) = seed... for some power k <= MAX_POWER, the bound of
-    ``find_expanding_letter``; iteration then applies m, k times a round,
-    until the prefix reaches length n.  Each application maps the whole
-    text while its image cannot pass ``OVERSHOOT`` * n letters, else only
-    the shortest prefix whose image reaches n letters (``_image_prefix``):
-    no image built passes max(OVERSHOOT * n, n + the longest image) letters.
+    ``find_expanding_letter``.  The text grows from the letters the last
+    round added: with P = m^k, P^(r+1)(seed) is P^r(seed) followed by P of
+    what round r added, so each round applies m, k times, to those letters
+    alone (the first round maps the seed and adds all but its first
+    letter).  Each application maps the whole of what it is given while
+    its image cannot pass ``OVERSHOOT`` * n letters, else only the shortest
+    prefix whose image reaches the letters still missing
+    (``_power_image``): no image built passes max(OVERSHOOT * n, n + the
+    longest image) letters.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if seed is None:
-        found = find_expanding_letter(m)
-        if found is None:
-            raise ValueError("no expanding fixed letter")
-    else:
-        if seed not in m.source:
-            raise ValueError(f"seed {seed!r} outside source alphabet")
-        found = _expanding_power(m, (seed,), MAX_POWER)
-        if found is None:
-            raise ValueError(f"letter {seed!r} does not generate a fixed point")
-    seed, power = found
-    whole = OVERSHOOT * n // max(map(len, m.images.values()))
+    seed, power = _seed_power(m, seed)
     text = seed
-    # each round grows the text: m^power(seed) is seed and more
-    while len(text) < n:
-        for _ in range(power):
-            if len(text) <= whole:
-                text = m.apply_text(text)
-            else:
-                text = _image_prefix(m, text, n)
+    if n > 1:
+        text = _power_image(m, seed, power, n, n)
+        # P(seed) is the seed and more: the first round added the rest
+        added = text[1:]
+        while len(text) < n:
+            added = _power_image(m, added, power, n, n - len(text))
+            text += added
     if not m.is_endomorphism:
         # the last image may hold target letters outside the source
         return Word(text[:n], m.source)
     return Word._trusted(text[:n], m.source)
+
+
+def _fixed_point_counts(m: Morphism, seed: str, n: int) -> dict[str, int]:
+    """Letter counts of ``fixed_point_prefix(m, seed, n)``, without its letters.
+
+    With k the power of the seed, the prefix is that of m^K(seed) for K the
+    least multiple of k with |m^K(seed)| >= n.  A descent from level K
+    writes it as whole blocks m^j(b): at each level it passes the blocks
+    m^(j-1)(b), for b in m(a), that fit in the letters still missing, and
+    steps into the block that does not.  The counts of the blocks passed
+    are carried down one level at a time, as the counts of their images
+    under m (Horner's rule for the sum of v_j M^j), so no word is built and
+    no image of a power either.  Block lengths saturate at n + 1, which
+    never fits.  There are K levels of at most one image each: O(log n)
+    when the seed's images grow exponentially, about n for linear growth.
+    m must be an endomorphism.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if not m.is_endomorphism:
+        raise ValueError("letter counts need an endomorphism")
+    seed, power = _seed_power(m, seed)
+    letters = m.source
+    index = {a: i for i, a in enumerate(letters)}
+    codes = [[index[b] for b in m.images[a]] for a in letters]
+    rows = [[m.images[a].count(b) for b in letters] for a in letters]
+    a = index[seed]
+    cap = n + 1
+    # levels[j][i] = min(|m^j(letters[i])|, n + 1)
+    levels = [[1] * len(letters)]
+    while (len(levels) - 1) % power or levels[-1][a] < n:
+        sizes = levels[-1]
+        levels.append(
+            [min(cap, sum(c * size for c, size in zip(row, sizes))) for row in rows]
+        )
+    counts = [0] * len(letters)
+    missing = n
+    for sizes in reversed(levels[:-1]):
+        # counts of the blocks passed, from one level up to this one
+        counts = [
+            sum(c * row[j] for c, row in zip(counts, rows)) for j in range(len(letters))
+        ]
+        if missing:
+            for b in codes[a]:
+                if sizes[b] > missing:
+                    a = b
+                    break
+                counts[b] += 1
+                missing -= sizes[b]
+                if not missing:
+                    break
+    if missing:
+        # level 0 alone: the seed is the prefix
+        counts[a] += missing
+    return dict(zip(letters, counts))
 
 
 # -- exact spectral classification ---------------------------------------------

@@ -18,9 +18,10 @@ multiplies incidence matrices power by power.  Balance fills one row per
 letter, one prefix-sum difference per length, where ``words.balance``
 and ``first_unbalanced_length`` read the rows off occurrence gaps; the
 rows also stand in for the latter.  The fixed-point generator searches
-powers on whole images and applies a composed power to the whole text,
-where ``morphisms`` reads two letters per power and maps no more of the
-text than the prefix needs.  The search's stage function decides each
+powers on whole images and maps the whole text every round, where
+``morphisms`` reads two letters per power, maps only the letters the last
+round added and no more of them than the prefix needs, and counts letters
+by a descent through the powers without building them.  The search's stage function decides each
 candidate on a validated morphism, with the 400-letter quick filter
 alone.  They are slow and obviously right, which is what an oracle is
 for.
@@ -38,7 +39,7 @@ from iet3.audit import (
     three_iet_certificate,
 )
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
-from iet3.morphisms import IncidenceMatrix, Morphism, compose, incidence
+from iet3.morphisms import IncidenceMatrix, Morphism, incidence
 from iet3.qfield import (
     FieldMismatchError,
     Frame,
@@ -530,21 +531,33 @@ def find_expanding_letter(m: Morphism, max_power: int = 4):
 
 
 def fixed_point_prefix(m: Morphism, seed: str, n: int) -> str:
-    """Letters of ``morphisms.fixed_point_prefix`` from a given seed."""
-    current = m.images[seed]
+    """Letters of ``morphisms.fixed_point_prefix`` from a given seed: the
+    power searched on whole images, then every round maps the whole text
+    that many times.  A letter outside the source raises, once it is mapped
+    or among the n letters returned."""
+
+    def source_letters(text: str) -> str:
+        outside = sorted(set(text) - set(m.source))
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} outside source alphabet")
+        return text
+
+    def apply(text: str) -> str:
+        return "".join(m.images[ch] for ch in source_letters(text))
+
+    current = apply(seed)
     for power in range(1, 5):
         if len(current) >= 2 and current[0] == seed:
             break
-        current = "".join(m.images[ch] for ch in current)
+        if power < 4:
+            current = apply(current)
     else:
         raise ValueError(f"letter {seed!r} does not generate a fixed point")
-    step = m
-    for _ in range(power - 1):
-        step = compose(m, step)
     text = seed
     while len(text) < n:
-        text = "".join(step.images[ch] for ch in text)
-    return text[:n]
+        for _ in range(power):
+            text = apply(text)
+    return source_letters(text[:n])
 
 
 def search_stage(m: Morphism) -> str:

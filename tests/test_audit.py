@@ -1,8 +1,8 @@
 """Certificates, parameter recovery, substitution audits, searches."""
 
+import functools
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
 import oracle
 import pytest
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from iet3.audit import (
     FREQUENCY_TOLERANCE,
+    FREQUENCY_PREFIX,
     FactsReport,
+    _candidate_stages,
     _frequency_check,
-    _search_stage,
     RecoveryError,
     facts_check,
     is_sturm,
@@ -310,8 +311,13 @@ SEARCH_COUNTS = {
 }
 
 
+@functools.cache
+def search_report(max_total: int):
+    return search_substitutions(max_total=max_total)
+
+
 def assert_search_is_exhaustive_and_violation_free(max_total: int):
-    report = search_substitutions(max_total=max_total)
+    report = search_report(max_total)
     counts = report.counts
     # every candidate leaves through exactly one pre-audit stage, and every
     # certificate-consistent one through exactly one audit outcome
@@ -340,16 +346,11 @@ def test_search_reaching_the_audit_is_exhaustive_and_violation_free():
 
 def test_every_candidate_leaves_at_the_stage_of_the_oracle():
     # the candidates of search_substitutions(7), in its order
-    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in range(1, 6)}
     stages = Counter()
-    for la, lb, lc in product(range(1, 6), repeat=3):
-        if la + lb + lc > 7:
-            continue
-        for images in product(pool[la], pool[lb], pool[lc]):
-            m = Morphism(dict(zip(TERNARY, images)))
-            stage = _search_stage(m)
-            assert stage == oracle.search_stage(m), m
-            stages[stage] += 1
+    for images, stage in _candidate_stages(7, 5):
+        m = Morphism(dict(zip(TERNARY, images)))
+        assert stage == oracle.search_stage(m), m
+        stages[stage] += 1
     assert sum(stages.values()) == SEARCH_COUNTS[7]["total"]
     assert stages == {
         k: v for k, v in SEARCH_COUNTS[7].items()
@@ -367,11 +368,42 @@ def test_the_frequency_gate_decides_a_near_tie_exactly():
     # density: both densities round to one float, so only exact
     # arithmetic tells the two gaps apart
     tiny = Fraction(1, 10**20)
+    counts = [u.count(a) for a in TERNARY]
     near, far = (
-        _frequency_check(u, (QuadraticNumber(Fraction(499, 1000) + t), quarter, quarter))
+        _frequency_check(
+            counts, len(u), (QuadraticNumber(Fraction(499, 1000) + t), quarter, quarter)
+        )
         for t in (tiny, -tiny)
     )
     assert FREQUENCY_TOLERANCE == Fraction(1, 1000)
     assert near == (far[0], True)
     assert far[1] is False
     assert abs(far[0] - 1e-3) < 1e-15
+
+
+def test_audited_frequencies_match_a_built_prefix():
+    # the 30 audits of search_substitutions(7) count their letters by
+    # descent; the oracle builds the 10^5 letters and counts them
+    reached = 0
+    for summary in search_report(7).audited:
+        m = Morphism.from_text(summary.text)
+        report = substitution_audit(m)
+        if report.l_exact is None:
+            assert report.frequency_deviation is None
+            assert report.frequencies_consistent is None
+            continue
+        reached += 1
+        u = oracle.fixed_point_prefix(m, report.expanding.letter, FREQUENCY_PREFIX)
+        counts = Counter(u)
+        # the densities that l and epsilon were read from
+        b = 1 / report.l_exact - 1
+        c = 1 - report.epsilon / report.l_exact
+        densities = (1 - b - c, b, c)
+        assert report.frequency_deviation == max(
+            abs(counts[a] / len(u) - float(rho)) for a, rho in zip(TERNARY, densities)
+        )
+        assert report.frequencies_consistent == all(
+            abs(QuadraticNumber(Fraction(counts[a], len(u))) - rho) < FREQUENCY_TOLERANCE
+            for a, rho in zip(TERNARY, densities)
+        )
+    assert reached > 0

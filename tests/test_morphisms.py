@@ -16,6 +16,7 @@ from iet3.morphisms import (
     IncidenceMatrix,
     Morphism,
     MorphismSyntaxError,
+    _fixed_point_counts,
     _integer_roots,
     compose,
     find_expanding_letter,
@@ -314,6 +315,31 @@ def test_long_images_build_only_the_letters_read(power):
     assert found == ("A", power)
     assert prefix.letters == expected
     assert peak < FIXED_POINT_PEAK
+
+
+def test_counting_letters_builds_no_power_image():
+    # |m^3(A)| is 1.6e7; the descent reads the three images of 4000 letters
+    m = Morphism.from_text(f"A>{'B' * 4000};B>{'C' * 4000};C>A")
+    n = 100_000
+    tracemalloc.start()
+    try:
+        counts = _fixed_point_counts(m, "A", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {"A": n, "B": 0, "C": 0}
+    assert peak < FIXED_POINT_PEAK
+
+
+def test_a_polynomially_growing_fixed_point_maps_only_the_added_letters():
+    # A B B B ...: each round adds one letter, which a whole-text round
+    # would pay for with the whole text again
+    m = Morphism.from_text("A>AB;B>B;C>C")
+    start = time.perf_counter()
+    prefix = fixed_point_prefix(m, n=100_000)
+    elapsed = time.perf_counter() - start
+    assert prefix.letters == "A" + "B" * 99_999
+    assert elapsed < 5
 
 
 # -- spectral classification --------------------------------------------------------

@@ -1,7 +1,8 @@
 """The search's library primitives against their oracles.
 
-``search_substitutions`` decides every candidate through ``is_primitive``
-(row bitmasks, cached by zero pattern), ``first_unbalanced_length``
+``search_substitutions`` decides every candidate through the test of
+``is_primitive`` (row bitmasks, cached by zero pattern; the search reads
+the pattern from its image tables), ``first_unbalanced_length``
 (substring tests for the pairs 0p0 / 1p1 up to ``PAIR_LENGTH`` on a
 two-letter alphabet, then the least length at which the gap row of a
 letter, the rarer one for a two-letter alphabet, reaches 2) and the
@@ -10,10 +11,13 @@ power search shared by ``find_expanding_letter`` and
 ``oracle``: matrix powers, one prefix-sum row per letter and length, and
 a fixed-point generator with its own power search on whole images; the
 generator's differential reaches powers 2 to 4 with images longer than
-the prefix asked for.  The rows of ``balance`` come from the same gaps
-and meet the same row oracle: on every binary word up to 12 letters, on
-random words over binary, ternary and non-ASCII alphabets, on the empty
-word and on windows past the word.
+the prefix asked for.  The grown prefix and the letter counts of
+``_fixed_point_counts`` meet the oracle's whole-text prefix at every
+power, in source orders other than A, B, C, for non-endomorphisms, and at
+the lengths on either side of the seed's block boundaries.  The rows of
+``balance`` come from the same gaps and meet the same row oracle: on
+every binary word up to 12 letters, on random words over binary, ternary
+and non-ASCII alphabets, on the empty word and on windows past the word.
 """
 
 from itertools import product
@@ -31,7 +35,9 @@ from iet3.morphisms import (
     SIGMA,
     SIGMA_PRIME,
     IncidenceMatrix,
+    MAX_POWER,
     Morphism,
+    _fixed_point_counts,
     _pattern_is_primitive,
     find_expanding_letter,
     fixed_point_prefix,
@@ -303,3 +309,97 @@ def test_power_search_matches_the_oracle(m, max_power, n):
                 fixed_point_prefix(m, seed=seed, n=n)
         else:
             assert fixed_point_prefix(m, seed=seed, n=n).letters == expected
+
+
+@st.composite
+def ordered_morphisms(draw):
+    """Morphisms over three letters (four for a seed of power 4), their
+    source in any order, with images of one to four letters; now and then
+    the images may hold D, which a three-letter source does not map."""
+    letters = draw(st.sampled_from(["ABC", "ABC", "ABCD"]))
+    source = draw(st.permutations(letters))
+    image = st.text(alphabet=draw(st.sampled_from([letters, letters, "ABCD"])),
+                    min_size=1, max_size=4)
+    return Morphism({a: draw(image) for a in source}, source=source)
+
+
+def block_boundaries(m: Morphism, seed: str, top: int) -> set[int]:
+    """0, 1 and the lengths on either side of |m^j(seed)| for j up to 12,
+    up to top: where the descent passes a whole block or steps into one."""
+    sizes = dict.fromkeys({*m.source, *m.target}, 1)
+    lengths = {0, 1}
+    for _ in range(13):
+        lengths |= {sizes[seed] - 1, sizes[seed], sizes[seed] + 1}
+        sizes = {a: sum(sizes[b] for b in m.images.get(a, a)) for a in sizes}
+    return {n for n in lengths if n <= top}
+
+
+def assert_prefixes_and_counts_match_the_oracle(m: Morphism, seed: str, lengths):
+    """Both answer as the oracle's whole-text prefix.  The library maps
+    only the letters it needs, so it may succeed where the oracle meets a
+    letter outside the source; the counts refuse every non-endomorphism."""
+    try:
+        expected = oracle.fixed_point_prefix(m, seed, max(lengths))
+    except ValueError:
+        expected = None
+    for n in lengths:
+        try:
+            prefix = fixed_point_prefix(m, seed=seed, n=n).letters
+        except ValueError:
+            prefix = None
+        try:
+            counts = _fixed_point_counts(m, seed, n)
+        except ValueError:
+            counts = None
+        if expected is None:
+            assert counts is None
+            continue
+        assert prefix == expected[:n]
+        if counts is None:
+            assert not m.is_endomorphism
+        else:
+            assert counts == {a: expected[:n].count(a) for a in m.source}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_morphisms(), st.lists(st.integers(0, 400), max_size=3))
+# seeds of powers 2, 3 and 4, and non-endomorphisms whose fixed point
+# reaches the letter outside the source, or stays clear of it
+@example(Morphism.from_text("B>AA;A>B;C>A"), [])
+@example(Morphism.from_text("A>B;C>AA;B>C"), [])
+@example(Morphism.from_text(f"A>{'B' * 9};B>{'C' * 9};C>{'D' * 9};D>A"), [5])
+@example(Morphism.from_text("A>AB;B>D;C>D"), [])
+@example(Morphism.from_text("C>D;A>AB;B>A"), [])
+def test_grown_prefixes_and_counts_match_the_oracle(m, extra):
+    for seed in m.source:
+        top = 10_000 if m.is_endomorphism else 400
+        lengths = block_boundaries(m, seed, top) | set(range(12)) | set(extra)
+        assert_prefixes_and_counts_match_the_oracle(m, seed, sorted(lengths))
+
+
+@pytest.mark.parametrize("text", [
+    "A>AB;B>AACA;C>A",
+    "A>AC;B>ABC;C>B",
+    "C>CA;A>CB;B>C",
+    f"A>{'B' * 9};B>{'C' * 9};C>{'D' * 9};D>A",
+])
+def test_counts_of_a_hundred_thousand_letters_match_the_oracle(text):
+    m = Morphism.from_text(text)
+    found = find_expanding_letter(m)
+    assert found.power == (MAX_POWER if "D" in m.source else 1)
+    lengths = sorted(block_boundaries(m, found.letter, 100_000) | {100_000})
+    assert_prefixes_and_counts_match_the_oracle(m, found.letter, lengths)
+
+
+def test_counts_refuse_a_seed_without_a_fixed_point():
+    m = Morphism.from_text("A>AB;B>C;C>B")
+    assert _fixed_point_counts(m, "A", 5) == {"A": 1, "B": 2, "C": 2}
+    for seed in ("B", "C"):
+        with pytest.raises(ValueError, match=f"letter '{seed}' does not generate"):
+            _fixed_point_counts(m, seed, 5)
+    with pytest.raises(ValueError, match="outside source alphabet"):
+        _fixed_point_counts(m, "D", 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        _fixed_point_counts(m, "A", -1)
+    with pytest.raises(ValueError, match="endomorphism"):
+        _fixed_point_counts(Morphism.from_text("C>D;A>AB;B>A"), "A", 5)
