@@ -308,6 +308,28 @@ SEARCH_COUNTS = {
         "audit-pass": 12,
         "audit-not-applicable": 18,
     },
+    8: {
+        "total": 179604,
+        "no-fixed-point": 79461,
+        "non-primitive": 61555,
+        "quick-imbalance": 38112,
+        "certificate-refuted": 360,
+        "certificate-periodic": 32,
+        "certificate-consistent": 84,
+        "audit-pass": 12,
+        "audit-not-applicable": 72,
+    },
+    9: {
+        "total": 730728,
+        "no-fixed-point": 308367,
+        "non-primitive": 231071,
+        "quick-imbalance": 190063,
+        "certificate-refuted": 1015,
+        "certificate-periodic": 66,
+        "certificate-consistent": 146,
+        "audit-pass": 42,
+        "audit-not-applicable": 104,
+    },
 }
 
 
@@ -342,6 +364,12 @@ def test_small_search_is_exhaustive_and_violation_free():
 def test_search_reaching_the_audit_is_exhaustive_and_violation_free():
     # total length 7 is the least bound with certificate-consistent candidates
     assert_search_is_exhaustive_and_violation_free(7)
+
+
+@pytest.mark.parametrize("max_total", [8, 9])
+def test_longer_searches_keep_their_stage_counts(max_total):
+    # total length 10 (2.9 M candidates) stays out until the search is faster
+    assert_search_is_exhaustive_and_violation_free(max_total)
 
 
 def test_every_candidate_leaves_at_the_stage_of_the_oracle():
