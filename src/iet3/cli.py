@@ -56,7 +56,13 @@ from .dynamics import (
     in_z_epsilon,
 )
 from .morphisms import Morphism
-from .qfield import QuadraticNumber, as_quadratic, parse_quadratic, quadratic_text
+from .qfield import (
+    QuadraticNumber,
+    as_quadratic,
+    parse_quadratic,
+    quadratic_float,
+    quadratic_text,
+)
 from .stepline import stepped_line_svg
 from .words import TERNARY, LatticePoints, Word, balance, complexity
 
@@ -99,9 +105,11 @@ def _orbit_rows(points: LatticePoints) -> list[str]:
     ``points.keys()``; no ``QuadraticNumber`` and no dict is built.  Python's
     int true division is correctly rounded, so a/den and b/den are the
     quotients ``float`` of the point takes from its reduced fractions, and
-    ``approx`` is the same float at any numerator size.  The exact string is
-    escaped and the float written as the standard library's encoder does
-    (``repr``, and ``json.dumps`` for the infinities).
+    ``approx`` is the same float at any numerator size.  Where that sum is
+    not finite, the point's float is ``qfield.quadratic_float``'s
+    rationalised form.  The exact string is escaped and the float written
+    as the standard library's encoder does (``repr``, and ``json.dumps``
+    for what is still infinite).
     """
     frame = points.frame
     den, d = frame.denominator, frame.radicand
@@ -109,11 +117,17 @@ def _orbit_rows(points: LatticePoints) -> list[str]:
     a_column, b_column = points.keys()
     rows = []
     for a, b in zip(a_column.tolist(), b_column.tolist()):
-        approx = a / den
-        if b:
-            approx += b / den * root
+        try:
+            approx = a / den
+            if b:
+                approx += b / den * root
+        except OverflowError:
+            approx = math.nan
         exact = _encode_text(quadratic_text(a, b, den, d))
-        number = float.__repr__(approx) if math.isfinite(approx) else json.dumps(approx)
+        if math.isfinite(approx):
+            number = float.__repr__(approx)
+        else:
+            number = json.dumps(quadratic_float(a, b, den, d))
         rows.append(f'    {{\n      "exact": {exact},\n      "approx": {number}\n    }}')
     return rows
 

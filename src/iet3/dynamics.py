@@ -183,6 +183,18 @@ class OrbitCoding:
         return len(self.word)
 
 
+def _visit_letters(point: np.ndarray, visits: np.ndarray) -> str:
+    """The letters of every visit but the last, from the integer parts
+    ``point`` of the rotation steps and the visiting steps ``visits``: a
+    return time of 2 codes B, and one of 1 codes A when the integer part
+    changed (the rotation wrapped) and C when it did not."""
+    starts = visits[:-1]
+    codes = np.full(len(starts), ord("C"), dtype=np.uint8)
+    codes[point[starts + 1] != point[starts]] = ord("A")
+    codes[np.diff(visits) == 2] = ord("B")
+    return codes.tobytes().decode("ascii")
+
+
 #: a rotation's orbit point is k0*shift_low + k1*shift_high
 _ROTATION_STEPS = {"0": (1, 0), "1": (0, 1)}
 
@@ -232,45 +244,67 @@ class ThreeIet:
             raise ValueError(f"{x} is outside the domain {self.domain}")
         return x + self.translations[a]
 
-    def _first_return(self, steps: int, right_closed: bool = False) -> str:
-        """Letters of the visits to the domain among the first ``steps``
-        steps of the rotation x -> x - e (mod 1), but the last visit.
+    def _steps(self, start: int, stop: int, right_closed: bool):
+        """The rotation steps m in range(start, stop) of x -> x - e (mod 1):
+        the integer parts of x = -m*e - c, and whether step m visits the
+        domain.
 
-        Step m sits at c + (x - floor(x)) with x = -m*e - c, and visits
-        [c, c+l) when floor(x - l) < floor(x); the right-closed domain
-        (c, c+l] of the rotation on (c, c+1] uses ceilings instead.
+        Step m sits at c + (x - floor(x)) and visits [c, c+l) when
+        floor(x - l) < floor(x); the right-closed domain (c, c+l] of the
+        rotation on (c, c+1] uses ceilings instead.
         """
         frame = self._frame
         _, (ea, eb), (ca, cb), (la, lb) = frame.rows
         # floor(x) is floor(-(m*e + x0)) and ceil(x) is -floor(m*e + x0)
         sign = 1 if right_closed else -1
+        sa, sb = -sign * ea, -sign * eb
 
         def integer_parts(a0: int, b0: int) -> np.ndarray:
-            offset, slope = (sign * a0, sign * b0), (-sign * ea, -sign * eb)
+            offset = (sign * a0 + start * sa, sign * b0 + start * sb)
             floors = _kernels.affine_floors(
-                offset, slope, frame.radicand, frame.denominator, steps
+                offset, (sa, sb), frame.radicand, frame.denominator, stop - start
             )
             return -sign * floors
 
         point = integer_parts(ca, cb)
-        visits = np.flatnonzero(integer_parts(ca + la, cb + lb) < point)
-        starts = visits[:-1]
-        codes = np.full(len(starts), ord("C"), dtype=np.uint8)
-        codes[point[starts + 1] != point[starts]] = ord("A")
-        codes[np.diff(visits) == 2] = ord("B")
-        return codes.tobytes().decode("ascii")
+        return point, integer_parts(ca + la, cb + lb) < point
+
+    def _first_return(self, steps: int, right_closed: bool = False) -> str:
+        """Letters of the visits to the domain among the first ``steps``
+        steps of the rotation, but the last visit."""
+        point, inside = self._steps(0, steps, right_closed)
+        return _visit_letters(point, np.flatnonzero(inside))
 
     def code_orbit(self, n: int, right_closed: bool = False) -> OrbitCoding:
         """Code the first n steps of the orbit of 0; exposes the points.
 
-        Return times are 1 or 2, so 2n + 1 rotation steps hold n letters.
+        Letter i is read from visits i and i + 1 of the rotation to the
+        domain, so the rotation steps run up to visit n.  A letter depends
+        on its two visits alone, so more steps only append letters.  The
+        mean return time is 1/l: a float of it sizes the first batch of
+        steps, and decides nothing.  Return times are 1 or 2, so the visits
+        still missing after that batch lie within two steps each of its
+        last visit, and one exact extension reaches them.  The same bound
+        caps the steps at 2n + 1, which hold n + 1 visits.
         """
         if right_closed and n > 0 and not self.params.offset_c:
             raise ValueError(
                 f"orbit point 0 outside right-closed domain "
                 f"({self.domain.lo}, {self.domain.hi}]"
             )
-        letters = self._first_return(2 * n + 1, right_closed)[:n]
+        cap = 2 * n + 1
+        # n + 1 visits at the mean return time, with 1 % and 64 steps to spare
+        steps = min(cap, int((n + 1) / float(self.params.length_l) * 1.01) + 64)
+        point, inside = self._steps(0, steps, right_closed)
+        visits = np.flatnonzero(inside)
+        if len(visits) <= n and steps < cap:
+            # one of any two consecutive steps is a visit, so visits[-1]
+            # is at step steps - 2 or later
+            more = min(cap, int(visits[-1]) + 2 * (n + 1 - len(visits)) + 1)
+            extra, inside = self._steps(steps, more, right_closed)
+            point = np.concatenate((point, extra))
+            visits = np.concatenate((visits, steps + np.flatnonzero(inside)))
+        letters = _visit_letters(point, visits[: n + 1])
         points = LatticePoints.prefix_sums(self._frame, letters, TERNARY_STEPS)
         return OrbitCoding(Word._trusted(letters, TERNARY), points[:n])
 

@@ -42,10 +42,18 @@ class MorphismSyntaxError(ValueError):
     """Malformed textual morphism."""
 
 
+#: ``Morphism.apply_text`` maps texts up to this many letters with one
+#: ``str.translate`` straight to the images; longer ASCII texts take the
+#: byte kernel, whose half-dozen C calls cost more than a short text does
+SHORT_TEXT = 8
+#: the byte kernel's mark for a letter outside the source alphabet
+_OUTSIDE = 0xFF
+
+
 class Morphism:
     """A map of free monoids given by one image word per source letter."""
 
-    __slots__ = ("images", "source", "target")
+    __slots__ = ("images", "source", "target", "_letters", "_table", "_bytes")
 
     def __init__(
         self,
@@ -102,6 +110,11 @@ class Morphism:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        # the tables of apply_text; the byte kernel is built by the first
+        # long text, which few morphisms of the search ever map
+        object.__setattr__(self, "_letters", "".join(images))
+        object.__setattr__(self, "_table", str.maketrans(images))
+        object.__setattr__(self, "_bytes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -155,11 +168,61 @@ class Morphism:
         return self.target == self.source or set(self.target) <= set(self.source)
 
     def apply_text(self, text: str) -> str:
-        images = self.images
+        """The image of text, in C-level passes over the whole text.
+
+        A text of more than ``SHORT_TEXT`` ASCII letters, under a morphism
+        whose letters and images are ASCII, is encoded and translated once
+        by the byte table of ``_byte_kernel``, which also marks any letter
+        outside the source; then one ``bytes.replace`` per longer image
+        writes it over its placeholder.  Any other text is checked by one
+        ``str.strip`` of the source letters and mapped by one
+        ``str.translate`` straight to the images.  A text with a letter
+        outside the source takes the letter-by-letter ``join``, which
+        raises ``ValueError`` naming the first such letter.
+        """
+        kernel = len(text) > SHORT_TEXT and text.isascii() and self._byte_kernel()
+        if kernel:
+            table, replacements = kernel
+            coded = text.encode("ascii").translate(table)
+            if _OUTSIDE not in coded:
+                for placeholder, image in replacements:
+                    coded = coded.replace(placeholder, image)
+                return coded.decode("ascii")
+        elif not text.strip(self._letters):
+            return text.translate(self._table)
         try:
-            return "".join(map(images.__getitem__, text))
+            return "".join(map(self.images.__getitem__, text))
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} outside source alphabet") from None
+
+    def _byte_kernel(self) -> tuple[bytes, tuple] | tuple[()]:
+        """The byte tables of ``apply_text``, built at the first call; ()
+        unless every source letter and every image is ASCII.
+
+        The 256-byte translate table sends a letter with a one-letter image
+        to that image, a letter with a longer image to a placeholder byte
+        from 0x80 up, and every other byte to ``_OUTSIDE``.  No ASCII image
+        holds a byte from 0x80 up, so each (placeholder, image) replacement
+        writes letters that no later replacement reads.
+        """
+        if self._bytes is not None:
+            return self._bytes
+        images = self.images
+        kernel = ()
+        ascii_only = "".join([*images, *images.values()]).isascii()
+        if ascii_only and len(images) < _OUTSIDE - 0x80:
+            table = bytearray([_OUTSIDE]) * 256
+            replacements = []
+            for a, image in images.items():
+                if len(image) == 1:
+                    table[ord(a)] = ord(image)
+                else:
+                    placeholder = 0x80 + len(replacements)
+                    table[ord(a)] = placeholder
+                    replacements.append((bytes((placeholder,)), image.encode("ascii")))
+            kernel = bytes(table), tuple(replacements)
+        object.__setattr__(self, "_bytes", kernel)
+        return kernel
 
     def apply(self, w) -> Word:
         text = w.letters if isinstance(w, Word) else str(w)

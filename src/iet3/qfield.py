@@ -27,6 +27,7 @@ __all__ = [
     "int_floor",
     "int_sign",
     "parse_quadratic",
+    "quadratic_float",
     "quadratic_text",
     "sqrt_int",
 ]
@@ -311,12 +312,8 @@ class QuadraticNumber:
     __floor__ = floor
 
     def __float__(self):
-        # display only; never used for decisions.  Int true division is
-        # correctly rounded, so a/n is the float of the rational part
-        value = self._a / self._n
-        if self._b:
-            value += self._b / self._n * math.sqrt(self._d)
-        return value
+        # display only; never used for decisions
+        return quadratic_float(self._a, self._b, self._n, self._d)
 
     # -- text form -------------------------------------------------------------
 
@@ -325,6 +322,44 @@ class QuadraticNumber:
 
     def __repr__(self):
         return f"QuadraticNumber({str(self)!r})"
+
+
+#: ``quadratic_float`` scales numerators past this many bits into the float range
+_FLOAT_BITS = 960
+
+
+def quadratic_float(a: int, b: int, q: int, d: int | None) -> float:
+    """The float of (a + b*sqrt(d))/q for integers a, b and q > 0; for display.
+
+    It is a/q + (b/q)*sqrt(d) in floats.  Int true division is correctly
+    rounded, so a/q and b/q do not depend on a common factor of a, b and
+    q.  When b is not 0 and that sum is not finite, or a/q or b/q passes
+    the float range, the rationalised form (a*a - b*b*d)/(q*(a - b*sqrt(d)))
+    is taken, on the triple divided by gcd(a, b, q): its integer numerator
+    holds the cancellation exactly, and a and b are scaled by 2**-k into
+    the float range.  When that is not finite either, the sum's answer
+    stands: inf, or the OverflowError of a/q or b/q.
+    """
+    if not b:
+        return a / q
+    try:
+        value = a / q + b / q * math.sqrt(d)
+    except OverflowError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    g = math.gcd(a, b, q)
+    a, b, q = a // g, b // g, q // g
+    k = max(0, max(abs(a).bit_length(), abs(b).bit_length()) - _FLOAT_BITS)
+    try:
+        scaled = a / (1 << k) - b / (1 << k) * math.sqrt(d)
+        rationalised = (a * a - b * b * d) / (q << k) / scaled
+    except (OverflowError, ZeroDivisionError):
+        rationalised = math.nan
+    if math.isfinite(rationalised):
+        return rationalised
+    # the sum's inf, or its OverflowError raised again
+    return a / q + b / q * math.sqrt(d)
 
 
 def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:

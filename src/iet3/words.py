@@ -158,7 +158,15 @@ class Word:
         return self.letters.count(letter)
 
     def is_over(self, alphabet: Sequence[str]) -> bool:
-        return set(self.letters) <= set(alphabet)
+        """Whether every letter is one of ``alphabet``'s single characters.
+
+        A word's letters lie in its declared alphabet, so a declared
+        alphabet inside ``alphabet`` answers at once; otherwise one
+        ``str.strip`` scans the letters.
+        """
+        if set(self.alphabet) <= set(alphabet):
+            return True
+        return not self.letters.strip("".join(alphabet))
 
 
 def _as_word(w, alphabet=None) -> Word:

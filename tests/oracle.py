@@ -21,7 +21,11 @@ rows also stand in for the latter.  The fixed-point generator searches
 powers on whole images and maps the whole text every round, where
 ``morphisms`` reads two letters per power, maps only the letters the last
 round added and no more of them than the prefix needs, and counts letters
-by a descent through the powers without building them.  The search's stage function decides each
+by a descent through the powers without building them.  ``apply_text``
+joins one image per letter, where ``Morphism.apply_text`` translates the
+whole text at once, and ``exchange_letters_of_all_steps`` codes an
+exchange from all 2n + 1 rotation steps that n letters can need, where
+``ThreeIet.code_orbit`` stops at visit n.  The search's stage function decides each
 candidate on a validated morphism, with the 400-letter quick filter
 alone.  They are slow and obviously right, which is what an oracle is
 for.
@@ -248,6 +252,12 @@ def exchange_letters(iet: ThreeIet, n: int, right_closed: bool = False) -> str:
         xa += sa
         xb += sb
     return "".join(letters)
+
+
+def exchange_letters_of_all_steps(iet: ThreeIet, n: int, right_closed: bool = False) -> str:
+    """The first n letters of the first return of the rotation over 2n + 1
+    steps, the most that n + 1 visits can take."""
+    return iet._first_return(2 * n + 1, right_closed)[:n]
 
 
 def rotation_letters(rotation, n: int) -> str:
@@ -515,6 +525,15 @@ def balance(w: Word, n_max: int) -> tuple[dict, int]:
             row.append(int(counts.max() - counts.min()))
         table[a] = tuple(row)
     return table, window
+
+
+def apply_text(m: Morphism, text: str) -> str:
+    """m(text), one image per letter; a letter outside the source raises
+    the ``ValueError`` that names the first one."""
+    try:
+        return "".join(map(m.images.__getitem__, text))
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]!r} outside source alphabet") from None
 
 
 def find_expanding_letter(m: Morphism, max_power: int = 4):

@@ -261,8 +261,8 @@ def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
 
 #: with a = floor(b*sqrt(2)), a converts to the largest float but b times
 #: the float of sqrt(2) rounds past it: the float of b*sqrt(2) - a, summed
-#: from its two parts, is inf, and that of the next orbit point -inf, which
-#: JSON writes as Infinity and -Infinity
+#: from its two parts, is inf, that of the next orbit point -inf, and the
+#: parts of the point after overflow; each reads its rationalised form
 OVERFLOW_B = 1592262918131443 * 2**973
 OVERFLOWING = parse_quadratic(f"{OVERFLOW_B}*sqrt(2)-{math.isqrt(2 * OVERFLOW_B**2)}")
 
@@ -288,15 +288,35 @@ def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, huge):
     _assert_orbit_json_matches_the_oracle(argv, head, coding.points, huge)
 
 
-def test_an_orbit_point_past_the_float_range_is_an_input_error(capsys):
-    # epsilon's parts are near 10**307, and those of the later points
-    # pass the float range, where the exact text still reads
-    b = 10**307
-    argv = ["gensturm", f"--epsilon={b}*sqrt(2)-{math.isqrt(2 * b * b)}", "--n", "40"]
+def _no_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "b, n",
+    [(10**307, 40), (OVERFLOW_B, 2), (OVERFLOW_B, 3)],
+    ids=["parts-pass-the-range", "sum-is-infinite", "sum-overflows"],
+)
+def test_orbit_points_whose_parts_pass_the_float_range_are_strict_json(b, n, capsys):
+    # epsilon and the points lie in [0, 1], where their float parts do not
+    a = math.isqrt(2 * b * b)
+    argv = ["gensturm", f"--epsilon={b}*sqrt(2)-{a}", "--n", str(n)]
     code, out, err = run(argv, capsys)
-    assert (code, len(out), err) == (0, 41, "")
+    assert (code, len(out), err) == (0, n + 1, "")
     code, out, err = run([*argv, "--json"], capsys)
-    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_no_constant)
+    values = [doc["epsilon"], *doc["orbit"]]
+    assert len(values) == n + 1
+    for value in values:
+        assert value["approx"] == float(parse_quadratic(value["exact"]))
+    # where the sum of the two parts is finite it stands, cancellation and
+    # all; where it is not, the float is the rationalised one: epsilon is
+    # b*sqrt(2) - a to 60 bits
+    if b == OVERFLOW_B:
+        assert all(0 <= value["approx"] <= 1 for value in values)
+        exact = (math.isqrt(2 * b * b << 120) - (a << 60)) / 2**60
+        assert math.isclose(values[0]["approx"], exact, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("command", ["gen3iet", "gensturm"])

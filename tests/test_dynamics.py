@@ -1,10 +1,13 @@
 """Exchanges, rotations, induction, arithmetic conditions, densities."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import oracle
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_lattice import exchange_params
 
 from iet3.dynamics import (
     ConstraintError,
@@ -21,6 +24,7 @@ from iet3.dynamics import (
     zeps_coordinates,
 )
 from iet3.qfield import FieldMismatchError, parse_quadratic
+from iet3.words import TERNARY_STEPS, LatticePoints
 
 GOLDEN = parse_quadratic("(-1+sqrt(5))/2")
 
@@ -78,6 +82,65 @@ def test_frozen_coding_prefixes():
 
     degenerate = IetParameters(GOLDEN, 2 - 2 * GOLDEN, 0)
     assert ThreeIet(degenerate).code_orbit(20).word == "ABABACABABACABACABAB"
+
+
+def _coding_pools() -> list[tuple[str, str, str]]:
+    """The (epsilon, l, c) triples of the benchmark's coding workload, read
+    from its source without importing it, so nothing is written there."""
+    namespace: dict = {"__name__": "perfbench_workloads"}
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), namespace)
+    return [triple for _name, _rc, pool in namespace["CODING_CLASSES"] for triple in pool]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+CODING_TRIPLES = _coding_pools()
+
+
+def _assert_codes_as_all_steps(iet: ThreeIet, n: int, right_closed: bool):
+    coding = iet.code_orbit(n, right_closed=right_closed)
+    letters = oracle.exchange_letters_of_all_steps(iet, n, right_closed)
+    assert coding.word.letters == letters
+    assert coding.points == LatticePoints.prefix_sums(iet._frame, letters, TERNARY_STEPS)[:n]
+
+
+@pytest.mark.parametrize("triple", CODING_TRIPLES, ids="|".join)
+def test_codings_of_the_benchmark_triples_match_all_steps(triple):
+    params = IetParameters(*map(parse_quadratic, triple))
+    iet = ThreeIet(params)
+    for right_closed in (False, True):
+        for n in (0, 1, 2, 10**4):
+            if right_closed and n and not params.offset_c:
+                continue
+            _assert_codes_as_all_steps(iet, n, right_closed)
+
+
+def test_a_first_batch_that_falls_short_is_extended(monkeypatch):
+    # the visits of epsilon = 5/11 run about 5 % below the mean rate 1/l
+    # over the first 10**4 letters, past the first batch's margin
+    assert ("5/11", "10/13", "-1/7") in CODING_TRIPLES
+    iet = ThreeIet(IetParameters(*map(parse_quadratic, ("5/11", "10/13", "-1/7"))))
+    want = [oracle.exchange_letters_of_all_steps(iet, 10**4, rc) for rc in (False, True)]
+    batches = []
+    steps = ThreeIet._steps
+
+    def spy(self, start, stop, right_closed):
+        batches.append((start, stop))
+        return steps(self, start, stop, right_closed)
+
+    monkeypatch.setattr(ThreeIet, "_steps", spy)
+    for right_closed, letters in zip((False, True), want):
+        batches.clear()
+        assert iet.code_orbit(10**4, right_closed=right_closed).word.letters == letters
+        # the batch, then one extension short of the 2n + 1 steps
+        (_, first), (start, stop) = batches
+        assert first == start < stop < 2 * 10**4 + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(exchange_params(), st.integers(0, 3000), st.booleans())
+def test_codings_match_all_steps(params, n, right_closed):
+    assume(not (right_closed and n and not params.offset_c))
+    _assert_codes_as_all_steps(ThreeIet(params), n, right_closed)
 
 
 def test_orbit_points_follow_the_translations(golden_params):

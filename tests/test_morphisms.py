@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import oracle
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3.morphisms import (
@@ -172,6 +172,58 @@ def test_endomorphism_detection_and_target_inference():
 def test_apply_rejects_letters_outside_the_source():
     with pytest.raises(ValueError, match="outside source"):
         SIGMA.apply_text("AD")
+
+
+#: source alphabets: ASCII ones, Greek letters, and one with a letter past ASCII
+SOURCES = ["ABC", "01", "xyz!", "αβγ", "aé"]
+#: image letters, among them the characters a placeholder could be taken
+#: from: ASCII controls, the bytes 0x80 and 0xff, and private-use code points
+ASCII_LETTERS = "ABC01xyz!\x00\x01\x02\x7f"
+IMAGE_LETTERS = ASCII_LETTERS + "αβγaé\x80\xff\ue000\ue001"
+
+
+@st.composite
+def images_and_texts(draw):
+    source = draw(st.sampled_from(SOURCES))
+    letters = draw(st.sampled_from([source, ASCII_LETTERS, IMAGE_LETTERS]))
+    images = {
+        a: draw(st.text(alphabet=letters, min_size=1, max_size=6)) for a in source
+    }
+    m = Morphism(images, source=tuple(source))
+    size = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 16, 17, 60, 400, 10**4]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return m, "".join(rng.choices(source, k=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images_and_texts(), st.integers(0, 10**4), st.sampled_from("DZ0βé\x80\ue000"))
+def test_images_match_the_letter_by_letter_oracle(m_text, at, outsider):
+    m, text = m_text
+    assert m.apply_text(text) == oracle.apply_text(m, text)
+    assert m.apply(text) == Word(oracle.apply_text(m, text), m.target)
+    if outsider in m.source:
+        return
+    # a letter outside the source, anywhere in the text, raises the error
+    # that names it, the first of two
+    at %= len(text) + 1
+    bad = text[:at] + outsider + text[at:] + "§"
+    with pytest.raises(ValueError) as want:
+        oracle.apply_text(m, bad)
+    with pytest.raises(ValueError) as got:
+        m.apply_text(bad)
+    assert str(got.value) == str(want.value) == f"letter {outsider!r} outside source alphabet"
+
+
+@pytest.mark.parametrize(
+    "images",
+    [("\x01\x80", "\xff", "A\x00\ue000"), ("\x01\x02", "\x00", "A\x7f\x01")],
+    ids=["non-ascii", "ascii"],
+)
+def test_images_of_placeholder_characters_are_written_as_given(images):
+    m = Morphism(dict(zip(TERNARY, images)), source=TERNARY)
+    text = "ABCAACB" * 100
+    for size in (5, 700):
+        assert m.apply_text(text[:size]) == "".join(m.images[a] for a in text[:size])
 
 
 def test_composition_acts_by_substituting_images():

@@ -379,3 +379,40 @@ def test_equal_values_hash_equal(xy):
         assert hash(x) == hash(x.rational_value)
     z = x * 3 + Fraction(1, 7) - x * 2 - Fraction(1, 7)
     assert z == x and hash(z) == hash(x)
+
+
+# -- floats for display ------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(940, 1020),
+    st.integers(2**52, 2**53),
+    st.sampled_from([2, 3, 5, 7, 13]),
+    st.integers(-2, 3),
+    st.integers(1, 9),
+)
+def test_a_float_whose_parts_pass_the_range_is_the_rationalised_one(e, m, d, j, q):
+    # x = (b*sqrt(d) - a)/q cancels two parts near 2**(e + 53) to below 1
+    b = m << e
+    a = math.isqrt(b * b * d) - j
+    x = QuadraticNumber(Fraction(-a, q), Fraction(b, q), d)
+    try:
+        naive = -a / q + b / q * math.sqrt(d)
+    except OverflowError:
+        naive = math.nan
+    if math.isfinite(naive):
+        # the sum stands where it is finite
+        assert float(x) == naive
+    else:
+        k = 200
+        exact = (math.isqrt(b * b * d << 2 * k) - (a << k)) / (q << k)
+        assert math.isclose(float(x), exact, rel_tol=1e-13)
+
+
+def test_a_value_past_the_float_range_keeps_the_sums_answer():
+    assert float(QuadraticNumber(10**308, 10**308, 2)) == math.inf
+    assert float(QuadraticNumber(-(10**308), -(10**308), 2)) == -math.inf
+    for x in (QuadraticNumber(10**400, 10**400, 2), QuadraticNumber(10**400)):
+        with pytest.raises(OverflowError):
+            float(x)

@@ -86,6 +86,26 @@ def test_word_is_immutable_and_compares_to_plain_strings():
     assert len(w) == 3
 
 
+@given(words_with_alphabets(), st.lists(st.characters(), max_size=5).map(tuple))
+def test_is_over_answers_by_the_letters(word_and_alphabet, alphabet):
+    text, declared = word_and_alphabet
+    for word in (Word._trusted(text, declared), Word._trusted(text, declared + alphabet)):
+        assert word.is_over(alphabet) == (set(text) <= set(alphabet))
+
+
+def test_a_declared_alphabet_wider_than_the_letters_answers_by_the_letters():
+    assert Word("0110", ("0", "1", "2")).is_over(BINARY)
+    assert not Word("0112", ("0", "1", "2")).is_over(BINARY)
+    assert Word("AB", TERNARY).is_over(("A", "B"))
+    assert not Word("ABC", TERNARY).is_over(("A", "B"))
+    assert Word("", TERNARY).is_over(())
+    assert Word("AB", TERNARY).is_over(TERNARY + BINARY)
+    # heights accept a word over a wider alphabet whose letters are binary
+    half = Fraction(1, 2)
+    wide = height_f(Word("0110", ("0", "1", "A")), half)
+    assert list(wide) == list(height_f(Word("0110"), half))
+
+
 # -- complexity ------------------------------------------------------------------
 
 
