@@ -84,6 +84,9 @@ def test_frozen_coding_prefixes():
     assert ThreeIet(degenerate).code_orbit(20).word == "ABABACABABACABACABAB"
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
 def _coding_pools() -> list[tuple[str, str, str]]:
     """The (epsilon, l, c) triples of the benchmark's coding workload, read
     from its source without importing it, so nothing is written there."""
@@ -92,7 +95,6 @@ def _coding_pools() -> list[tuple[str, str, str]]:
     return [triple for _name, _rc, pool in namespace["CODING_CLASSES"] for triple in pool]
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 CODING_TRIPLES = _coding_pools()
 
 
