@@ -330,6 +330,17 @@ SEARCH_COUNTS = {
         "audit-pass": 42,
         "audit-not-applicable": 104,
     },
+    10: {
+        "total": 2856492,
+        "no-fixed-point": 1161297,
+        "non-primitive": 826871,
+        "quick-imbalance": 865142,
+        "certificate-refuted": 2784,
+        "certificate-periodic": 146,
+        "certificate-consistent": 252,
+        "audit-pass": 42,
+        "audit-not-applicable": 210,
+    },
 }
 
 
@@ -366,9 +377,8 @@ def test_search_reaching_the_audit_is_exhaustive_and_violation_free():
     assert_search_is_exhaustive_and_violation_free(7)
 
 
-@pytest.mark.parametrize("max_total", [8, 9])
+@pytest.mark.parametrize("max_total", [8, 9, 10])
 def test_longer_searches_keep_their_stage_counts(max_total):
-    # total length 10 (2.9 M candidates) stays out until the search is faster
     assert_search_is_exhaustive_and_violation_free(max_total)
 
 
