@@ -12,6 +12,10 @@ time.  Rows:
   letters: ``code_orbit``, ``height_f`` of its ``B -> 01`` image,
   ``complexity(u, 30)``, ``balance`` of that image at window 300,
   ``three_iet_certificate`` and ``recover_parameters``;
+- ``three_iet_certificate`` on a search-sized prefix of 2 000 letters (at
+  most ``--letters``): a balanced one, of the golden coding, and a refuted
+  one, of the fixed point of ``A>AC;B>AC;C>B``, whose ``B -> 01`` image is
+  balanced and whose ``B -> 10`` image is not;
 - ``Morphism.apply_text`` of ``B -> 01`` on prefixes of 5, 60, 400 and
   10 000 letters, and ``code_orbit`` of 10 000 letters (each capped at
   ``--letters``);
@@ -40,6 +44,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = ("(-1+sqrt(5))/2", "(1+sqrt(5))/4", "0")
 AUDITED = "A>AB;B>AACA;C>A"
+REFUTED = "A>AC;B>AC;C>B"
+CERTIFIED_PREFIX = 2_000
 
 
 def best(call, repeat: int, number: int = 1) -> float:
@@ -85,6 +91,11 @@ def rows(letters: int, repeat: int, search_max_total: int, src: str) -> list[dic
     row("balance", lambda: words.balance(image, 300), letters)
     row("certificate", lambda: audit.three_iet_certificate(u), letters)
     row("recover", lambda: audit.recover_parameters(u, eps), letters)
+    size = min(CERTIFIED_PREFIX, letters)
+    balanced = u[:size]
+    refuted = morphisms.fixed_point_prefix(morphisms.Morphism.from_text(REFUTED), n=size)
+    row("certificate_balanced", lambda: audit.three_iet_certificate(balanced), size)
+    row("certificate_refuted", lambda: audit.three_iet_certificate(refuted), size)
 
     for size in (5, 60, 400, 10**4):
         text = u.letters[: min(size, letters)]

@@ -14,6 +14,7 @@ is a 3iet coding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .dynamics import ConstraintError, IetParameters, ThreeIet, _common_field
 from .morphisms import (
     Expanding,
@@ -42,9 +44,11 @@ from .morphisms import (
 )
 from .qfield import Frame, QuadraticNumber, as_quadratic
 from .words import (
+    BINARY,
     PAIR_LENGTH,
     TERNARY,
     Word,
+    _least_pair_length,
     balance,
     complexity,
     first_unbalanced_length,
@@ -391,6 +395,31 @@ def _frequency_check(
     return deviation, consistent
 
 
+def _scaling_relation_holds(
+    frame: Frame, p: np.ndarray, q: np.ndarray, starts: np.ndarray
+) -> bool:
+    """Whether g(starts[n]) = lam_conj * g(n) for every n < len(starts).
+
+    Heights are g(i) = p[i] - q[i]*eps, so each difference is the integer
+    combination (p[starts[n]], q[starts[n]], -p[n], -q[n]) of the four
+    elements of frame, 1, -eps, lam_conj and -lam_conj*eps; it vanishes
+    exactly when both numerator columns do.  They are computed in one
+    array pass, in int64 where ``_kernels.int_dtype`` allows and in
+    Python ints otherwise.
+    """
+    n = len(starts)
+    columns = (p[starts], q[starts], -p[:n], -q[:n])
+    largest = max(int(np.abs(c).max(initial=0)) for c in columns)
+    weight = sum(max(abs(x) for x in row) for row in frame.rows)
+    dtype = _kernels.int_dtype(largest * weight)
+    columns = [c.astype(dtype) for c in columns]
+    for part in (0, 1):
+        numerator = sum(c * row[part] for c, row in zip(columns, frame.rows))
+        if np.count_nonzero(numerator):
+            return False
+    return True
+
+
 def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     """Audit a ternary substitution against every available necessary condition.
 
@@ -526,15 +555,10 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     offsets = _image_offsets(m, u.letters[:SCALING_PREFIXES])
     # the prefixes whose image fits in u
     checked = int(np.searchsorted(offsets, len(u), "right")) - 1
-    starts = offsets[: checked + 1].tolist()
-    # heights are p - q*eps, so g[starts[n]] - lam_conj * g[n] is an integer
-    # combination of 1, -eps, lam_conj and -lam_conj*eps that must vanish
+    starts = offsets[: checked + 1]
     g = height_g(u[: starts[checked]], eps)
-    gp, gq = g.p.tolist(), g.q.tolist()
-    frame = Frame((1, -eps, lam_conj, -lam_conj * eps))
-    fields["scaling_relation_holds"] = all(
-        frame.combine((gp[starts[n]], gq[starts[n]], -gp[n], -gq[n])) == (0, 0)
-        for n in range(checked + 1)
+    fields["scaling_relation_holds"] = _scaling_relation_holds(
+        Frame((1, -eps, lam_conj, -lam_conj * eps)), g.p, g.q, starts
     )
     fields["scaling_prefixes"] = checked
 
@@ -744,14 +768,9 @@ class SearchReport:
 QUICK_FILTER = ((60, PAIR_LENGTH), (400, 25))
 
 
-def _search_stage(m: Morphism, seed: str) -> str:
-    """The stage of ``search_substitutions`` that disposes of m, a primitive
-    candidate whose image of seed starts with seed and has two letters or
-    more: the quick filter, else the certificate, on the fixed point of seed."""
-    for prefix_length, window in QUICK_FILTER:
-        image = B_AS_01.apply(fixed_point_prefix(m, seed, prefix_length))
-        if first_unbalanced_length(image, window) is not None:
-            return "quick-imbalance"
+def _certificate_stage(m: Morphism, seed: str) -> str:
+    """The stage of ``search_substitutions`` that disposes of m, a
+    candidate that passed the quick filter on the fixed point of seed."""
     try:
         prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
         certificate = three_iet_certificate(prefix)
@@ -762,40 +781,194 @@ def _search_stage(m: Morphism, seed: str) -> str:
     return f"certificate-{certificate.verdict}"
 
 
-def _candidate_stages(max_total: int, max_image: int):
-    """(images, stage) for each candidate of ``search_substitutions``, in its
-    order: images is the triple of images of A, B and C.
+def _rule(letter: int, seed: int) -> int:
+    """What the seed-order rule asks of the image of a letter, by index in
+    ``TERNARY``: 0 that it not seed the letter (a letter before the seed),
+    1 that it seed it (the seed), 2 nothing (a letter after the seed)."""
+    return 0 if letter < seed else 1 if letter == seed else 2
 
-    Stages 1 and 2 are read from tables of one entry per image.  For each
-    letter a, an image seeds a when it starts with a and has two letters or
-    more; the candidate's seed is the first letter of ``TERNARY`` that its
-    image seeds, which is ``find_expanding_letter(m, max_power=1)``.  The
-    three zero-pattern rows of the images form the pattern that
-    ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
-    both become a ``Morphism``, built unchecked from letters the loop
-    generated itself.
+
+#: the letters of TERNARY as ASCII codes, and the table that sends each to
+#: its mark in the quick filter's walk
+_LETTERS = b"ABC"
+_MARKS = bytes.maketrans(_LETTERS, b"\x80\x81\x82")
+
+
+def _with(rows: tuple, letter: int, row: int) -> tuple:
+    return rows[:letter] + (row,) + rows[letter + 1 :]
+
+
+class _SearchPool:
+    """The candidates of ``search_substitutions``, decided in groups.
+
+    An image seeds its letter when it starts with it and has two letters
+    or more, and a candidate's seed is the first letter of ``TERNARY``
+    whose image seeds it.  Stages 1 and 2 read an image only through its
+    length, whether it seeds its letter and its zero-pattern row (a bit
+    per letter it holds), so the pool is grouped by letter, seed-order
+    rule (``_rule``), length and row, and both stages are counted from
+    the group sizes (``stage_counts``).  The quick filter builds each
+    fixed point once for every candidate that shares the images it reads
+    (``quick_filter``).
     """
-    lengths = range(1, min(max_image, max_total - 2) + 1)
-    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}
-    every = [img for k in lengths for img in pool[k]]
-    seeds = [
-        {img: a if len(img) >= 2 and img[0] == a else "" for img in every}
-        for a in TERNARY
-    ]
-    rows = {img: tuple(a in img for a in TERNARY) for img in every}
-    for la, lb, lc in product(lengths, repeat=3):
-        if la + lb + lc > max_total:
-            continue
-        for images in product(pool[la], pool[lb], pool[lc]):
-            ia, ib, ic = images
-            seed = seeds[0][ia] or seeds[1][ib] or seeds[2][ic]
-            if not seed:
-                yield images, "no-fixed-point"
-            elif not _pattern_is_primitive((rows[ia], rows[ib], rows[ic])):
-                yield images, "non-primitive"
+
+    def __init__(self, max_total: int, max_image: int):
+        self.max_total = max_total
+        self.lengths = range(1, min(max_image, max_total - 2) + 1)
+        # groups[letter][rule][(length, row)] lists the images that obey the rule
+        self.groups = [({}, {}, {}) for _ in TERNARY]
+        for k in self.lengths:
+            for letters in product(_LETTERS, repeat=k):
+                image = bytes(letters)
+                key = (k, sum(1 << i for i, a in enumerate(_LETTERS) if a in letters))
+                for i, a in enumerate(_LETTERS):
+                    for rule in (int(k >= 2 and letters[0] == a), 2):
+                        self.groups[i][rule].setdefault(key, []).append(image)
+        self.primitive = {
+            rows: _pattern_is_primitive(
+                tuple(tuple(bool(row >> j & 1) for j in range(3)) for row in rows)
+            )
+            for rows in product(range(1, 8), repeat=3)
+        }
+        self._completions: dict[tuple, int] = {}
+
+    def stage_counts(self) -> dict[str, int]:
+        """"total", "no-fixed-point" and "non-primitive".  The first two are
+        products of group sizes per length triple; the candidates with a
+        seed that are primitive are ``completions`` of no image at all."""
+        not_seeding = [
+            {
+                k: sum(len(g) for (length, _row), g in groups[0].items() if length == k)
+                for k in self.lengths
+            }
+            for groups in self.groups
+        ]
+        total = no_fixed_point = 0
+        for ks in product(self.lengths, repeat=3):
+            if sum(ks) <= self.max_total:
+                total += 3 ** sum(ks)
+                no_fixed_point += math.prod(n[k] for n, k in zip(not_seeding, ks))
+        primitive = sum(
+            self.completions(seed, (0, 0, 0), self.max_total) for seed in range(3)
+        )
+        return {
+            "total": total,
+            "no-fixed-point": no_fixed_point,
+            "non-primitive": total - no_fixed_point - primitive,
+        }
+
+    def completions(self, seed: int, rows: tuple, budget: int) -> int:
+        """The primitive candidates with the given seed whose images have
+        the given rows, 0 for an image not chosen yet, when the images not
+        chosen obey the seed-order rule in at most budget letters."""
+        key = (seed, rows, budget)
+        count = self._completions.get(key)
+        if count is None:
+            unread = rows.count(0)
+            if not unread:
+                count = int(self.primitive[rows])
             else:
-                m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
-                yield images, _search_stage(m, seed)
+                i = rows.index(0)
+                count = sum(
+                    len(images) * self.completions(seed, _with(rows, i, row), budget - k)
+                    for (k, row), images in self.groups[i][_rule(i, seed)].items()
+                    if k <= budget - unread + 1
+                )
+            self._completions[key] = count
+        return count
+
+    def quick_filter(self) -> tuple[int, list]:
+        """The quick-imbalance count and the (images, seed, prefix) of every
+        primitive candidate with a seed that the quick filter passes, where
+        prefix is the 400-letter fixed-point prefix the filter read.
+
+        For each seed image the fixed point u = m(u) is built lazily: the
+        text m(u[:read]) is a prefix of u, and it grows by the images of
+        the letters past read until it holds 400 letters or reads a letter
+        whose image is not chosen yet.  Then the ``B_AS_01`` image of what
+        has been read is tested: pairs up to ``PAIR_LENGTH`` on the first
+        60 letters, then ``first_unbalanced_length`` up to 25 on 400.  An
+        imbalance there is in the image of the 400-letter prefix of every
+        candidate that shares the images read, so all of them, the
+        ``completions``, leave at "quick-imbalance" at once.  Otherwise the
+        walk branches over the images of the letter read next, pruning
+        every group without a primitive completion.  Both levels of
+        ``QUICK_FILTER`` find an imbalance exactly when the longer one does,
+        and the walk finds one exactly when they do.
+        """
+        prefix_length = QUICK_FILTER[-1][0]
+        quick = 0
+        passed = []
+        # the images chosen so far, b"" for the others; the text is ASCII
+        # bytes, and a chunk is mapped by one translate of each letter to
+        # its mark and one replace of each mark by the letter's image
+        images = [b""] * 3
+
+        def walk(seed, rows, budget, text, read, level):
+            # level: the QUICK_FILTER levels whose whole prefix is read and
+            # whose image holds no imbalance
+            nonlocal quick
+            unread = [a for a, row in zip(_LETTERS, rows) if not row]
+            ia, ib, ic = images
+            while level < len(QUICK_FILTER):
+                goal, window = QUICK_FILTER[level]
+                while len(text) < goal:
+                    # m(text[read:stop]) for the letters before the first one
+                    # not chosen, and no more than the goal can need
+                    stop = min(len(text), read + goal - len(text))
+                    for a in unread:
+                        at = text.find(a, read, stop)
+                        if at >= 0:
+                            stop = at
+                    if stop == read:
+                        break
+                    chunk = text[read:stop].translate(_MARKS)
+                    text += chunk.replace(b"\x80", ia).replace(b"\x81", ib).replace(b"\x82", ic)
+                    read = stop
+                read_all = len(text) >= goal
+                # pairs are tested on what has been read, the longer window
+                # only once the whole prefix is
+                if level == 0 or read_all:
+                    image = B_AS_01.apply_text(text[:goal].decode())
+                    if level == 0:
+                        found = _least_pair_length(image, *BINARY, window)
+                    else:
+                        found = first_unbalanced_length(
+                            Word._trusted(image, BINARY), window
+                        )
+                    if found is not None:
+                        quick += self.completions(seed, rows, budget)
+                        return
+                if not read_all:
+                    break
+                level += 1
+            if not unread:
+                chosen = tuple(image.decode() for image in images)
+                passed.append((chosen, TERNARY[seed], text[:prefix_length].decode()))
+                return
+            i = _LETTERS.index(text[read] if level < len(QUICK_FILTER) else unread[0])
+            spare = budget - len(unread) + 1
+            for (k, row), group in self.groups[i][_rule(i, seed)].items():
+                if k > spare:
+                    continue
+                chosen = _with(rows, i, row)
+                if not self.completions(seed, chosen, budget - k):
+                    continue
+                for image in group:
+                    images[i] = image
+                    walk(seed, chosen, budget - k, text, read, level)
+            images[i] = b""
+
+        for seed in range(3):
+            for (k, row), group in self.groups[seed][1].items():
+                rows = _with((0, 0, 0), seed, row)
+                if not self.completions(seed, rows, self.max_total - k):
+                    continue
+                for image in group:
+                    images[seed] = image
+                    walk(seed, rows, self.max_total - k, image, 1, 0)
+            images[seed] = b""
+        return quick, passed
 
 
 def search_substitutions(
@@ -808,23 +981,25 @@ def search_substitutions(
     Candidates are the morphisms A, B, C -> images of lengths (la, lb, lc),
     each at most max_image, with la + lb + lc <= max_total.  Each leaves
     through the first stage that disposes of it, and each stage is decided
-    at its cheapest exact level.  Stages 1 and 2 come from per-image
-    tables (``_candidate_stages``), and no ``Morphism`` is built for the
-    candidates that leave there: "no-fixed-point" when no letter's image
+    at its cheapest exact level.  The first three are counted, not
+    enumerated (``_SearchPool``): "no-fixed-point" when no letter's image
     starts with it and has two letters or more (``find_expanding_letter``
-    at power 1), "non-primitive" when the images' zero pattern is not
-    primitive (the test of ``is_primitive``).  Then "quick-imbalance" when
-    ``first_unbalanced_length`` finds a factor length up to 25 with
-    imbalance 2 or more in the first binary image of a 400-letter
-    ``fixed_point_prefix`` (a sound refutation, cheaper than the
-    certificate), else "certificate-error", "-refuted", "-periodic" or
-    "-consistent", the verdict of ``three_iet_certificate`` on a
-    ``CERTIFICATE_PREFIX``-letter prefix, the same certificate the audit
-    reports.  The quick filter first tests the image of a 60-letter prefix
-    up to ``PAIR_LENGTH``, by substring tests alone; the prefixes are
-    nested, so what it finds is in the 400-letter image too, and most
-    candidates stop there at length 2.
-    Only certificate-consistent candidates reach ``substitution_audit``;
+    at power 1), and "non-primitive" when the images' zero pattern is not
+    primitive (the test of ``is_primitive``), both as sums of products of
+    group sizes; then "quick-imbalance" when ``first_unbalanced_length``
+    finds a factor length up to 25 with imbalance 2 or more in the first
+    binary image of the 400-letter fixed-point prefix, a sound refutation
+    cheaper than the certificate.  That filter walks each fixed point
+    once, lazily, for every candidate that shares the images it reads, and
+    counts the candidates an imbalance decides without building them.  The
+    first 60 letters are tested up to ``PAIR_LENGTH`` by substring tests
+    alone, where most candidates stop at length 2; the prefixes are
+    nested, so what that finds is in the 400-letter image too.  Only the
+    candidates the filter passes become a ``Morphism``, and each leaves at
+    "certificate-error", "-refuted", "-periodic" or "-consistent", the
+    verdict of ``three_iet_certificate`` on a ``CERTIFICATE_PREFIX``-letter
+    ``fixed_point_prefix``, the same certificate the audit reports.  Only
+    certificate-consistent candidates reach ``substitution_audit``;
     results are deterministic, ordered by the textual form.
     """
     if max_image is None:
@@ -842,14 +1017,16 @@ def search_substitutions(
         "audit-fail": 0,
         "audit-not-applicable": 0,
     }
+    pool = _SearchPool(max_total, max_image)
+    counts.update(pool.stage_counts())
+    counts["quick-imbalance"], passed = pool.quick_filter()
     consistent = []
-    for images, stage in _candidate_stages(max_total, max_image):
-        counts["total"] += 1
+    for images, seed, _prefix in passed:
+        m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
+        stage = _certificate_stage(m, seed)
         counts[stage] += 1
         if stage == "certificate-consistent":
-            consistent.append(
-                Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
-            )
+            consistent.append(m)
 
     audited = []
     for m in sorted(consistent, key=Morphism.to_text):

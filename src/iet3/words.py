@@ -509,6 +509,17 @@ def _unbalanced_pairs(a: str, b: str) -> tuple[tuple[int, str, str], ...]:
     return tuple(pairs)
 
 
+def _least_pair_length(text: str, a: str, b: str, n_max: int) -> int | None:
+    """The least n <= min(n_max, ``PAIR_LENGTH``) at which text over {a, b}
+    holds a pair apa and bpb of ``_unbalanced_pairs``, else None."""
+    for n, left, right in _unbalanced_pairs(a, b):
+        if n > n_max:
+            break
+        if left in text and right in text:
+            return n
+    return None
+
+
 def first_unbalanced_length(w, n_max: int) -> int | None:
     """The least factor length n <= n_max at which some letter's imbalance
     is 2 or more, or None when no length up to min(n_max, len(w)) has one.
@@ -530,12 +541,9 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
     decided = 0
     if len(w.alphabet) == 2 and w.alphabet[0] != w.alphabet[1]:
         decided = min(window, PAIR_LENGTH)
-        text = w.letters
-        for n, left, right in _unbalanced_pairs(*w.alphabet):
-            if n > decided:
-                break
-            if left in text and right in text:
-                return n
+        found = _least_pair_length(w.letters, *w.alphabet, decided)
+        if found is not None:
+            return found
     if window <= decided:
         return None
     found = None

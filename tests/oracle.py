@@ -27,23 +27,33 @@ whole text at once, and ``exchange_letters_of_all_steps`` codes an
 exchange from all 2n + 1 rotation steps that n letters can need, where
 ``ThreeIet.code_orbit`` stops at visit n.  The search's stage function decides each
 candidate on a validated morphism, with the 400-letter quick filter
-alone.  They are slow and obviously right, which is what an oracle is
-for.
+alone.  ``candidate_stages`` is the search loop that ``audit._SearchPool``
+replaced: it enumerates every candidate and decides it on its own, stages
+1 and 2 from per-image tables and both quick-filter levels on prefixes
+built by ``fixed_point_prefix``, where the pool counts stages 1 and 2
+from group sizes and walks each fixed point once for all the candidates
+that share the images it reads.  The audit's scaling relation makes one
+``Frame.combine`` call per prefix, where ``substitution_audit`` makes one
+array pass.  They are slow and obviously right, which is what an oracle
+is for.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from iet3.audit import (
     B_AS_01,
     CERTIFICATE_PREFIX,
+    QUICK_FILTER,
     RecoveryError,
     three_iet_certificate,
 )
 from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
-from iet3.morphisms import IncidenceMatrix, Morphism, incidence
+from iet3 import morphisms
+from iet3.morphisms import IncidenceMatrix, Morphism, _pattern_is_primitive, incidence
 from iet3.qfield import (
     FieldMismatchError,
     Frame,
@@ -605,3 +615,66 @@ def search_stage(m: Morphism) -> str:
     if cert.is_consistent:
         return "certificate-consistent"
     return f"certificate-{cert.verdict}"
+
+
+def candidate_stage(m: Morphism, seed: str) -> str:
+    """The stage of one primitive candidate of ``candidate_stages`` whose
+    image of seed starts with seed and has two letters or more: both
+    ``QUICK_FILTER`` levels, one after the other, on library-built
+    fixed-point prefixes, else the certificate."""
+    for prefix_length, window in QUICK_FILTER:
+        image = B_AS_01.apply(morphisms.fixed_point_prefix(m, seed, prefix_length))
+        if first_unbalanced_length(image, window) is not None:
+            return "quick-imbalance"
+    try:
+        prefix = morphisms.fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
+        certificate = three_iet_certificate(prefix)
+    except ValueError:
+        return "certificate-error"
+    if certificate.is_consistent:
+        return "certificate-consistent"
+    return f"certificate-{certificate.verdict}"
+
+
+def candidate_stages(max_total: int, max_image: int):
+    """(images, stage) for each candidate of ``audit.search_substitutions``,
+    one candidate at a time: images is the triple of images of A, B and C.
+
+    Stages 1 and 2 are read from tables of one entry per image.  For each
+    letter a, an image seeds a when it starts with a and has two letters or
+    more; the candidate's seed is the first letter of ``TERNARY`` that its
+    image seeds, which is ``find_expanding_letter(m, max_power=1)``.  The
+    three zero-pattern rows of the images form the pattern that
+    ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
+    both become a ``Morphism`` and go through ``candidate_stage``.
+    """
+    lengths = range(1, min(max_image, max_total - 2) + 1)
+    pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}
+    every = [img for k in lengths for img in pool[k]]
+    seeds = [
+        {img: a if len(img) >= 2 and img[0] == a else "" for img in every}
+        for a in TERNARY
+    ]
+    rows = {img: tuple(a in img for a in TERNARY) for img in every}
+    for la, lb, lc in product(lengths, repeat=3):
+        if la + lb + lc > max_total:
+            continue
+        for images in product(pool[la], pool[lb], pool[lc]):
+            ia, ib, ic = images
+            seed = seeds[0][ia] or seeds[1][ib] or seeds[2][ic]
+            if not seed:
+                yield images, "no-fixed-point"
+            elif not _pattern_is_primitive((rows[ia], rows[ib], rows[ic])):
+                yield images, "non-primitive"
+            else:
+                m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
+                yield images, candidate_stage(m, seed)
+
+
+def scaling_relation_holds(frame: Frame, p, q, starts) -> bool:
+    """``audit._scaling_relation_holds`` by one ``Frame.combine`` per prefix."""
+    p, q, starts = p.tolist(), q.tolist(), starts.tolist()
+    return all(
+        frame.combine((p[s], q[s], -p[n], -q[n])) == (0, 0)
+        for n, s in enumerate(starts)
+    )

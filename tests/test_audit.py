@@ -4,6 +4,7 @@ import functools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import given
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from iet3.audit import (
     FREQUENCY_TOLERANCE,
     FREQUENCY_PREFIX,
+    QUICK_FILTER,
     FactsReport,
-    _candidate_stages,
+    _SearchPool,
     _frequency_check,
+    _scaling_relation_holds,
     RecoveryError,
     facts_check,
     is_sturm,
@@ -24,9 +27,15 @@ from iet3.audit import (
     three_iet_certificate,
 )
 from iet3.dynamics import IetParameters, ThreeIet
-from iet3.morphisms import Morphism
-from iet3.qfield import FieldMismatchError, QuadraticNumber, parse_quadratic, sqrt_int
-from iet3.words import TERNARY, Word
+from iet3.morphisms import Morphism, fixed_point_prefix
+from iet3.qfield import (
+    FieldMismatchError,
+    Frame,
+    QuadraticNumber,
+    parse_quadratic,
+    sqrt_int,
+)
+from iet3.words import TERNARY, Word, height_g
 
 GOOD = Morphism.from_text("A>AB;B>AACA;C>A")
 
@@ -383,9 +392,9 @@ def test_longer_searches_keep_their_stage_counts(max_total):
 
 
 def test_every_candidate_leaves_at_the_stage_of_the_oracle():
-    # the candidates of search_substitutions(7), in its order
+    # the candidates of search_substitutions(7), one at a time
     stages = Counter()
-    for images, stage in _candidate_stages(7, 5):
+    for images, stage in oracle.candidate_stages(7, 5):
         m = Morphism(dict(zip(TERNARY, images)))
         assert stage == oracle.search_stage(m), m
         stages[stage] += 1
@@ -394,6 +403,70 @@ def test_every_candidate_leaves_at_the_stage_of_the_oracle():
         k: v for k, v in SEARCH_COUNTS[7].items()
         if k != "total" and not k.startswith("audit-")
     }
+
+
+@functools.cache
+def oracle_stages(max_total: int, max_image: int):
+    """The oracle's stage counts, and the image triples that reach the
+    certificate, of search_substitutions(max_total, max_image)."""
+    stages = Counter()
+    certified = set()
+    for images, stage in oracle.candidate_stages(max_total, max_image):
+        stages[stage] += 1
+        if stage.startswith("certificate-"):
+            certified.add(images)
+    return stages, frozenset(certified)
+
+
+@pytest.mark.parametrize("max_total, max_image", [(6, 4), (7, 5), (8, 6), (8, 3)])
+def test_the_counted_stages_are_those_of_the_oracle(max_total, max_image):
+    if max_image == max_total - 2:
+        counts = search_report(max_total).counts
+    else:
+        counts = search_substitutions(max_total, max_image=max_image).counts
+    stages, _certified = oracle_stages(max_total, max_image)
+    assert counts["total"] == sum(stages.values())
+    assert {
+        k: v for k, v in counts.items()
+        if v and k != "total" and not k.startswith("audit-")
+    } == stages
+
+
+@pytest.mark.parametrize("max_total", [7, 8])
+def test_the_walk_passes_the_candidates_of_the_oracle(max_total):
+    quick, passed = _SearchPool(max_total, max_total - 2).quick_filter()
+    stages, certified = oracle_stages(max_total, max_total - 2)
+    assert quick == stages["quick-imbalance"]
+    assert len(passed) == len(certified)
+    assert {images for images, _seed, _prefix in passed} == certified
+    # the prefix the walk read is the library's fixed-point prefix
+    length = QUICK_FILTER[-1][0]
+    for images, seed, prefix in passed:
+        m = Morphism(dict(zip(TERNARY, images)))
+        assert prefix == fixed_point_prefix(m, seed, length).letters, m
+        assert seed == oracle.find_expanding_letter(m, max_power=1)[0]
+
+
+# -- the audit's scaling relation --------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1, 10**20])
+def test_the_scaling_check_is_the_loop_of_the_oracle(scale, good_report):
+    # the audit's relation and a wrong conjugate eigenvalue (the dominant
+    # one), on the frame of the audit and on one scaled past int64
+    eps = good_report.epsilon
+    u = fixed_point_prefix(GOOD, n=3000)
+    ends = np.cumsum([0] + [len(GOOD.images[a]) for a in u.letters[:500]])
+    starts = ends[ends <= len(u)]
+    g = height_g(u[: int(starts[-1])], eps)
+    spectral = good_report.spectral
+    verdicts = []
+    for lam in (spectral.dominant_conjugate, spectral.dominant):
+        frame = Frame((scale, -scale * eps, scale * lam, -scale * lam * eps))
+        holds = _scaling_relation_holds(frame, g.p, g.q, starts)
+        assert holds == oracle.scaling_relation_holds(frame, g.p, g.q, starts)
+        verdicts.append(holds)
+    assert verdicts == [True, False]
 
 
 # -- letter frequencies ------------------------------------------------------------
