@@ -861,19 +861,18 @@ class _SearchPool:
         """The primitive candidates with the given seed whose images have
         the given rows, 0 for an image not chosen yet, when the images not
         chosen obey the seed-order rule in at most budget letters."""
+        unread = rows.count(0)
+        if not unread:
+            return int(self.primitive[rows])
         key = (seed, rows, budget)
         count = self._completions.get(key)
         if count is None:
-            unread = rows.count(0)
-            if not unread:
-                count = int(self.primitive[rows])
-            else:
-                i = rows.index(0)
-                count = sum(
-                    len(images) * self.completions(seed, _with(rows, i, row), budget - k)
-                    for (k, row), images in self.groups[i][_rule(i, seed)].items()
-                    if k <= budget - unread + 1
-                )
+            i = rows.index(0)
+            count = sum(
+                len(images) * self.completions(seed, _with(rows, i, row), budget - k)
+                for (k, row), images in self.groups[i][_rule(i, seed)].items()
+                if k <= budget - unread + 1
+            )
             self._completions[key] = count
         return count
 
@@ -968,6 +967,9 @@ class _SearchPool:
                     images[seed] = image
                     walk(seed, rows, self.max_total - k, image, 1, 0)
             images[seed] = b""
+        # walk refers to itself through its closure; without the cycle the
+        # pool is freed when the search returns, not at the next collection
+        del walk
         return quick, passed
 
 

@@ -447,14 +447,6 @@ class Frame:
         self.denominator = den
         self.radicand = radicands.pop() if radicands else 0
 
-    def combine(self, coefficients) -> tuple[int, int]:
-        """Numerator of the integer combination sum(c_k * element_k)."""
-        a = b = 0
-        for c, (ra, rb) in zip(coefficients, self.rows):
-            a += c * ra
-            b += c * rb
-        return a, b
-
     def value(self, numerator: tuple[int, int]) -> QuadraticNumber:
         return QuadraticNumber._make(*numerator, self.denominator, self.radicand)
 

@@ -32,10 +32,10 @@ replaced: it enumerates every candidate and decides it on its own, stages
 1 and 2 from per-image tables and both quick-filter levels on prefixes
 built by ``fixed_point_prefix``, where the pool counts stages 1 and 2
 from group sizes and walks each fixed point once for all the candidates
-that share the images it reads.  The audit's scaling relation makes one
-``Frame.combine`` call per prefix, where ``substitution_audit`` makes one
-array pass.  They are slow and obviously right, which is what an oracle
-is for.
+that share the images it reads.  The audit's scaling relation takes one
+integer combination of the frame's rows per prefix, where
+``substitution_audit`` makes one array pass.  They are slow and
+obviously right, which is what an oracle is for.
 """
 
 import math
@@ -671,10 +671,20 @@ def candidate_stages(max_total: int, max_image: int):
                 yield images, candidate_stage(m, seed)
 
 
+def frame_combination(frame: Frame, coefficients) -> tuple[int, int]:
+    """Numerator of the integer combination sum(c_k * element_k) of a frame."""
+    a = b = 0
+    for c, (ra, rb) in zip(coefficients, frame.rows):
+        a += c * ra
+        b += c * rb
+    return a, b
+
+
 def scaling_relation_holds(frame: Frame, p, q, starts) -> bool:
-    """``audit._scaling_relation_holds`` by one ``Frame.combine`` per prefix."""
+    """``audit._scaling_relation_holds`` by one integer combination of the
+    frame's rows per prefix."""
     p, q, starts = p.tolist(), q.tolist(), starts.tolist()
     return all(
-        frame.combine((p[s], q[s], -p[n], -q[n])) == (0, 0)
+        frame_combination(frame, (p[s], q[s], -p[n], -q[n])) == (0, 0)
         for n, s in enumerate(starts)
     )

@@ -103,8 +103,8 @@ def test_frame_numerators_are_values_over_one_denominator():
     eps = parse_quadratic("(-1+sqrt(5))/2")
     frame = Frame((1, -eps, Fraction(1, 3)))
     assert frame.denominator == 6 and frame.radicand == 5
-    assert frame.value(frame.combine((4, 7, 3))) == 4 - 7 * eps + 1
-    assert frame.value(frame.combine((0, 1))) == -eps
+    assert frame.value(oracle.frame_combination(frame, (4, 7, 3))) == 4 - 7 * eps + 1
+    assert frame.value(oracle.frame_combination(frame, (0, 1))) == -eps
 
 
 @pytest.mark.parametrize("text", ["", "0", "1"])
