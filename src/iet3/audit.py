@@ -409,7 +409,9 @@ def _scaling_relation_holds(
     """
     n = len(starts)
     columns = (p[starts], q[starts], -p[:n], -q[:n])
-    largest = max(int(np.abs(c).max(initial=0)) for c in columns)
+    # every product and partial sum is at most largest * weight; at least 1
+    # for largest, so that rows past int64 never meet an int64 column
+    largest = max(1, *(int(np.abs(c).max(initial=0)) for c in columns))
     weight = sum(max(abs(x) for x in row) for row in frame.rows)
     dtype = _kernels.int_dtype(largest * weight)
     columns = [c.astype(dtype) for c in columns]
@@ -795,6 +797,7 @@ _MARKS = bytes.maketrans(_LETTERS, b"\x80\x81\x82")
 
 
 def _with(rows: tuple, letter: int, row: int) -> tuple:
+    """rows with the row of one letter, by index, replaced."""
     return rows[:letter] + (row,) + rows[letter + 1 :]
 
 
@@ -833,9 +836,10 @@ class _SearchPool:
         self._completions: dict[tuple, int] = {}
 
     def stage_counts(self) -> dict[str, int]:
-        """"total", "no-fixed-point" and "non-primitive".  The first two are
-        products of group sizes per length triple; the candidates with a
-        seed that are primitive are ``completions`` of no image at all."""
+        """The counts of "total", "no-fixed-point" and "non-primitive".  The
+        first two are products of group sizes per length triple; the
+        primitive candidates with a seed are the ``completions`` of no
+        image at all."""
         not_seeding = [
             {
                 k: sum(len(g) for (length, _row), g in groups[0].items() if length == k)
@@ -928,12 +932,12 @@ class _SearchPool:
                 # pairs are tested on what has been read, the longer window
                 # only once the whole prefix is
                 if level == 0 or read_all:
-                    image = B_AS_01.apply_text(text[:goal].decode())
+                    binary = B_AS_01.apply_text(text[:goal].decode())
                     if level == 0:
-                        found = _least_pair_length(image, *BINARY, window)
+                        found = _least_pair_length(binary, *BINARY, window)
                     else:
                         found = first_unbalanced_length(
-                            Word._trusted(image, BINARY), window
+                            Word._trusted(binary, BINARY), window
                         )
                     if found is not None:
                         quick += self.completions(seed, rows, budget)
@@ -942,8 +946,8 @@ class _SearchPool:
                     break
                 level += 1
             if not unread:
-                chosen = tuple(image.decode() for image in images)
-                passed.append((chosen, TERNARY[seed], text[:prefix_length].decode()))
+                triple = tuple(image.decode() for image in images)
+                passed.append((triple, TERNARY[seed], text[:prefix_length].decode()))
                 return
             i = _LETTERS.index(text[read] if level < len(QUICK_FILTER) else unread[0])
             spare = budget - len(unread) + 1

@@ -466,6 +466,8 @@ def test_the_scaling_check_is_the_loop_of_the_oracle(scale, good_report):
         holds = _scaling_relation_holds(frame, g.p, g.q, starts)
         assert holds == oracle.scaling_relation_holds(frame, g.p, g.q, starts)
         verdicts.append(holds)
+        # the empty prefix alone: zero columns against the frame's rows
+        assert _scaling_relation_holds(frame, g.p, g.q, starts[:1])
     assert verdicts == [True, False]
 
 
