@@ -471,6 +471,30 @@ def test_the_scaling_check_is_the_loop_of_the_oracle(scale, good_report):
     assert verdicts == [True, False]
 
 
+@given(
+    st.lists(st.tuples(st.integers(-999, 999), st.integers(-999, 999)), min_size=1, max_size=30),
+    st.lists(st.integers(0, 29), min_size=1, max_size=30),
+    st.lists(st.tuples(st.fractions(max_denominator=50), st.integers(-9, 9)), min_size=2, max_size=2),
+    st.sampled_from([1, 10**20]),
+    st.booleans(),
+)
+def test_the_scaling_check_matches_the_loop_on_any_columns(pairs, picks, parts, scale, mirror):
+    # a mirrored frame (x, y, x, y) over starts n -> n vanishes everywhere;
+    # as in the audit, there are no more starts than heights
+    picks = picks[: len(pairs)]
+    p = np.array([a for a, _ in pairs], dtype=np.int64)
+    q = np.array([b for _, b in pairs], dtype=np.int64)
+    x, y = (scale * (r + s * sqrt_int(2)) for r, s in parts)
+    if mirror:
+        frame, starts = Frame((x, y, x, y)), np.arange(len(picks))
+    else:
+        frame = Frame((x, y, y, x + 1))
+        starts = np.array([i % len(pairs) for i in picks], dtype=np.int64)
+    holds = _scaling_relation_holds(frame, p, q, starts)
+    assert holds == oracle.scaling_relation_holds(frame, p, q, starts)
+    assert holds or not mirror
+
+
 # -- letter frequencies ------------------------------------------------------------
 
 
