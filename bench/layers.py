@@ -23,7 +23,9 @@ time.  Rows:
 - end to end: ``substitution_audit`` of ``A>AB;B>AACA;C>A``, an in-process
   ``gen3iet --n 10000 --json`` (at most ``--letters`` points),
   ``search_substitutions(--search-max-total)`` and a cold ``iet3 sturm``
-  process, spawn to exit.
+  process, spawn to exit;
+- next to ``gen3iet``, its orbit row writer ``cli._orbit_rows`` alone, on
+  the golden orbit of that length and of ten times it.
 
 The record carries nproc, the Python and numpy versions and the git SHA
 of the checkout that ``--src`` lies in.  Nothing in the package reads it.
@@ -122,6 +124,11 @@ def rows(letters: int, repeat: int, search_max_total: int, src: str) -> list[dic
                 raise RuntimeError("gen3iet failed")
 
     row("gen3iet_json", gen3iet, short)
+    for size in (short, 10 * short):
+        points = iet.code_orbit(size).points
+        # a gen3iet call computes the numerators once, before its rows
+        points.keys()
+        row("orbit_rows", lambda: cli._orbit_rows(points), size)
     row("search", lambda: audit.search_substitutions(search_max_total), search_max_total)
 
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")

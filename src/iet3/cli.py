@@ -9,10 +9,11 @@ or the search carries) is written by ``_json``: its keys are the fields,
 in declaration order, except that AuditReport.l_exact is written as "l"
 and AuditSummary.text as "morphism".  Every payload is rendered by
 ``json.dumps(indent=2)``, except the orbit points of gen3iet and gensturm,
-the last key of their payloads: each point is one row of a fixed text
-template, written straight from the integer numerators of the lattice
-frame, with no exact number and no dict built per point, and the rows are
-spliced in after the rest.  The document is byte for byte the one
+the last key of their payloads: they are written in chunks of points,
+each by one %-format of the text forms of ``qfield.text_forms`` over
+array passes on the integer numerators of the lattice frame, with no
+exact number and no dict built per point, and the chunks are spliced in
+after the rest.  The document is byte for byte the one
 ``json.dumps(indent=2)`` writes for the same values.  A row's string is
 the one ``str`` gives, and its float equals ``float`` of the point.  Its
 quotients a/n and b/n are correctly rounded, their sum is not, and it can
@@ -35,8 +36,12 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_text
+from itertools import chain
 from xml.etree import ElementTree
+
+import numpy as np
+
+from . import _kernels
 
 from .audit import (
     is_sturm,
@@ -61,7 +66,7 @@ from .qfield import (
     as_quadratic,
     parse_quadratic,
     quadratic_float,
-    quadratic_text,
+    text_forms,
 )
 from .stepline import stepped_line_svg
 from .words import TERNARY, LatticePoints, Word, balance, complexity
@@ -82,6 +87,11 @@ MAX_RETURN_TIME = 10**6
 #: of the letters it keeps rows for, N in all.  The default window of 300
 #: fits at 10^6 letters
 MAX_BALANCE_WORK = 10**9
+#: orbit points ``_orbit_rows`` writes with one %-format; a fixed chunk
+#: keeps its arrays and its argument tuple small at any orbit length
+ORBIT_CHUNK = 2048
+#: integers below this in magnitude convert to float64 exactly
+_EXACT_FLOAT = 2**53
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,56 +107,89 @@ def _num(x) -> dict:
     return {"exact": str(q), "approx": float(q)}
 
 
+def _float_text(x: float) -> str:
+    """``x`` as the standard library's JSON encoder writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _orbit_rows(points: LatticePoints) -> list[str]:
     """The rows of the "orbit" array of ``points`` as ``json.dumps(indent=2)``
-    writes them under a top-level key: each is ``_num`` of one point.
+    writes them under a top-level key, each ``_num`` of one point, in
+    chunks of ``ORBIT_CHUNK`` rows joined by ",\n".
 
     Point i is (a + b*sqrt(d))/den with the integers a, b of
-    ``points.keys()``; no ``QuadraticNumber`` and no dict is built.  Python's
-    int true division is correctly rounded, so a/den and b/den are the
-    quotients ``float`` of the point takes from its reduced fractions, and
-    ``approx`` is the same float at any numerator size.  Where that sum is
-    not finite, the point's float is ``qfield.quadratic_float``'s
-    rationalised form.  The exact string is escaped and the float written
-    as the standard library's encoder does (``repr``, and ``json.dumps``
-    for what is still infinite).
+    ``points.keys()``; no ``QuadraticNumber`` and no dict is built.  Each
+    chunk is reduced by gcd(a, b, den) in one array pass, array
+    comparisons give each point its form in ``qfield.text_forms(d)``, and
+    one %-format of row templates that wrap those forms writes the chunk.
+    An exact text is ASCII digits, signs, "/", "*", brackets and "sqrt",
+    so plain quotes make it a JSON string.  ``approx`` is ``float`` of the
+    point, ``qfield.quadratic_float(a, b, den, d)``: where a, b and den
+    are below 2**53 in magnitude they convert to float64 exactly, and
+    a/den + b/den*sqrt(d) in float64 is that float, operation for
+    operation; every other point, past 2**53 or in an object array, takes
+    ``quadratic_float`` itself.  Floats are written as the standard
+    library's encoder writes them.
     """
     frame = points.frame
     den, d = frame.denominator, frame.radicand
     root = math.sqrt(d)
+    forms = [
+        f'    {{\n      "exact": "{form}",\n      "approx": %s\n    }}'
+        for form in text_forms(d)
+    ]
     a_column, b_column = points.keys()
-    rows = []
-    for a, b in zip(a_column.tolist(), b_column.tolist()):
-        try:
-            approx = a / den
-            if b:
-                approx += b / den * root
-        except OverflowError:
-            approx = math.nan
-        exact = _encode_text(quadratic_text(a, b, den, d))
-        if math.isfinite(approx):
-            number = float.__repr__(approx)
+    if _kernels.int_dtype(den) is object:
+        a_column, b_column = a_column.astype(object), b_column.astype(object)
+    float64_sums = a_column.dtype != object and den < _EXACT_FLOAT
+    chunks = []
+    for start in range(0, len(a_column), ORBIT_CHUNK):
+        a = a_column[start : start + ORBIT_CHUNK]
+        b = b_column[start : start + ORBIT_CHUNK]
+        g = np.gcd(np.gcd(a, b), den)
+        a_reduced, b_reduced, q_reduced = a // g, b // g, den // g
+        # the form index quadratic_text takes: 0, 4, 8 or 12 for b of 0, 1,
+        # -1 or any other, plus 2 for a != 0 and 1 for q != 1
+        kinds = (
+            12 * (b_reduced != 0) - 8 * (b_reduced == 1) - 4 * (b_reduced == -1)
+            + 2 * (a_reduced != 0) + (q_reduced != 1)
+        )
+        if float64_sums:
+            texts = list(map(float.__repr__, (a / den + b / den * root).tolist()))
+            small = (
+                (a > -_EXACT_FLOAT) & (a < _EXACT_FLOAT)
+                & (b > -_EXACT_FLOAT) & (b < _EXACT_FLOAT)
+            )
+            others = np.flatnonzero(~small).tolist()
         else:
-            number = json.dumps(quadratic_float(a, b, den, d))
-        rows.append(f'    {{\n      "exact": {exact},\n      "approx": {number}\n    }}')
-    return rows
+            texts = [None] * len(a)
+            others = range(len(a))
+        for i in others:
+            texts[i] = _float_text(quadratic_float(int(a[i]), int(b[i]), den, d))
+        args = zip(a_reduced.tolist(), b_reduced.tolist(), q_reduced.tolist(), texts)
+        template = ",\n".join(map(forms.__getitem__, kinds.tolist()))
+        chunks.append(template % tuple(chain.from_iterable(args)))
+    return chunks
 
 
 def _render(payload: dict) -> str:
     """``json.dumps(payload, indent=2)``; orbit points a handler left under
-    "orbit" are written last, by ``_orbit_rows``."""
+    "orbit" are written last, by ``_orbit_rows``, and its chunks are
+    spliced into the rest of the document by one join."""
     if "orbit" not in payload:
         return json.dumps(payload, indent=2)
     head = dict(payload)
-    rows = _orbit_rows(head.pop("orbit"))
+    chunks = _orbit_rows(head.pop("orbit"))
     text = json.dumps({**head, "orbit": []}, indent=2)
-    if not rows:
+    if not chunks:
         return text
-    # one join copies the text once: the head, up to the "[]" of the empty
-    # array, opens the first row and the closing brackets end the last
-    rows[0] = text[: -len("[]\n}")] + "[\n" + rows[0]
-    rows[-1] += "\n  ]\n}"
-    return ",\n".join(rows)
+    # the head, up to the "[]" of the empty array, opens the first chunk,
+    # ",\n" goes between two chunks and the closing brackets end the last
+    parts = [text[: -len("[]\n}")] + "[\n"]
+    for chunk in chunks:
+        parts += (chunk, ",\n")
+    parts[-1] = "\n  ]\n}"
+    return "".join(parts)
 
 
 def _bounded_int(what: str, limit: int, unit: str, least: int | None = None):

@@ -30,6 +30,7 @@ __all__ = [
     "quadratic_float",
     "quadratic_text",
     "sqrt_int",
+    "text_forms",
 ]
 
 #: largest radicand that is not a perfect square: splitting off its square
@@ -362,31 +363,53 @@ def quadratic_float(a: int, b: int, q: int, d: int | None) -> float:
     return a / q + b / q * math.sqrt(d)
 
 
+#: the first form in ``text_forms`` of a numerator b of 0, 1 and -1; any
+#: other b starts at 12
+_B_FORM = {0: 0, 1: 4, -1: 8}
+#: ``text_forms`` by radicand, filled as radicands are met
+_TEXT_FORMS: dict = {}
+
+
+def text_forms(d: int | None) -> tuple[str, ...]:
+    """The 16 %-formats of the canonical text of (a + b*sqrt(d))/q.
+
+    Each takes the reduced triple (a, b, q) as its three arguments.  Form
+    4*k + 2*(a != 0) + (q != 1) serves the b of row k: 0, 1, -1, and any
+    other b in row 3.  An argument a form does not print is read by
+    ``%.0s``; it is always 0, 1 or -1.  Form 1 (a and b zero over q != 1)
+    never serves a reduced triple, whose q is then 1.
+    """
+    forms = _TEXT_FORMS.get(d)
+    if forms is None:
+        root = f"sqrt({d})"
+        forms = _TEXT_FORMS[d] = (
+            "%d%.0s%.0s", "%d%.0s/%d", "%d%.0s%.0s", "%d%.0s/%d",
+            f"%.0s%.0s%.0s{root}", f"%.0s%d/%d*{root}",
+            f"%d%.0s+{root}%.0s", f"(%d%.0s+{root})/%d",
+            f"%.0s%.0s%.0s-{root}", f"%.0s%d/%d*{root}",
+            f"%d%.0s-{root}%.0s", f"(%d%.0s-{root})/%d",
+            f"%.0s%d*{root}%.0s", f"%.0s%d/%d*{root}",
+            f"%d%+d*{root}%.0s", f"(%d%+d*{root})/%d",
+        )
+    return forms
+
+
 def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:
     """Canonical text of (a + b*sqrt(d))/q for integers a, b and q > 0.
 
-    The triple is first divided by gcd(a, b, q); d is only read when b is
-    not zero.  This is the one formatter of exact values: ``str`` of a
-    ``QuadraticNumber`` and the CLI's orbit points, written straight from
-    frame numerators, both call it.  ``parse_quadratic`` reads the text back.
+    The triple is first divided by gcd(a, b, q) and written by its form in
+    ``text_forms(d)``; d is only read when b is not zero.  The form table
+    is the one formatter of exact values: ``str`` of a ``QuadraticNumber``
+    calls this, and the CLI's orbit rows, written in bulk straight from
+    frame numerators, wrap the same forms.  ``parse_quadratic`` reads the
+    text back.
     """
-    g = math.gcd(a, b, q)
-    if g != 1:
-        a, b, q = a // g, b // g, q // g
-    if b == 0:
-        return str(a) if q == 1 else f"{a}/{q}"
-    root = f"sqrt({d})"
-    if a == 0:
-        # gcd(b, q) is 1, so b/q is already in lowest terms
-        if q == 1 and b == 1:
-            return root
-        if q == 1 and b == -1:
-            return f"-{root}"
-        num = f"{abs(b)}" if q == 1 else f"{abs(b)}/{q}"
-        return f"{'-' if b < 0 else ''}{num}*{root}"
-    surd = root if abs(b) == 1 else f"{abs(b)}*{root}"
-    body = f"{a}{'+' if b > 0 else '-'}{surd}"
-    return body if q == 1 else f"({body})/{q}"
+    if q != 1:
+        g = math.gcd(a, b, q)
+        if g != 1:
+            a, b, q = a // g, b // g, q // g
+    form = _B_FORM.get(b, 12) + (2 if a else 0) + (q != 1)
+    return (_TEXT_FORMS.get(d) or text_forms(d))[form] % (a, b, q)
 
 
 def int_sign(a: int, b: int, d: int | None) -> int:

@@ -27,7 +27,8 @@ def test_the_layer_ledger_writes_every_row_with_the_machine_facts(tmp_path):
         ("apply_text", 1000), ("code_orbit", 1000),
         ("qfield.add", None), ("qfield.mul", None), ("qfield.div", None),
         ("qfield.cmp", None), ("qfield.parse", None),
-        ("audit", None), ("gen3iet_json", 1000), ("search", 4), ("cold_cli", None),
+        ("audit", None), ("gen3iet_json", 1000), ("orbit_rows", 1000),
+        ("orbit_rows", 10000), ("search", 4), ("cold_cli", None),
     ]
     assert all(r["seconds"] > 0 for r in record["rows"])
 

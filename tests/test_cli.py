@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -15,13 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_lattice import epsilons, exchange_params
 
-from iet3.cli import main
+from iet3.cli import ORBIT_CHUNK, main
 from iet3.dynamics import IetParameters, Rotation, ThreeIet
 from iet3.qfield import parse_quadratic
 
@@ -224,13 +226,42 @@ def test_gen3iet_json_carries_exact_orbit_points(capsys, schema):
 #: a tiny shift whose denominator is past 2**64, so that the frame
 #: numerators of the orbit need Python ints in object arrays
 TINY = Fraction(1, 2**64 + 1)
+#: shifts whose frame numerators can be int64 past 2**53, where the float
+#: of a numerator is no longer exact; how far past depends on the orbit, so
+#: the "wide" orbits take the first of these, largest first, that gets there
+WIDE = [Fraction(1, 2**k + 1) for k in range(61, 37, -1)]
 
 
-def _assert_orbit_json_matches_the_oracle(argv, head, points, huge):
+def _bit_length(points) -> int:
+    """The bit length of the largest frame numerator of ``points``."""
+    numerators = itertools.chain(*map(np.ndarray.tolist, points.keys()))
+    return max(map(abs, numerators), default=0).bit_length()
+
+
+def _shifted(size, code):
+    """The shift of ``size`` and the coding ``code(shift)``: no shift when
+    "small", ``TINY`` when "huge", whose numerators are Python ints, and
+    for "wide" the first of ``WIDE`` whose numerators are int64 and pass
+    2**53.  ``keys`` picks int64 from a bound on the numerators, which
+    cancellation can leave far above them: an orbit whose points are all
+    0, or whose numerators pass 2**53 only past that bound, is no example
+    of "wide"."""
+    if size != "wide":
+        shift = TINY if size == "huge" else 0
+        coding = code(shift)
+        if size == "huge":
+            assert coding.points.keys()[0].dtype == object
+        return shift, coding
+    for shift in WIDE:
+        coding = code(shift)
+        if coding.points.keys()[0].dtype == np.int64 and _bit_length(coding.points) > 53:
+            return shift, coding
+    assume(False)
+
+
+def _assert_orbit_json_matches_the_oracle(argv, head, points):
     """The whole --json text of argv is json.dumps(indent=2) of the payload
     with its orbit built point by point."""
-    if huge:
-        assert points.keys()[0].dtype == object
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main([*argv, "--json"]) == 0
@@ -238,25 +269,33 @@ def _assert_orbit_json_matches_the_oracle(argv, head, points, huge):
     assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
 
+#: the numerator sizes of the orbit tests: int64 below 2**53, int64 past
+#: it, and Python ints
+SIZES = st.sampled_from(["small", "wide", "huge"])
+
+
 @settings(max_examples=120, deadline=None)
-@given(exchange_params(), st.integers(0, 60), st.booleans(), st.booleans())
+@given(exchange_params(), st.integers(0, 60), st.booleans(), SIZES)
 def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
-    params, n, right_closed, huge
+    params, n, right_closed, size
 ):
-    if huge:
-        params = IetParameters(params.epsilon, params.length_l, params.offset_c - TINY)
     assume(not (right_closed and n and not params.offset_c))
-    values = (params.epsilon, params.length_l, params.offset_c)
+
+    def code(shift):
+        shifted = IetParameters(params.epsilon, params.length_l, params.offset_c - shift)
+        return ThreeIet(shifted).code_orbit(n, right_closed=right_closed)
+
+    shift, coding = _shifted(size, code)
+    values = (params.epsilon, params.length_l, params.offset_c - shift)
     argv = ["gen3iet", *(f"--{k}={v}" for k, v in zip(("epsilon", "l", "c"), values))]
     argv += ["--n", str(n)] + ["--right-closed"] * right_closed
-    coding = ThreeIet(params).code_orbit(n, right_closed=right_closed)
     head = {
         "command": "gen3iet",
         "parameters": dict(zip(("epsilon", "l", "c"), oracle.orbit_json(values))),
         "n": n,
         "word": coding.word.letters,
     }
-    _assert_orbit_json_matches_the_oracle(argv, head, coding.points, huge)
+    _assert_orbit_json_matches_the_oracle(argv, head, coding.points)
 
 
 #: with a = floor(b*sqrt(2)), a converts to the largest float but b times
@@ -268,15 +307,16 @@ OVERFLOWING = parse_quadratic(f"{OVERFLOW_B}*sqrt(2)-{math.isqrt(2 * OVERFLOW_B*
 
 
 @settings(max_examples=80, deadline=None)
-@given(epsilons(), st.integers(0, 24), st.integers(0, 60), st.booleans())
-@example(OVERFLOWING, 0, 2, False)
-def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, huge):
+@given(epsilons(), st.integers(0, 24), st.integers(0, 60), SIZES)
+@example(OVERFLOWING, 0, 2, "small")
+def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, size):
     # the rotation gensturm codes: [lo, lo + 1) cut at lo + epsilon
-    if huge:
-        eps = eps - TINY
     lo = Fraction(-j, 25)
+    shift, coding = _shifted(
+        size, lambda shift: Rotation(lo, lo + eps - shift, lo + 1).code_orbit(n)
+    )
+    eps = eps - shift
     argv = ["gensturm", f"--epsilon={eps}", f"--lo={lo}", "--n", str(n)]
-    coding = Rotation(lo, lo + eps, lo + 1).code_orbit(n)
     exact_eps, exact_lo = oracle.orbit_json([eps, lo])
     head = {
         "command": "gensturm",
@@ -285,7 +325,40 @@ def test_orbit_json_of_a_rotation_matches_the_per_point_oracle(eps, j, n, huge):
         "n": n,
         "word": coding.word.letters,
     }
-    _assert_orbit_json_matches_the_oracle(argv, head, coding.points, huge)
+    _assert_orbit_json_matches_the_oracle(argv, head, coding.points)
+
+
+@pytest.mark.parametrize(
+    "n", [ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 10**4], ids=str
+)
+@pytest.mark.parametrize("command", ["gen3iet", "gensturm"])
+@pytest.mark.parametrize(
+    "shift",
+    # a shift of 1/(2**44 + 1) keeps the frame denominator below 2**53 and
+    # takes the numerators past it from some point on: such a chunk writes
+    # float64 sums and quadratic_float values side by side
+    [0, Fraction(1, 2**44 + 1)],
+    ids=["golden", "past-2**53"],
+)
+def test_orbit_json_matches_the_oracle_across_chunks(shift, command, n):
+    eps = parse_quadratic(GOLDEN) - shift
+    if command == "gen3iet":
+        params = IetParameters(eps, parse_quadratic(GOLDEN_L), 0)
+        coding = ThreeIet(params).code_orbit(n)
+        exact = oracle.orbit_json([params.epsilon, params.length_l, params.offset_c])
+        head = {"command": command, "parameters": dict(zip(("epsilon", "l", "c"), exact))}
+        argv = [command, f"--epsilon={eps}", f"--l={GOLDEN_L}"]
+    else:
+        coding = Rotation(0, eps, 1).code_orbit(n)
+        exact_eps, exact_lo = oracle.orbit_json([eps, 0])
+        head = {"command": command, "epsilon": exact_eps, "lo": exact_lo}
+        argv = [command, f"--epsilon={eps}"]
+    head.update(n=n, word=coding.word.letters)
+    a, _b = coding.points.keys()
+    if shift and n == 10**4:
+        past = np.abs(a) >= 2**53
+        assert a.dtype == np.int64 and past.any() and not past.all()
+    _assert_orbit_json_matches_the_oracle([*argv, "--n", str(n)], head, coding.points)
 
 
 def _no_constant(name):
@@ -349,10 +422,16 @@ def test_orbit_json_builds_no_value_per_point(command, capsys, monkeypatch):
     assert made[1000] == made[1] and "value" not in made[1]
 
 
-def test_exact_text_has_one_formatter(monkeypatch):
+def _text_form(x) -> int:
+    """The index in ``qfield.text_forms`` of the canonical text of x."""
+    a, b, q = x._a, x._b, x._n
+    return {0: 0, 1: 4, -1: 8}.get(b, 12) + 2 * (a != 0) + (q != 1)
+
+
+def test_exact_text_has_one_formatter(capsys, monkeypatch):
     from iet3 import cli, qfield
 
-    assert cli.quadratic_text is qfield.quadratic_text
+    assert cli.text_forms is qfield.text_forms
     seen = []
     formatter = qfield.quadratic_text
 
@@ -363,6 +442,19 @@ def test_exact_text_has_one_formatter(monkeypatch):
     monkeypatch.setattr(qfield, "quadratic_text", spy)
     assert str(parse_quadratic("(3-sqrt(5))/2")) == "(3-sqrt(5))/2"
     assert seen == [(3, -1, 2, 5)]
+    # str and the orbit rows both write from the one form table: a table
+    # whose forms are marked with their index marks both
+    marked = tuple(f"<{k}>{form}" for k, form in enumerate(qfield.text_forms(5)))
+    monkeypatch.setattr(qfield, "_TEXT_FORMS", {5: marked})
+    assert str(parse_quadratic("(3-sqrt(5))/2")) == "<11>(3-sqrt(5))/2"
+    argv = ["gensturm", "--epsilon", GOLDEN, "--n", "40"]
+    code, out, err = run([*argv, "--json"], capsys)
+    assert (code, err) == (0, "")
+    eps = parse_quadratic(GOLDEN)
+    points = Rotation(0, eps, 1).code_orbit(40).points
+    written = [row["exact"] for row in json.loads(out)["orbit"]]
+    assert written == [f"<{_text_form(x)}>{oracle.quadratic_str(x)}" for x in points]
+    assert {_text_form(x) for x in points} == {0, 10, 11, 14, 15}
 
 
 def test_gensturm_codes_the_rotation(capsys, schema):

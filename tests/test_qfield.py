@@ -18,6 +18,7 @@ from iet3.qfield import (
     as_quadratic,
     parse_quadratic,
     quadratic_text,
+    text_forms,
     sqrt_int,
 )
 
@@ -276,19 +277,44 @@ def test_text_matches_the_fraction_formatter(x):
     st.integers(1, 10**30),
     _radicands,
 )
-@example(0, 0, 7, 5)
-@example(4, 0, 6, 5)
-@example(0, 2, 2, 5)
-@example(0, -3, 3, 5)
-@example(0, 6, 4, 5)
-@example(0, -2, 6, 5)
-@example(-2, 2, 4, 5)
+# one example per form of text_forms, by the index of the reduced triple;
+# form 1, a and b zero over q != 1, has no reduced triple
+@example(0, 0, 7, 5)  # 0
+@example(6, 0, 2, 5)  # 2
+@example(4, 0, 6, 5)  # 3
+@example(0, 2, 2, 5)  # 4
+@example(0, 2, 6, 5)  # 5
+@example(4, 2, 2, 5)  # 6
+@example(-2, 2, 4, 5)  # 7
+@example(0, -3, 3, 5)  # 8
+@example(0, -2, 6, 5)  # 9
+@example(6, -3, 3, 5)  # 10
+@example(6, -2, 4, 5)  # 11
+@example(0, -6, 2, 5)  # 12
+@example(0, 6, 4, 5)  # 13
+@example(6, 4, 2, 5)  # 14
+@example(2, 6, 4, 5)  # 15
 def test_text_of_numerators_over_any_denominator(a, b, q, d):
     # unreduced triples, as a frame's numerators over its denominator are
     x = QuadraticNumber(Fraction(a, q), Fraction(b, q), d)
     text = quadratic_text(a, b, q, d)
     assert text == oracle.quadratic_str(x) == str(x)
     assert parse_quadratic(text) == x
+
+
+def test_every_reachable_text_form_is_written():
+    # the form index as quadratic_text computes it, of every reduced
+    # triple on a grid: each form but 1 serves some, and writes its text
+    seen = set()
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            for q in range(1, 5):
+                x = QuadraticNumber(Fraction(a, q), Fraction(b, q), 5)
+                ra, rb, rq = x._a, x._b, x._n
+                form = {0: 0, 1: 4, -1: 8}.get(rb, 12) + 2 * (ra != 0) + (rq != 1)
+                assert text_forms(5)[form] % (ra, rb, rq) == oracle.quadratic_str(x)
+                seen.add(form)
+    assert seen == set(range(16)) - {1} and len(text_forms(5)) == 16
 
 
 # -- differential test against the Fraction-pair oracle ------------------------
