@@ -66,6 +66,7 @@ from .qfield import (
     as_quadratic,
     parse_quadratic,
     quadratic_float,
+    text_form,
     text_forms,
 )
 from .stepline import stepped_line_svg
@@ -148,12 +149,7 @@ def _orbit_rows(points: LatticePoints) -> list[str]:
         b = b_column[start : start + ORBIT_CHUNK]
         g = np.gcd(np.gcd(a, b), den)
         a_reduced, b_reduced, q_reduced = a // g, b // g, den // g
-        # the form index quadratic_text takes: 0, 4, 8 or 12 for b of 0, 1,
-        # -1 or any other, plus 2 for a != 0 and 1 for q != 1
-        kinds = (
-            12 * (b_reduced != 0) - 8 * (b_reduced == 1) - 4 * (b_reduced == -1)
-            + 2 * (a_reduced != 0) + (q_reduced != 1)
-        )
+        kinds = text_form(a_reduced, b_reduced, q_reduced)
         if float64_sums:
             texts = list(map(float.__repr__, (a / den + b / den * root).tolist()))
             small = (

@@ -30,6 +30,7 @@ __all__ = [
     "quadratic_float",
     "quadratic_text",
     "sqrt_int",
+    "text_form",
     "text_forms",
 ]
 
@@ -392,6 +393,14 @@ def text_forms(d: int | None) -> tuple[str, ...]:
             f"%d%+d*{root}%.0s", f"(%d%+d*{root})/%d",
         )
     return forms
+
+
+def text_form(a, b, q):
+    """The index in ``text_forms`` of the reduced triple (a, b, q), or of
+    each triple of three numpy arrays: 0, 4, 8 or 12 for b of 0, 1, -1 or
+    any other, plus 2 for a != 0 and 1 for q != 1.  ``quadratic_text``
+    reads the same index of one triple through ``_B_FORM``."""
+    return 12 * (b != 0) - 8 * (b == 1) - 4 * (b == -1) + 2 * (a != 0) + (q != 1)
 
 
 def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:

@@ -18,6 +18,7 @@ from iet3.qfield import (
     as_quadratic,
     parse_quadratic,
     quadratic_text,
+    text_form,
     text_forms,
     sqrt_int,
 )
@@ -303,8 +304,9 @@ def test_text_of_numerators_over_any_denominator(a, b, q, d):
 
 
 def test_every_reachable_text_form_is_written():
-    # the form index as quadratic_text computes it, of every reduced
-    # triple on a grid: each form but 1 serves some, and writes its text
+    # the form index of every reduced triple on a grid, as quadratic_text
+    # and text_form compute it: each form but 1 serves some triple, and
+    # writes its text
     seen = set()
     for a in range(-4, 5):
         for b in range(-4, 5):
@@ -312,6 +314,7 @@ def test_every_reachable_text_form_is_written():
                 x = QuadraticNumber(Fraction(a, q), Fraction(b, q), 5)
                 ra, rb, rq = x._a, x._b, x._n
                 form = {0: 0, 1: 4, -1: 8}.get(rb, 12) + 2 * (ra != 0) + (rq != 1)
+                assert text_form(ra, rb, rq) == form
                 assert text_forms(5)[form] % (ra, rb, rq) == oracle.quadratic_str(x)
                 seen.add(form)
     assert seen == set(range(16)) - {1} and len(text_forms(5)) == 16
