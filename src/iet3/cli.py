@@ -42,7 +42,6 @@ from xml.etree import ElementTree
 import numpy as np
 
 from . import _kernels
-
 from .audit import (
     is_sturm,
     recover_parameters,

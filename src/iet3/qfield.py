@@ -372,13 +372,13 @@ _TEXT_FORMS: dict = {}
 
 
 def text_forms(d: int | None) -> tuple[str, ...]:
-    """The 16 %-formats of the canonical text of (a + b*sqrt(d))/q.
+    """The 16 %-formats of the canonical text of (a + b*sqrt(d))/q, in the
+    order of ``text_form``.
 
-    Each takes the reduced triple (a, b, q) as its three arguments.  Form
-    4*k + 2*(a != 0) + (q != 1) serves the b of row k: 0, 1, -1, and any
-    other b in row 3.  An argument a form does not print is read by
-    ``%.0s``; it is always 0, 1 or -1.  Form 1 (a and b zero over q != 1)
-    never serves a reduced triple, whose q is then 1.
+    Each takes the reduced triple (a, b, q) as its three arguments.  An
+    argument a form does not print is read by ``%.0s``; it is always 0, 1
+    or -1.  Form 1 (a and b zero over q != 1) serves no reduced triple,
+    whose q is then 1.
     """
     forms = _TEXT_FORMS.get(d)
     if forms is None:
