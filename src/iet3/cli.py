@@ -107,11 +107,6 @@ def _num(x) -> dict:
     return {"exact": str(q), "approx": float(q)}
 
 
-def _float_text(x: float) -> str:
-    """``x`` as the standard library's JSON encoder writes it."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _orbit_rows(points: LatticePoints) -> list[str]:
     """The rows of the "orbit" array of ``points`` as ``json.dumps(indent=2)``
     writes them under a top-level key, each ``_num`` of one point, in
@@ -160,7 +155,8 @@ def _orbit_rows(points: LatticePoints) -> list[str]:
             texts = [None] * len(a)
             others = range(len(a))
         for i in others:
-            texts[i] = _float_text(quadratic_float(int(a[i]), int(b[i]), den, d))
+            x = quadratic_float(int(a[i]), int(b[i]), den, d)
+            texts[i] = float.__repr__(x) if math.isfinite(x) else json.dumps(x)
         args = zip(a_reduced.tolist(), b_reduced.tolist(), q_reduced.tolist(), texts)
         template = ",\n".join(map(forms.__getitem__, kinds.tolist()))
         chunks.append(template % tuple(chain.from_iterable(args)))

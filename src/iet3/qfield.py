@@ -418,6 +418,7 @@ def quadratic_text(a: int, b: int, q: int, d: int | None) -> str:
         if g != 1:
             a, b, q = a // g, b // g, q // g
     form = _B_FORM.get(b, 12) + (2 if a else 0) + (q != 1)
+    # the table's own lookup, inline: str of every value comes here
     return (_TEXT_FORMS.get(d) or text_forms(d))[form] % (a, b, q)
 
 
