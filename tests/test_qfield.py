@@ -18,9 +18,9 @@ from iet3.qfield import (
     as_quadratic,
     parse_quadratic,
     quadratic_text,
+    sqrt_int,
     text_form,
     text_forms,
-    sqrt_int,
 )
 
 
@@ -304,9 +304,9 @@ def test_text_of_numerators_over_any_denominator(a, b, q, d):
 
 
 def test_every_reachable_text_form_is_written():
-    # the form index of every reduced triple on a grid, as quadratic_text
-    # and text_form compute it: each form but 1 serves some triple, and
-    # writes its text
+    # the form index of every reduced triple on a grid: text_form agrees
+    # with it, each form but 1 serves some triple, and each writes the
+    # oracle's text
     seen = set()
     for a in range(-4, 5):
         for b in range(-4, 5):
