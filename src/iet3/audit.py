@@ -630,11 +630,12 @@ def facts_check(
 ) -> FactsReport:
     """Sample the four orbit-set identities down to the given depth.
 
-    t_override maps (letter, prefix_length) to a replacement height for
-    that image prefix; it exists so tests can plant a violation and watch
-    the disjointness finding appear.  Findings may also legitimately
-    appear when depth exceeds the window the parameters were recovered
-    from.  Depth zero is vacuously true.
+    A point's interval is the left-closed one that ``ThreeIet.letter``
+    names for the parameters.  t_override maps (letter, prefix_length)
+    to a replacement height for that image prefix; it exists so tests can
+    plant a violation and watch the disjointness finding appear.  Findings
+    may also legitimately appear when depth exceeds the window the
+    parameters were recovered from.  Depth zero is vacuously true.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -649,13 +650,8 @@ def facts_check(
     starts = _image_offsets(m, u_head.letters).tolist()
     u = fixed_point_prefix(m, seed=seed, n=starts[depth])
 
-    c, eps = params.offset_c, params.epsilon
-    cuts = (c, c + params.alpha, c + eps, c + params.length_l)
+    iet = ThreeIet(params)
     heights = list(height_g(u, params))
-
-    def letter_at(point) -> str | None:
-        # the count of cuts at or below a point names its left-closed interval
-        return (None, "A", "B", "C", None)[sum(point >= cut for cut in cuts)]
 
     prefix_heights = {}
     for letter in m.source:
@@ -663,7 +659,7 @@ def facts_check(
         for j, height in enumerate(height_g(m.images[letter], params)[:-1]):
             prefix_heights[(letter, j)] = height
     overrides = {key: as_quadratic(h) for key, h in (t_override or {}).items()}
-    _common_field((eps, *overrides.values()), "planted heights")
+    _common_field((params.epsilon, *overrides.values()), "planted heights")
     prefix_heights.update(overrides)
 
     findings = []
@@ -697,7 +693,7 @@ def facts_check(
                     seen[point] = (letter, j, n)
                 union.add(point)
                 next_letters.add(u.letters[starts[n] + j])
-                interval_letter = letter_at(point)
+                interval_letter = iet.letter(point)
                 if interval_letter != u.letters[starts[n] + j]:
                     uniform_next_letter = False
                     findings.append(
@@ -770,19 +766,6 @@ class SearchReport:
 QUICK_FILTER = ((60, PAIR_LENGTH), (400, 25))
 
 
-def _certificate_stage(m: Morphism, seed: str) -> str:
-    """The stage of ``search_substitutions`` that disposes of m, a
-    candidate that passed the quick filter on the fixed point of seed."""
-    try:
-        prefix = fixed_point_prefix(m, seed, CERTIFICATE_PREFIX)
-        certificate = three_iet_certificate(prefix)
-    except ValueError:
-        return "certificate-error"
-    if certificate.is_consistent:
-        return "certificate-consistent"
-    return f"certificate-{certificate.verdict}"
-
-
 def _rule(letter: int, seed: int) -> int:
     """What the seed-order rule asks of the image of a letter, by index in
     ``TERNARY``: 0 that it not seed the letter (a letter before the seed),
@@ -827,12 +810,6 @@ class _SearchPool:
                 for i, a in enumerate(_LETTERS):
                     for rule in (int(k >= 2 and letters[0] == a), 2):
                         self.groups[i][rule].setdefault(key, []).append(image)
-        self.primitive = {
-            rows: _pattern_is_primitive(
-                tuple(tuple(bool(row >> j & 1) for j in range(3)) for row in rows)
-            )
-            for rows in product(range(1, 8), repeat=3)
-        }
         self._completions: dict[tuple, int] = {}
 
     def stage_counts(self) -> dict[str, int]:
@@ -867,7 +844,7 @@ class _SearchPool:
         chosen obey the seed-order rule in at most budget letters."""
         unread = rows.count(0)
         if not unread:
-            return int(self.primitive[rows])
+            return int(_pattern_is_primitive(rows))
         key = (seed, rows, budget)
         count = self._completions.get(key)
         if count is None:
@@ -880,31 +857,52 @@ class _SearchPool:
             self._completions[key] = count
         return count
 
-    def quick_filter(self) -> tuple[int, list]:
-        """The quick-imbalance count and the (images, seed, prefix) of every
-        primitive candidate with a seed that the quick filter passes, where
-        prefix is the 400-letter fixed-point prefix the filter read.
+    @staticmethod
+    def grow(images, text: bytes, read: int, goal: int, unread=()) -> tuple[bytes, int]:
+        """(text, read) grown toward goal letters of the fixed point u = m(u)
+        of the candidate whose images are given as ASCII bytes.  text is
+        m(u[:read]), a prefix of u, and m maps no more letters past read
+        than the goal can need, stopping before any letter of unread (ASCII
+        codes of letters whose image is b"", not chosen yet).  A chunk is
+        mapped by one translate of each letter to its mark and one replace
+        of each mark by the letter's image.
+        """
+        ia, ib, ic = images
+        while len(text) < goal:
+            stop = min(len(text), read + goal - len(text))
+            for a in unread:
+                at = text.find(a, read, stop)
+                if at >= 0:
+                    stop = at
+            if stop == read:
+                break
+            chunk = text[read:stop].translate(_MARKS)
+            text += chunk.replace(b"\x80", ia).replace(b"\x81", ib).replace(b"\x82", ic)
+            read = stop
+        return text, read
 
-        For each seed image the fixed point u = m(u) is built lazily: the
-        text m(u[:read]) is a prefix of u, and it grows by the images of
-        the letters past read until it holds 400 letters or reads a letter
-        whose image is not chosen yet.  Then the ``B_AS_01`` image of what
-        has been read is tested: pairs up to ``PAIR_LENGTH`` on the first
-        60 letters, then ``first_unbalanced_length`` up to 25 on 400.  An
-        imbalance there is in the image of the 400-letter prefix of every
-        candidate that shares the images read, so all of them, the
-        ``completions``, leave at "quick-imbalance" at once.  Otherwise the
-        walk branches over the images of the letter read next, pruning
-        every group without a primitive completion.  Both levels of
+    def quick_filter(self) -> tuple[int, list]:
+        """The quick-imbalance count and the (images, seed) of every
+        primitive candidate with a seed that the quick filter passes: images
+        is the triple of images of A, B and C as ASCII bytes, and seed the
+        index of the seed in ``TERNARY``.
+
+        For each seed image the fixed point u = m(u) is grown lazily by
+        ``grow`` until it holds 400 letters or reads a letter whose image is
+        not chosen yet.  Then the ``B_AS_01`` image of what has been read is
+        tested: pairs up to ``PAIR_LENGTH`` on the first 60 letters, then
+        ``first_unbalanced_length`` up to 25 on 400.  An imbalance there is
+        in the image of the 400-letter prefix of every candidate that shares
+        the images read, so all of them, the ``completions``, leave at
+        "quick-imbalance" at once.  Otherwise the walk branches over the
+        images of the letter read next, pruning every group without a
+        primitive completion.  Both levels of
         ``QUICK_FILTER`` find an imbalance exactly when the longer one does,
         and the walk finds one exactly when they do.
         """
-        prefix_length = QUICK_FILTER[-1][0]
         quick = 0
         passed = []
-        # the images chosen so far, b"" for the others; the text is ASCII
-        # bytes, and a chunk is mapped by one translate of each letter to
-        # its mark and one replace of each mark by the letter's image
+        # the images chosen so far, b"" for the others
         images = [b""] * 3
 
         def walk(seed, rows, budget, text, read, level):
@@ -912,22 +910,9 @@ class _SearchPool:
             # whose image holds no imbalance
             nonlocal quick
             unread = [a for a, row in zip(_LETTERS, rows) if not row]
-            ia, ib, ic = images
             while level < len(QUICK_FILTER):
                 goal, window = QUICK_FILTER[level]
-                while len(text) < goal:
-                    # m(text[read:stop]) for the letters before the first one
-                    # not chosen, and no more than the goal can need
-                    stop = min(len(text), read + goal - len(text))
-                    for a in unread:
-                        at = text.find(a, read, stop)
-                        if at >= 0:
-                            stop = at
-                    if stop == read:
-                        break
-                    chunk = text[read:stop].translate(_MARKS)
-                    text += chunk.replace(b"\x80", ia).replace(b"\x81", ib).replace(b"\x82", ic)
-                    read = stop
+                text, read = self.grow(images, text, read, goal, unread)
                 read_all = len(text) >= goal
                 # pairs are tested on what has been read, the longer window
                 # only once the whole prefix is
@@ -946,8 +931,7 @@ class _SearchPool:
                     break
                 level += 1
             if not unread:
-                triple = tuple(image.decode() for image in images)
-                passed.append((triple, TERNARY[seed], text[:prefix_length].decode()))
+                passed.append((tuple(images), seed))
                 return
             i = _LETTERS.index(text[read] if level < len(QUICK_FILTER) else unread[0])
             spare = budget - len(unread) + 1
@@ -1000,13 +984,15 @@ def search_substitutions(
     counts the candidates an imbalance decides without building them.  The
     first 60 letters are tested up to ``PAIR_LENGTH`` by substring tests
     alone, where most candidates stop at length 2; the prefixes are
-    nested, so what that finds is in the 400-letter image too.  Only the
-    candidates the filter passes become a ``Morphism``, and each leaves at
-    "certificate-error", "-refuted", "-periodic" or "-consistent", the
-    verdict of ``three_iet_certificate`` on a ``CERTIFICATE_PREFIX``-letter
-    ``fixed_point_prefix``, the same certificate the audit reports.  Only
-    certificate-consistent candidates reach ``substitution_audit``;
-    results are deterministic, ordered by the textual form.
+    nested, so what that finds is in the 400-letter image too.  Each
+    candidate the filter passes leaves at "certificate-error", "-refuted",
+    "-periodic" or "-consistent", the verdict of ``three_iet_certificate``
+    on its first ``CERTIFICATE_PREFIX`` fixed-point letters, the same
+    certificate the audit reports; the walk's generator
+    (``_SearchPool.grow``) grows them from the seed's image.  Only the
+    certificate-consistent candidates become a ``Morphism`` and reach
+    ``substitution_audit``; results are deterministic, ordered by the
+    textual form.
     """
     if max_image is None:
         max_image = max_total - 2
@@ -1027,12 +1013,19 @@ def search_substitutions(
     counts.update(pool.stage_counts())
     counts["quick-imbalance"], passed = pool.quick_filter()
     consistent = []
-    for images, seed, _prefix in passed:
-        m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
-        stage = _certificate_stage(m, seed)
-        counts[stage] += 1
-        if stage == "certificate-consistent":
-            consistent.append(m)
+    for images, seed in passed:
+        text, _read = pool.grow(images, images[seed], 1, CERTIFICATE_PREFIX)
+        try:
+            certificate = three_iet_certificate(
+                Word._trusted(text[:CERTIFICATE_PREFIX].decode(), TERNARY)
+            )
+            stage = "consistent" if certificate.is_consistent else certificate.verdict
+        except ValueError:
+            stage = "error"
+        counts[f"certificate-{stage}"] += 1
+        if stage == "consistent":
+            texts = dict(zip(TERNARY, map(bytes.decode, images)))
+            consistent.append(Morphism._trusted(texts, TERNARY, TERNARY))
 
     audited = []
     for m in sorted(consistent, key=Morphism.to_text):

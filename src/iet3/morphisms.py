@@ -42,12 +42,33 @@ class MorphismSyntaxError(ValueError):
     """Malformed textual morphism."""
 
 
-#: ``Morphism.apply_text`` maps texts up to this many letters with one
-#: ``str.translate`` straight to the images; longer ASCII texts take the
-#: byte kernel, whose half-dozen C calls cost more than a short text does
-SHORT_TEXT = 8
 #: the byte kernel's mark for a letter outside the source alphabet
 _OUTSIDE = 0xFF
+
+
+def _byte_kernel(images: Mapping[str, str]) -> tuple[bytes, tuple] | None:
+    """The byte tables of ``Morphism.apply_text``; None unless every source
+    letter and every image is ASCII.
+
+    The 256-byte translate table sends a letter with a one-letter image
+    to that image, a letter with a longer image to a placeholder byte
+    from 0x80 up, and every other byte to ``_OUTSIDE``.  No ASCII image
+    holds a byte from 0x80 up, so each (placeholder, image) replacement
+    writes letters that no later replacement reads.
+    """
+    ascii_only = "".join([*images, *images.values()]).isascii()
+    if not ascii_only or len(images) >= _OUTSIDE - 0x80:
+        return None
+    table = bytearray([_OUTSIDE]) * 256
+    replacements = []
+    for a, image in images.items():
+        if len(image) == 1:
+            table[ord(a)] = ord(image)
+        else:
+            placeholder = 0x80 + len(replacements)
+            table[ord(a)] = placeholder
+            replacements.append((bytes((placeholder,)), image.encode("ascii")))
+    return bytes(table), tuple(replacements)
 
 
 class Morphism:
@@ -110,11 +131,10 @@ class Morphism:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        # the tables of apply_text; the byte kernel is built by the first
-        # long text, which few morphisms of the search ever map
+        # the tables of apply_text
         object.__setattr__(self, "_letters", "".join(images))
         object.__setattr__(self, "_table", str.maketrans(images))
-        object.__setattr__(self, "_bytes", None)
+        object.__setattr__(self, "_bytes", _byte_kernel(images))
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -170,59 +190,30 @@ class Morphism:
     def apply_text(self, text: str) -> str:
         """The image of text, in C-level passes over the whole text.
 
-        A text of more than ``SHORT_TEXT`` ASCII letters, under a morphism
-        whose letters and images are ASCII, is encoded and translated once
-        by the byte table of ``_byte_kernel``, which also marks any letter
-        outside the source; then one ``bytes.replace`` per longer image
-        writes it over its placeholder.  Any other text is checked by one
+        Under a morphism whose letters and images are ASCII, an ASCII text
+        is encoded and translated once by the byte table of
+        ``_byte_kernel``, which also marks any letter outside the source;
+        then one ``bytes.replace`` per longer image writes it over its
+        placeholder.  Under any other morphism a text is checked by one
         ``str.strip`` of the source letters and mapped by one
         ``str.translate`` straight to the images.  A text with a letter
         outside the source takes the letter-by-letter ``join``, which
         raises ``ValueError`` naming the first such letter.
         """
-        kernel = len(text) > SHORT_TEXT and text.isascii() and self._byte_kernel()
-        if kernel:
-            table, replacements = kernel
-            coded = text.encode("ascii").translate(table)
-            if _OUTSIDE not in coded:
-                for placeholder, image in replacements:
-                    coded = coded.replace(placeholder, image)
-                return coded.decode("ascii")
+        if self._bytes:
+            if text.isascii():
+                table, replacements = self._bytes
+                coded = text.encode("ascii").translate(table)
+                if _OUTSIDE not in coded:
+                    for placeholder, image in replacements:
+                        coded = coded.replace(placeholder, image)
+                    return coded.decode("ascii")
         elif not text.strip(self._letters):
             return text.translate(self._table)
         try:
             return "".join(map(self.images.__getitem__, text))
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} outside source alphabet") from None
-
-    def _byte_kernel(self) -> tuple[bytes, tuple] | tuple[()]:
-        """The byte tables of ``apply_text``, built at the first call; ()
-        unless every source letter and every image is ASCII.
-
-        The 256-byte translate table sends a letter with a one-letter image
-        to that image, a letter with a longer image to a placeholder byte
-        from 0x80 up, and every other byte to ``_OUTSIDE``.  No ASCII image
-        holds a byte from 0x80 up, so each (placeholder, image) replacement
-        writes letters that no later replacement reads.
-        """
-        if self._bytes is not None:
-            return self._bytes
-        images = self.images
-        kernel = ()
-        ascii_only = "".join([*images, *images.values()]).isascii()
-        if ascii_only and len(images) < _OUTSIDE - 0x80:
-            table = bytearray([_OUTSIDE]) * 256
-            replacements = []
-            for a, image in images.items():
-                if len(image) == 1:
-                    table[ord(a)] = ord(image)
-                else:
-                    placeholder = 0x80 + len(replacements)
-                    table[ord(a)] = placeholder
-                    replacements.append((bytes((placeholder,)), image.encode("ascii")))
-            kernel = bytes(table), tuple(replacements)
-        object.__setattr__(self, "_bytes", kernel)
-        return kernel
 
     def apply(self, w) -> Word:
         text = w.letters if isinstance(w, Word) else str(w)
@@ -408,22 +399,23 @@ def is_primitive(matrix: IncidenceMatrix) -> bool:
     """
     if not matrix.is_square:
         raise ValueError("primitivity requires a square matrix")
-    return _pattern_is_primitive(tuple(tuple(map(bool, row)) for row in matrix.rows))
+    return _pattern_is_primitive(
+        tuple(sum(1 << j for j, x in enumerate(row) if x) for row in matrix.rows)
+    )
 
 
 @functools.lru_cache(maxsize=1024)
-def _pattern_is_primitive(pattern: tuple[tuple[bool, ...], ...]) -> bool:
-    """``is_primitive`` of a square zero pattern.
+def _pattern_is_primitive(base: tuple[int, ...]) -> bool:
+    """``is_primitive`` of a square zero pattern of n rows, each a bitmask
+    of its nonzero columns (bit j for column j).
 
-    Each row is a bitmask of its nonzero columns, and row i of the next
-    power is the union of the base rows that row i of the current power
-    reaches.  A pattern that repeats itself before turning positive never
-    will.
+    Row i of the next power is the union of the base rows that row i of
+    the current power reaches.  A pattern that repeats itself before
+    turning positive never will.
     """
-    n = len(pattern)
+    n = len(base)
     full = (1 << n) - 1
-    base = [sum(1 << j for j, x in enumerate(row) if x) for row in pattern]
-    power = base
+    power = list(base)
     for _ in range((n - 1) ** 2 + 1):
         if power.count(full) == n:
             return True

@@ -627,15 +627,18 @@ class LatticePoints(Sequence):
         """Numerators of the values at ``indices`` (all when None), as arrays.
 
         They are int64 when no numerator can reach 2**62 in magnitude, and
-        Python ints in an object array otherwise.  Computed once, on first use.
+        Python ints in an object array otherwise; the bound is
+        max|p|*max(|ga|, |gb|) + max|q|*max(|ha|, |hb|), which every product
+        and sum stays within.  Computed once, on first use.
         """
         if self._keys is None:
             (ga, gb), (ha, hb) = self.frame.rows[:2]
-            reach = max(np.abs(self.p).max(initial=0), np.abs(self.q).max(initial=0))
-            row = max(abs(ga), abs(gb), abs(ha), abs(hb))
+            p_reach = int(np.abs(self.p).max(initial=0))
+            q_reach = int(np.abs(self.q).max(initial=0))
+            g, h = max(abs(ga), abs(gb)), max(abs(ha), abs(hb))
             # the rows multiply the arrays, so they must fit as well, even
             # when every pair is (0, 0)
-            dtype = _kernels.int_dtype(2 * row * max(int(reach), 1))
+            dtype = _kernels.int_dtype(max(p_reach * g + q_reach * h, g, h))
             p, q = self.p.astype(dtype), self.q.astype(dtype)
             self._keys = (p * ga + q * ha, p * gb + q * hb)
         a, b = self._keys

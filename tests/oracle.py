@@ -644,8 +644,8 @@ def candidate_stages(max_total: int, max_image: int):
     letter a, an image seeds a when it starts with a and has two letters or
     more; the candidate's seed is the first letter of ``TERNARY`` that its
     image seeds, which is ``find_expanding_letter(m, max_power=1)``.  The
-    three zero-pattern rows of the images form the pattern that
-    ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
+    three zero-pattern rows of the images, each a bitmask of the letters
+    it holds, form the pattern that ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
     both become a ``Morphism`` and go through ``candidate_stage``.
     """
     lengths = range(1, min(max_image, max_total - 2) + 1)
@@ -655,7 +655,7 @@ def candidate_stages(max_total: int, max_image: int):
         {img: a if len(img) >= 2 and img[0] == a else "" for img in every}
         for a in TERNARY
     ]
-    rows = {img: tuple(a in img for a in TERNARY) for img in every}
+    rows = {img: sum(1 << i for i, a in enumerate(TERNARY) if a in img) for img in every}
     for la, lb, lc in product(lengths, repeat=3):
         if la + lb + lc > max_total:
             continue

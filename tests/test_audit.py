@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iet3.audit import (
+    CERTIFICATE_PREFIX,
     FREQUENCY_TOLERANCE,
     FREQUENCY_PREFIX,
-    QUICK_FILTER,
     FactsReport,
     _SearchPool,
     _frequency_check,
@@ -434,17 +434,21 @@ def test_the_counted_stages_are_those_of_the_oracle(max_total, max_image):
 
 @pytest.mark.parametrize("max_total", [7, 8])
 def test_the_walk_passes_the_candidates_of_the_oracle(max_total):
-    quick, passed = _SearchPool(max_total, max_total - 2).quick_filter()
+    pool = _SearchPool(max_total, max_total - 2)
+    quick, passed = pool.quick_filter()
     stages, certified = oracle_stages(max_total, max_total - 2)
     assert quick == stages["quick-imbalance"]
     assert len(passed) == len(certified)
-    assert {images for images, _seed, _prefix in passed} == certified
-    # the prefix the walk read is the library's fixed-point prefix
-    length = QUICK_FILTER[-1][0]
-    for images, seed, prefix in passed:
-        m = Morphism(dict(zip(TERNARY, images)))
-        assert prefix == fixed_point_prefix(m, seed, length).letters, m
-        assert seed == oracle.find_expanding_letter(m, max_power=1)[0]
+    texts = [tuple(map(bytes.decode, images)) for images, _seed in passed]
+    assert set(texts) == certified
+    # the walk's generator, grown from the seed's image to the certificate's
+    # prefix, gives the library's fixed-point prefix
+    for (images, seed), text in zip(passed, texts):
+        m = Morphism(dict(zip(TERNARY, text)))
+        assert TERNARY[seed] == oracle.find_expanding_letter(m, max_power=1)[0]
+        grown, _read = pool.grow(images, images[seed], 1, CERTIFICATE_PREFIX)
+        expected = fixed_point_prefix(m, TERNARY[seed], CERTIFICATE_PREFIX).letters
+        assert grown[:CERTIFICATE_PREFIX].decode() == expected, m
 
 
 # -- the audit's scaling relation --------------------------------------------------

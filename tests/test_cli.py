@@ -298,6 +298,30 @@ def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
     _assert_orbit_json_matches_the_oracle(argv, head, coding.points)
 
 
+def test_an_orbit_whose_products_stay_below_the_bound_gets_int64_numerators():
+    # the numerators reach 54 bits, and max|p|*|g| + max|q|*|h| 61 bits,
+    # where twice the largest row times the larger of max|p| and max|q|
+    # reached 63 and took object arrays
+    params = IetParameters(
+        Fraction(2, 5), Fraction(7, 10), Fraction(-7, 20) - Fraction(1, 2**51 + 1)
+    )
+    coding = ThreeIet(params).code_orbit(32)
+    a, b = coding.points.keys()
+    assert a.dtype == b.dtype == np.int64 and _bit_length(coding.points) == 54
+    assert list(zip(a.tolist(), b.tolist())) == [
+        coding.points.key(i) for i in range(len(coding.points))
+    ]
+    values = (params.epsilon, params.length_l, params.offset_c)
+    argv = ["gen3iet", *(f"--{k}={v}" for k, v in zip(("epsilon", "l", "c"), values))]
+    head = {
+        "command": "gen3iet",
+        "parameters": dict(zip(("epsilon", "l", "c"), oracle.orbit_json(values))),
+        "n": 32,
+        "word": coding.word.letters,
+    }
+    _assert_orbit_json_matches_the_oracle([*argv, "--n", "32"], head, coding.points)
+
+
 #: with a = floor(b*sqrt(2)), a converts to the largest float but b times
 #: the float of sqrt(2) rounds past it: the float of b*sqrt(2) - a, summed
 #: from its two parts, is inf, that of the next orbit point -inf, and the

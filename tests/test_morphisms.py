@@ -214,6 +214,23 @@ def test_images_match_the_letter_by_letter_oracle(m_text, at, outsider):
     assert str(got.value) == str(want.value) == f"letter {outsider!r} outside source alphabet"
 
 
+@pytest.mark.parametrize("m", [SIGMA, Morphism.from_text("A>AB;B>AACA;C>A")], ids=str)
+@pytest.mark.parametrize("size", [*range(9), 17, 700])
+@pytest.mark.parametrize("outsider", "DZ0")
+def test_an_ascii_outsider_is_named_as_the_oracle_names_it(m, size, outsider):
+    # ASCII texts under ASCII morphisms take the byte table, whose mark of
+    # a letter outside the source must lead to the error naming the first
+    assert m._bytes is not None
+    text = ("ABCAACB" * 100)[:size]
+    for at in {0, size // 2, size}:
+        bad = text[:at] + outsider + text[at:] + "9"
+        with pytest.raises(ValueError) as want:
+            oracle.apply_text(m, bad)
+        with pytest.raises(ValueError) as got:
+            m.apply_text(bad)
+        assert str(got.value) == str(want.value) == f"letter {outsider!r} outside source alphabet"
+
+
 @pytest.mark.parametrize(
     "images",
     [("\x01\x80", "\xff", "A\x00\ue000"), ("\x01\x02", "\x00", "A\x7f\x01")],
