@@ -645,8 +645,9 @@ def candidate_stages(max_total: int, max_image: int):
     more; the candidate's seed is the first letter of ``TERNARY`` that its
     image seeds, which is ``find_expanding_letter(m, max_power=1)``.  The
     three zero-pattern rows of the images, each a bitmask of the letters
-    it holds, form the pattern that ``is_primitive(incidence(m))`` tests.  Only the candidates that pass
-    both become a ``Morphism`` and go through ``candidate_stage``.
+    it holds, form the pattern that ``is_primitive(incidence(m))`` tests.
+    Only the candidates that pass both become a ``Morphism`` and go
+    through ``candidate_stage``.
     """
     lengths = range(1, min(max_image, max_total - 2) + 1)
     pool = {k: ["".join(p) for p in product(TERNARY, repeat=k)] for k in lengths}

@@ -299,9 +299,9 @@ def test_orbit_json_of_an_exchange_matches_the_per_point_oracle(
 
 
 def test_an_orbit_whose_products_stay_below_the_bound_gets_int64_numerators():
-    # the numerators reach 54 bits, and max|p|*|g| + max|q|*|h| 61 bits,
-    # where twice the largest row times the larger of max|p| and max|q|
-    # reached 63 and took object arrays
+    # the numerators reach 54 bits and the bound on the products that
+    # reach them 61, so the keys fit int64 although the frame rows and the
+    # pairs are large
     params = IetParameters(
         Fraction(2, 5), Fraction(7, 10), Fraction(-7, 20) - Fraction(1, 2**51 + 1)
     )
