@@ -1,12 +1,20 @@
 """Time iet3 layer by layer and end to end, best of N, into one JSON file.
 
-    python3 bench/layers.py --out bench/BENCH_<label>.json
+    python3 bench/layers.py --out one.json
     python3 bench/layers.py --src ../parent/src --out before.json
+    python3 bench/layers.py --base ../parent/src --new src \
+        --out bench/BENCH_<label>.json
 
 Each row is one call timed with ``time.perf_counter``; a row of a short
 call times a batch of ``number`` calls and reports seconds per call.  The
 best of ``--repeat`` samples is kept, since a shared host only ever adds
-time.  Rows:
+time.
+
+With ``--base`` and ``--new`` the script compares two checkouts.  It runs
+itself three times on each side, each run a fresh process, in the order
+base, new, new, base, base, new, so the host's drift lands on both.  It writes ``{base, new, run_order}``:
+each side's record with every row the best over its runs, and the order
+the runs went in.  Rows:
 
 - the layers, on the coding of the golden-ratio exchange to ``--letters``
   letters: ``code_orbit``, ``height_f`` of its ``B -> 01`` image,
@@ -41,6 +49,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -48,6 +57,9 @@ GOLDEN = ("(-1+sqrt(5))/2", "(1+sqrt(5))/4", "0")
 AUDITED = "A>AB;B>AACA;C>A"
 REFUTED = "A>AC;B>AC;C>B"
 CERTIFIED_PREFIX = 2_000
+#: the fresh runs of a comparison, three a side, the side that goes first
+#: alternating from pair to pair
+RUN_ORDER = ("base0", "new0", "new1", "base1", "base2", "new2")
 
 
 def best(call, repeat: int, number: int = 1) -> float:
@@ -138,11 +150,52 @@ def rows(letters: int, repeat: int, search_max_total: int, src: str) -> list[dic
     return out
 
 
+def paired(base: str, new: str, forwarded: list[str]) -> dict:
+    """``{base, new, run_order}``: each side's record, every row the best
+    over the side's runs, from fresh runs of this script in ``RUN_ORDER``
+    on the package directories ``base`` and ``new``."""
+    sides = {"base": os.path.abspath(base), "new": os.path.abspath(new)}
+    records = {"base": [], "new": []}
+    with tempfile.TemporaryDirectory() as scratch:
+        for label in RUN_ORDER:
+            side = label.rstrip("0123456789")
+            out = os.path.join(scratch, f"{label}.json")
+            argv = [sys.executable, os.path.abspath(__file__), "--src", sides[side],
+                    "--out", out, *forwarded]
+            subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+            with open(out, encoding="utf-8") as handle:
+                records[side].append(json.load(handle))
+    merged = {
+        side: dict(runs[0], runs=len(runs), rows=best_rows(runs))
+        for side, runs in records.items()
+    }
+    merged["run_order"] = list(RUN_ORDER)
+    return merged
+
+
+def best_rows(runs: list[dict]) -> list[dict]:
+    """The rows of one side's runs, each with its least seconds."""
+    best = []
+    for samples in zip(*(run["rows"] for run in runs)):
+        if len({(r["name"], r["size"], r["number"]) for r in samples}) != 1:
+            raise RuntimeError("the runs of one side disagree on their rows")
+        best.append(dict(samples[0], seconds=min(r["seconds"] for r in samples)))
+    return best
+
+
+def write(record: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                         help="the directory that holds the iet3 package")
+    parser.add_argument("--base", help="the package directory of the base side")
+    parser.add_argument("--new", help="the package directory of the new side")
     parser.add_argument("--letters", type=int, default=10**5,
                         help="coding length of the layer rows, at least 1000 "
                              "(the certificate's least prefix)")
@@ -151,6 +204,19 @@ def main() -> int:
     args = parser.parse_args()
     if args.letters < 1000 or args.repeat < 1 or args.search_max_total < 3:
         parser.error("need --letters >= 1000, --repeat >= 1 and --search-max-total >= 3")
+    if (args.base is None) != (args.new is None):
+        parser.error("--base and --new go together")
+
+    if args.base is not None:
+        forwarded = ["--letters", str(args.letters), "--repeat", str(args.repeat),
+                     "--search-max-total", str(args.search_max_total)]
+        record = paired(args.base, args.new, forwarded)
+        write(record, args.out)
+        for b, n in zip(record["base"]["rows"], record["new"]["rows"]):
+            size = "" if b["size"] is None else f" {b['size']}"
+            print(f"{b['name']}{size}: {b['seconds'] * 1e3:.4f} -> "
+                  f"{n['seconds'] * 1e3:.4f} ms ({b['seconds'] / n['seconds']:.2f}x)")
+        return 0
 
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -171,9 +237,7 @@ def main() -> int:
         },
         "rows": rows(args.letters, args.repeat, args.search_max_total, src),
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write(record, args.out)
     for r in record["rows"]:
         size = "" if r["size"] is None else f" {r['size']}"
         print(f"{r['name']}{size}: {r['seconds'] * 1e3:.4f} ms")

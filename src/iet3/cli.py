@@ -83,9 +83,11 @@ MAX_SEARCH_LENGTH = 12
 #: largest induce --cap, the return time at which first_return gives up
 MAX_RETURN_TIME = 10**6
 #: largest balance work analyze takes on, its window times the word's
-#: length: words.balance makes at most window + 1 passes over the positions
-#: of the letters it keeps rows for, N in all.  The default window of 300
-#: fits at 10^6 letters
+#: length.  A balanced binary word takes words.balance's period path, a
+#: few passes over the word; any other word takes its gap path, at most
+#: window + 1 passes over the positions of the letters it keeps rows for,
+#: N in all, so the limit stays.  The default window of 300 fits at 10^6
+#: letters
 MAX_BALANCE_WORK = 10**9
 #: orbit points ``_orbit_rows`` writes with one %-format; a fixed chunk
 #: keeps its arrays and its argument tuple small at any orbit length.  It

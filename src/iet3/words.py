@@ -14,7 +14,12 @@ so every length up to n_max costs one O(N log N) sort, with a
 prefix-doubling round on dense ranks for each doubling of n_max past the
 letters one key holds.  The cutoff is the last length at which the
 word's first half, counted the same way, still shows every factor.
-Balance reads each letter's row off its occurrence gaps (Burcsi,
+Balance takes one of two paths.  A word over two letters is first tested
+for balance exactly, by a desubstitution of whole-array passes; a
+balanced one, a factor of a mechanical word (Lothaire, *Algebraic
+Combinatorics on Words*, 2002, §2.1), has imbalance 0 at each period
+and 1 at every other length, so its row is read off its periods.  Every
+other word reads each letter's row off its occurrence gaps (Burcsi,
 Cicalese, Fici and Lipták, 2012): the shortest factor holding k
 occurrences and the longest holding at most k give the largest and the
 least count at every length, one pass over the occurrences per count.
@@ -468,10 +473,92 @@ def _gap_row(positions: np.ndarray, size: int, window: int) -> np.ndarray:
     return row
 
 
+def _is_balanced(x: np.ndarray) -> bool:
+    """Whether the binary word of the bool array ``x`` is balanced.
+
+    One level of a desubstitution per round, each a few whole-array
+    passes.  In a balanced word one letter never doubles; the gaps between
+    its occurrences take two consecutive values d and d + 1, and the runs
+    before the first and after the last are no longer than d.  The word is
+    balanced exactly when the word of its gaps, long (d + 1) or short, is,
+    with a long gap added at an end whose run has d letters: no short gap
+    fits there.  A letter that never doubles is never more frequent than
+    one that does, so when the rarer letter doubles both do, and the
+    rarer letter is the one to read; on a tie the other may be.  Each
+    round keeps at most about half the letters of the one before, so the
+    rounds take O(N) work in all.
+    """
+    while True:
+        size, ones = len(x), int(np.count_nonzero(x))
+        p = (x if 2 * ones <= size else ~x).nonzero()[0]
+        if len(p) < 2:
+            return True
+        gaps = p[1:] - p[:-1]
+        d = int(gaps.min())
+        if d == 1 and 2 * ones == size:
+            p = (~x).nonzero()[0]
+            gaps = p[1:] - p[:-1]
+            d = int(gaps.min())
+        if d == 1:
+            return False  # both letters double
+        most, head, tail = int(gaps.max()), int(p[0]), size - 1 - int(p[-1])
+        if most > d + 1 or head > d or tail > d:
+            return False
+        if most == d:
+            return True
+        x = gaps > d
+        if head == d or tail == d:
+            ends = np.ones(2, dtype=bool)
+            x = np.concatenate((ends[: head == d], x, ends[: tail == d]))
+
+
+#: letters of the prefix that ``_period_row`` looks for in the word
+PERIOD_PROBE = 64
+
+
+def _period_row(text: str, window: int) -> list[int]:
+    """The imbalance row of a balanced word at lengths 0..window: 0 at a
+    period n, whose length-n factors all hold the same counts because
+    text[i] == text[i + n] for every i, and 1 at any other length.
+
+    A period n repeats the probe, the word's first ``PERIOD_PROBE``
+    letters, at n, so only the places where ``str.find`` meets the probe
+    are compared in full, and the lengths too near the end to hold it are
+    compared directly.  When the word has at least 2 * window letters,
+    the least period p up to the window decides all of them (Fine and
+    Wilf): a period q up to the window has p + q <= N, so gcd(p, q) is a
+    period and p divides q.
+    """
+    size = len(text)
+    row = [1] * (max(window, 0) + 1)
+    row[0] = 0
+    probe = text[:PERIOD_PROBE]
+    end = window + len(probe)
+    n = text.find(probe, 1, end)
+    while n != -1:
+        if text[n:] == text[: size - n]:
+            if 2 * window <= size:
+                row[n::n] = [0] * (window // n)
+                return row
+            row[n] = 0
+        n = text.find(probe, n + 1, end)
+    for n in range(max(size - len(probe) + 1, 1), window + 1):
+        if text[n:] == text[: size - n]:
+            row[n] = 0
+    return row
+
+
 def balance(w, n_max: int) -> BalanceReport:
     """Exhaustive imbalance maxima ||w|_a - |w'|_a| for lengths <= n_max.
 
-    The row of each letter is read off the occurrence gaps of the letter
+    A word over two distinct letters that ``_is_balanced`` accepts takes
+    its row from its periods (``_period_row``): every length holds
+    imbalance 0 at a period and 1 elsewhere.  That is O(N) array work for
+    the recognition and a few string searches and compares, with no pass
+    per length or per count.
+
+    Any other word, an unbalanced binary one or one over another alphabet,
+    reads the row of each letter off the occurrence gaps of the letter
     (``_gap_row``): one O(m) pass per count of the letter that a
     factor of up to n_max letters can hold, where m is the number of
     occurrences.  For a letter spread evenly over a word of N letters that
@@ -481,6 +568,11 @@ def balance(w, n_max: int) -> BalanceReport:
     """
     w = _as_word(w)
     window = min(n_max, len(w))
+    if len(set(w.alphabet)) == 2:
+        x = _letter_codes(w.letters) == ord(w.alphabet[1])
+        if _is_balanced(x):
+            row = tuple(_period_row(w.letters, window))
+            return BalanceReport(dict.fromkeys(w.alphabet, row), window)
     table = {
         a: tuple(_gap_row(positions, len(w), window).tolist())
         for a, positions in _row_letters(w).items()
@@ -532,9 +624,11 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
     imbalance 2; length 1 never does.
 
     Past them, and on a larger alphabet, the answer is the least length
-    at which a letter's row of ``balance`` (``_gap_row``, up to the
-    window) reaches 2; each further letter's row need only reach the
-    least length found so far.
+    at which a letter's gap row (``_gap_row``, up to the window) reaches
+    2; each further letter's row need only reach the least length found
+    so far.  Unlike ``balance`` it does not test for balance first: most
+    words it is asked about, the search's quick-filter images, are
+    unbalanced at a short length, where the gap rows stop early.
     """
     w = _as_word(w)
     window = min(n_max, len(w))

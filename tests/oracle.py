@@ -16,9 +16,12 @@ turn.  The canonical text is formatted from ``Fraction`` parts, and the
 CLI's orbit array builds one ``QuadraticNumber`` per point.  Primitivity
 multiplies incidence matrices power by power.  Balance fills one row per
 letter, one prefix-sum difference per length, where ``words.balance``
-and ``first_unbalanced_length`` read the rows off occurrence gaps; the
-rows also stand in for the latter.  The fixed-point generator searches
-powers on whole images and maps the whole text every round, where
+reads a balanced binary word's row off its periods and any other word's
+rows off occurrence gaps, as ``first_unbalanced_length`` does; the rows
+also stand in for the latter.  ``is_balanced`` compares the counts of
+every factor of every length, where ``words`` desubstitutes whole
+arrays.  The fixed-point generator searches powers on whole images and
+maps the whole text every round, where
 ``morphisms`` reads two letters per power, maps only the letters the last
 round added and no more of them than the prefix needs, and counts letters
 by a descent through the powers without building them.  ``apply_text``
@@ -535,6 +538,18 @@ def balance(w: Word, n_max: int) -> tuple[dict, int]:
             row.append(int(counts.max() - counts.min()))
         table[a] = tuple(row)
     return table, window
+
+
+def is_balanced(text: str) -> bool:
+    """Whether any two factors of equal length hold counts of a letter that
+    differ by at most one: the definition, one length and one factor at a
+    time, where ``words._is_balanced`` desubstitutes whole arrays.  Over
+    two letters the count of one decides the other's."""
+    for n in range(1, len(text) + 1):
+        counts = {text[i : i + n].count(text[0]) for i in range(len(text) - n + 1)}
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
 
 
 def apply_text(m: Morphism, text: str) -> str:

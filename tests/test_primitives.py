@@ -15,11 +15,17 @@ the prefix asked for.  The grown prefix and the letter counts of
 ``_fixed_point_counts`` meet the oracle's whole-text prefix at every
 power, in source orders other than A, B, C, for non-endomorphisms, and at
 the lengths on either side of the seed's block boundaries.  The rows of
-``balance`` come from the same gaps and meet the same row oracle: on
-every binary word up to 12 letters, on random words over binary, ternary
-and non-ASCII alphabets, on the empty word and on windows past the word.
+``balance`` meet the same row oracle: on every binary word up to 12
+letters, on random words over binary, ternary and non-ASCII alphabets,
+on the empty word and on windows past the word.  A binary word that
+``_is_balanced`` accepts takes its row from its periods instead of the
+gaps; the recognizer meets the definition on every binary word up to 16
+letters, and the period rows meet the row oracle on Christoffel words,
+their conjugates and repetitions and on factors of irrational slopes
+longer than twice the window, each also with one letter flipped.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -30,6 +36,7 @@ from hypothesis import strategies as st
 from test_complexity import ALPHABETS, periodic_text, windows, words_over
 from test_lattice import exchange_params
 
+from iet3 import words
 from iet3.dynamics import ThreeIet
 from iet3.morphisms import (
     SIGMA,
@@ -48,6 +55,7 @@ from iet3.words import (
     PAIR_LENGTH,
     TERNARY,
     Word,
+    _is_balanced,
     _letter_prefix_sums,
     balance,
     first_unbalanced_length,
@@ -211,6 +219,80 @@ def test_int32_sums_keep_the_rows_of_a_long_coding(golden_word_100k):
     assert first_unbalanced_length(v, 300) is None
     # the image has 00 but no 11, so one 11 in front unbalances length 2
     assert first_unbalanced_length(Word("11" + v.letters), 300) == 2
+
+
+def test_the_recognizer_meets_the_definition_on_every_word_up_to_16_letters():
+    for length in range(17):
+        for k in range(2**length):
+            text = format(k, f"0{length}b") if length else ""
+            x = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
+            assert _is_balanced(x) is oracle.is_balanced(text), text
+
+
+def christoffel(p: int, q: int) -> str:
+    """The lower Christoffel word of slope p/q, 0 <= p <= q: q letters, p
+    of them 1."""
+    return "".join(str((i + 1) * p // q - i * p // q) for i in range(q))
+
+
+def root_slope_factor(d: int, m: int, start: int, length: int) -> str:
+    """The factor at ``start`` of the characteristic word of the slope
+    frac(m * sqrt(d)), exactly: floor(i * m * sqrt(d)) = isqrt(i^2 m^2 d)."""
+    floors = [math.isqrt(i * i * m * m * d) for i in range(start, start + length + 1)]
+    whole = math.isqrt(m * m * d)
+    return "".join(str(b - a - whole) for a, b in zip(floors, floors[1:]))
+
+
+@st.composite
+def balanced_families(draw):
+    """(text, windows): a conjugate of a Christoffel word, that conjugate
+    repeated past a window that holds its period, or a factor of an
+    irrational slope's characteristic word longer than twice the window;
+    each balanced, or unbalanced by one flipped letter.  The windows fall
+    below, at and past the length."""
+    kind = draw(st.sampled_from(["christoffel", "rational", "irrational"]))
+    if kind == "irrational":
+        d = draw(st.integers(2, 99).filter(lambda d: math.isqrt(d) ** 2 != d))
+        below = draw(st.integers(0, 150))
+        length = draw(st.integers(2 * below + 1, 2 * below + 200))
+        text = root_slope_factor(d, draw(st.integers(1, 9)), draw(st.integers(0, 500)), length)
+    else:
+        q = draw(st.integers(1, 60))
+        base = christoffel(draw(st.integers(0, q)), q)
+        shift = draw(st.integers(0, q - 1))
+        text = base[shift:] + base[:shift]
+        if kind == "rational":
+            text *= draw(st.integers(2, 400 // q + 2))
+        below = draw(st.integers(q if kind == "rational" else 0, len(text)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + "10"[int(text[i])] + text[i + 1 :]
+    return text, (min(below, len(text)), len(text), len(text) + draw(st.integers(1, 50)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_families(), st.sampled_from([BINARY, ("1", "0")]))
+def test_period_rows_of_balanced_words_match_every_letter_rows(family, alphabet):
+    text, n_maxes = family
+    word = Word(text, alphabet)
+    for n_max in n_maxes:
+        assert_balance_matches_oracle(word, n_max)
+
+
+def test_a_balanced_image_never_reaches_the_gap_rows(golden_word_100k, monkeypatch):
+    image = SIGMA.apply(golden_word_100k)[:10_000]
+
+    def refuse(*args):
+        raise AssertionError("the gap rows were read")
+
+    monkeypatch.setattr(words, "_gap_row", refuse)
+    for alphabet in (BINARY, ("1", "0")):
+        report = balance(Word(image.letters, alphabet), 300)
+        assert report.max_imbalance == 1
+        assert report.table == dict.fromkeys(alphabet, (0,) + (1,) * 300)
+    # an unbalanced word still takes them
+    with pytest.raises(AssertionError, match="gap rows"):
+        balance(Word("11" + image.letters), 300)
 
 
 def test_non_ascii_letters_count_like_their_ascii_renaming():
