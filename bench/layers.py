@@ -12,9 +12,9 @@ time.
 
 With ``--base`` and ``--new`` the script compares two checkouts.  It runs
 itself three times on each side, each run a fresh process, in the order
-base, new, new, base, base, new, so the host's drift lands on both.  It writes ``{base, new, run_order}``:
-each side's record with every row the best over its runs, and the order
-the runs went in.  Rows:
+base, new, new, base, base, new, so the host's drift lands on both.  It
+writes ``{base, new, run_order}``: each side's record with every row the
+best over its runs, and the order the runs went in.  Rows:
 
 - the layers, on the coding of the golden-ratio exchange to ``--letters``
   letters: ``code_orbit``, ``height_f`` of its ``B -> 01`` image,

@@ -255,7 +255,8 @@ def balanced_families(draw):
         d = draw(st.integers(2, 99).filter(lambda d: math.isqrt(d) ** 2 != d))
         below = draw(st.integers(0, 150))
         length = draw(st.integers(2 * below + 1, 2 * below + 200))
-        text = root_slope_factor(d, draw(st.integers(1, 9)), draw(st.integers(0, 500)), length)
+        m, start = draw(st.integers(1, 9)), draw(st.integers(0, 500))
+        text = root_slope_factor(d, m, start, length)
     else:
         q = draw(st.integers(1, 60))
         base = christoffel(draw(st.integers(0, q)), q)
@@ -267,7 +268,7 @@ def balanced_families(draw):
     if draw(st.booleans()):
         i = draw(st.integers(0, len(text) - 1))
         text = text[:i] + "10"[int(text[i])] + text[i + 1 :]
-    return text, (min(below, len(text)), len(text), len(text) + draw(st.integers(1, 50)))
+    return text, (below, len(text), len(text) + draw(st.integers(1, 50)))
 
 
 @settings(max_examples=200, deadline=None)
