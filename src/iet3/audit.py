@@ -48,7 +48,6 @@ from .words import (
     PAIR_LENGTH,
     TERNARY,
     Word,
-    _least_pair_length,
     balance,
     complexity,
     first_unbalanced_length,
@@ -889,16 +888,16 @@ class _SearchPool:
 
         For each seed image the fixed point u = m(u) is grown lazily by
         ``grow`` until it holds 400 letters or reads a letter whose image is
-        not chosen yet.  Then the ``B_AS_01`` image of what has been read is
-        tested: pairs up to ``PAIR_LENGTH`` on the first 60 letters, then
-        ``first_unbalanced_length`` up to 25 on 400.  An imbalance there is
-        in the image of the 400-letter prefix of every candidate that shares
-        the images read, so all of them, the ``completions``, leave at
-        "quick-imbalance" at once.  Otherwise the walk branches over the
-        images of the letter read next, pruning every group without a
-        primitive completion.  Both levels of
-        ``QUICK_FILTER`` find an imbalance exactly when the longer one does,
-        and the walk finds one exactly when they do.
+        not chosen yet.  Then ``first_unbalanced_length`` tests the
+        ``B_AS_01`` image of what has been read: up to ``PAIR_LENGTH`` on
+        the first 60 letters, which its pair tests decide alone, then up to
+        25 on 400.  An imbalance there is in the image of the 400-letter
+        prefix of every candidate that shares the images read, so all of
+        them, the ``completions``, leave at "quick-imbalance" at once.
+        Otherwise the walk branches over the images of the letter read
+        next, pruning every group without a primitive completion.  Both
+        levels of ``QUICK_FILTER`` find an imbalance exactly when the longer
+        one does, and the walk finds one exactly when they do.
         """
         quick = 0
         passed = []
@@ -914,16 +913,13 @@ class _SearchPool:
                 goal, window = QUICK_FILTER[level]
                 text, read = self.grow(images, text, read, goal, unread)
                 read_all = len(text) >= goal
-                # pairs are tested on what has been read, the longer window
-                # only once the whole prefix is
+                # level 0 is tested on what has been read, the longer
+                # window only once the whole prefix is
                 if level == 0 or read_all:
                     binary = B_AS_01.apply_text(text[:goal].decode())
-                    if level == 0:
-                        found = _least_pair_length(binary, *BINARY, window)
-                    else:
-                        found = first_unbalanced_length(
-                            Word._trusted(binary, BINARY), window
-                        )
+                    found = first_unbalanced_length(
+                        Word._trusted(binary, BINARY), window
+                    )
                     if found is not None:
                         quick += self.completions(seed, rows, budget)
                         return
@@ -981,18 +977,18 @@ def search_substitutions(
     binary image of the 400-letter fixed-point prefix, a sound refutation
     cheaper than the certificate.  That filter walks each fixed point
     once, lazily, for every candidate that shares the images it reads, and
-    counts the candidates an imbalance decides without building them.  The
-    first 60 letters are tested up to ``PAIR_LENGTH`` by substring tests
-    alone, where most candidates stop at length 2; the prefixes are
-    nested, so what that finds is in the 400-letter image too.  Each
-    candidate the filter passes leaves at "certificate-error", "-refuted",
-    "-periodic" or "-consistent", the verdict of ``three_iet_certificate``
-    on its first ``CERTIFICATE_PREFIX`` fixed-point letters, the same
-    certificate the audit reports; the walk's generator
-    (``_SearchPool.grow``) grows them from the seed's image.  Only the
-    certificate-consistent candidates become a ``Morphism`` and reach
-    ``substitution_audit``; results are deterministic, ordered by the
-    textual form.
+    counts the candidates an imbalance decides without building them.  It
+    first tests the first 60 letters up to ``PAIR_LENGTH``, which
+    ``first_unbalanced_length`` decides by substring tests alone and where
+    most candidates stop at length 2; the prefixes are nested, so what
+    that finds is in the 400-letter image too.  Each candidate the filter
+    passes leaves at "certificate-error", "-refuted", "-periodic" or
+    "-consistent", the verdict of ``three_iet_certificate`` on its first
+    ``CERTIFICATE_PREFIX`` fixed-point letters, the same certificate the
+    audit reports; the walk's generator (``_SearchPool.grow``) grows them
+    from the seed's image.  Only the certificate-consistent candidates
+    become a ``Morphism`` and reach ``substitution_audit``; results are
+    deterministic, ordered by the textual form.
     """
     if max_image is None:
         max_image = max_total - 2
@@ -1025,7 +1021,7 @@ def search_substitutions(
         counts[f"certificate-{stage}"] += 1
         if stage == "consistent":
             texts = dict(zip(TERNARY, map(bytes.decode, images)))
-            consistent.append(Morphism._trusted(texts, TERNARY, TERNARY))
+            consistent.append(Morphism(texts, TERNARY, TERNARY))
 
     audited = []
     for m in sorted(consistent, key=Morphism.to_text):

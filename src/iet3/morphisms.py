@@ -74,7 +74,7 @@ def _byte_kernel(images: Mapping[str, str]) -> tuple[bytes, tuple] | None:
 class Morphism:
     """A map of free monoids given by one image word per source letter."""
 
-    __slots__ = ("images", "source", "target", "_letters", "_table", "_bytes")
+    __slots__ = ("images", "source", "target", "_bytes")
 
     def __init__(
         self,
@@ -110,30 +110,10 @@ class Morphism:
                                      f"outside target alphabet {target}")
         # image words are built unchecked over these alphabets
         check_alphabet((*source, *target))
-        self._set(dict(images), source, target)
-
-    @classmethod
-    def _trusted(
-        cls, images: dict[str, str], source: tuple[str, ...], target: tuple[str, ...]
-    ) -> "Morphism":
-        """The morphism of checked images, without checking them again.
-
-        The caller guarantees what ``__init__`` checks: the keys of
-        ``images`` are the letters of ``source``, every image is a non-empty
-        string of ``target`` letters, and both alphabets are tuples of
-        single characters.  The dict is kept, not copied.
-        """
-        m = object.__new__(cls)
-        m._set(images, source, target)
-        return m
-
-    def _set(self, images, source, target):
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", dict(images))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         # the tables of apply_text
-        object.__setattr__(self, "_letters", "".join(images))
-        object.__setattr__(self, "_table", str.maketrans(images))
         object.__setattr__(self, "_bytes", _byte_kernel(images))
 
     def __setattr__(self, name, value):
@@ -188,28 +168,23 @@ class Morphism:
         return self.target == self.source or set(self.target) <= set(self.source)
 
     def apply_text(self, text: str) -> str:
-        """The image of text, in C-level passes over the whole text.
+        """The image of text.
 
         Under a morphism whose letters and images are ASCII, an ASCII text
         is encoded and translated once by the byte table of
         ``_byte_kernel``, which also marks any letter outside the source;
         then one ``bytes.replace`` per longer image writes it over its
-        placeholder.  Under any other morphism a text is checked by one
-        ``str.strip`` of the source letters and mapped by one
-        ``str.translate`` straight to the images.  A text with a letter
-        outside the source takes the letter-by-letter ``join``, which
-        raises ``ValueError`` naming the first such letter.
+        placeholder.  Any other text, and a text with a letter outside the
+        source, takes the letter-by-letter ``join``, which raises
+        ``ValueError`` naming the first letter outside the source.
         """
-        if self._bytes:
-            if text.isascii():
-                table, replacements = self._bytes
-                coded = text.encode("ascii").translate(table)
-                if _OUTSIDE not in coded:
-                    for placeholder, image in replacements:
-                        coded = coded.replace(placeholder, image)
-                    return coded.decode("ascii")
-        elif not text.strip(self._letters):
-            return text.translate(self._table)
+        if self._bytes and text.isascii():
+            table, replacements = self._bytes
+            coded = text.encode("ascii").translate(table)
+            if _OUTSIDE not in coded:
+                for placeholder, image in replacements:
+                    coded = coded.replace(placeholder, image)
+                return coded.decode("ascii")
         try:
             return "".join(map(self.images.__getitem__, text))
         except KeyError as exc:
@@ -253,26 +228,6 @@ class IncidenceMatrix:
             raise ValueError("matrix rows must be non-empty and equal length")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("incidence entries must be non-negative")
-        self._set(rows, row_alphabet, col_alphabet)
-
-    @classmethod
-    def _of_counts(
-        cls,
-        rows: tuple[tuple[int, ...], ...],
-        row_alphabet: tuple[str, ...],
-        col_alphabet: tuple[str, ...],
-    ) -> "IncidenceMatrix":
-        """The matrix of trusted letter counts, without checking them again.
-
-        The caller guarantees what ``__init__`` checks: rows is a non-empty
-        tuple of equal-length tuples of non-negative ints, and both
-        alphabets are non-empty tuples.
-        """
-        matrix = object.__new__(cls)
-        matrix._set(rows, row_alphabet, col_alphabet)
-        return matrix
-
-    def _set(self, rows, row_alphabet, col_alphabet):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(
             self, "row_alphabet",
@@ -378,16 +333,9 @@ class IncidenceMatrix:
 
 
 def incidence(m: Morphism) -> IncidenceMatrix:
-    """Letter counts of each image: entry (i, j) = count of a_j in m(a_i).
-
-    ``str.count`` gives non-negative ints and every row has one per target
-    letter, so the matrix is built without the constructor's checks; only
-    a morphism without letters goes through them, to be refused.
-    """
-    rows = tuple(tuple(map(m.images[a].count, m.target)) for a in m.source)
-    if not rows:
-        return IncidenceMatrix(rows, m.source, m.target)
-    return IncidenceMatrix._of_counts(rows, m.source, m.target)
+    """Letter counts of each image: entry (i, j) = count of a_j in m(a_i)."""
+    rows = [list(map(m.images[a].count, m.target)) for a in m.source]
+    return IncidenceMatrix(rows, m.source, m.target)
 
 
 def is_primitive(matrix: IncidenceMatrix) -> bool:
@@ -493,17 +441,16 @@ def _expanding_power(
     return None
 
 
-def find_expanding_letter(
-    m: Morphism, max_power: int = MAX_POWER
-) -> Expanding | None:
-    """A letter whose image under some small power starts with itself and grows.
+def find_expanding_letter(m: Morphism) -> Expanding | None:
+    """A letter whose image under some power up to ``MAX_POWER`` starts with
+    itself and grows.
 
     Returns (letter, power) with the smallest power, ties broken by source
     alphabet order; None when no letter qualifies.
     """
     if not m.is_endomorphism:
         return None
-    return _expanding_power(m, m.source, max_power)
+    return _expanding_power(m, m.source, MAX_POWER)
 
 
 def _seed_power(m: Morphism, seed: str | None) -> Expanding:

@@ -621,14 +621,17 @@ def first_unbalanced_length(w, n_max: int) -> int | None:
     its least unbalanced length n exactly when it holds a pair apa and
     bpb with p a palindrome of length n - 2 (Lothaire, *Algebraic
     Combinatorics on Words*, 2002, Prop. 2.1.3), and any such pair has
-    imbalance 2; length 1 never does.
+    imbalance 2; length 1 never does.  So over two letters an n_max of
+    at most ``PAIR_LENGTH`` is answered by the substring tests alone, as
+    at the first level of the search's quick filter.
 
     Past them, and on a larger alphabet, the answer is the least length
     at which a letter's gap row (``_gap_row``, up to the window) reaches
     2; each further letter's row need only reach the least length found
     so far.  Unlike ``balance`` it does not test for balance first: most
-    words it is asked about, the search's quick-filter images, are
-    unbalanced at a short length, where the gap rows stop early.
+    words it is asked about at the second level of the quick filter, up
+    to length 25 on 400 letters, are unbalanced at a short length, where
+    the gap rows stop early.
     """
     w = _as_word(w)
     window = min(n_max, len(w))

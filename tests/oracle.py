@@ -25,9 +25,10 @@ maps the whole text every round, where
 ``morphisms`` reads two letters per power, maps only the letters the last
 round added and no more of them than the prefix needs, and counts letters
 by a descent through the powers without building them.  ``apply_text``
-joins one image per letter, where ``Morphism.apply_text`` translates the
-whole text at once, and ``exchange_letters_of_all_steps`` codes an
-exchange from all 2n + 1 rotation steps that n letters can need, where
+joins one image per letter, where ``Morphism.apply_text`` translates an
+ASCII text through a byte table and joins only the others, and
+``exchange_letters_of_all_steps`` codes an exchange from all 2n + 1
+rotation steps that n letters can need, where
 ``ThreeIet.code_orbit`` stops at visit n.  The search's stage function decides each
 candidate on a validated morphism, with the 400-letter quick filter
 alone.  ``candidate_stages`` is the search loop that ``audit._SearchPool``
@@ -683,7 +684,7 @@ def candidate_stages(max_total: int, max_image: int):
             elif not _pattern_is_primitive((rows[ia], rows[ib], rows[ic])):
                 yield images, "non-primitive"
             else:
-                m = Morphism._trusted(dict(zip(TERNARY, images)), TERNARY, TERNARY)
+                m = Morphism(dict(zip(TERNARY, images)), TERNARY, TERNARY)
                 yield images, candidate_stage(m, seed)
 
 

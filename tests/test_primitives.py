@@ -4,10 +4,12 @@
 ``is_primitive`` (row bitmasks, cached by zero pattern; the search reads
 the pattern from its image tables), ``first_unbalanced_length``
 (substring tests for the pairs 0p0 / 1p1 up to ``PAIR_LENGTH`` on a
-two-letter alphabet, then the least length at which the gap row of a
-letter, the rarer one for a two-letter alphabet, reaches 2) and the
-power search shared by ``find_expanding_letter`` and
-``fixed_point_prefix``.  Each must answer exactly as its reference in
+two-letter alphabet, alone at a window of ``PAIR_LENGTH``, then the
+least length at which the gap row of a letter, the rarer one for a
+two-letter alphabet, reaches 2) and the power search shared by
+``find_expanding_letter`` and ``fixed_point_prefix``, which the tests
+call at a power bound of their own through ``_expanding_power``.  Each
+must answer exactly as its reference in
 ``oracle``: matrix powers, one prefix-sum row per letter and length, and
 a fixed-point generator with its own power search on whole images; the
 generator's differential reaches powers 2 to 4 with images longer than
@@ -16,8 +18,9 @@ the prefix asked for.  The grown prefix and the letter counts of
 power, in source orders other than A, B, C, for non-endomorphisms, and at
 the lengths on either side of the seed's block boundaries.  The rows of
 ``balance`` meet the same row oracle: on every binary word up to 12
-letters, on random words over binary, ternary and non-ASCII alphabets,
-on the empty word and on windows past the word.  A binary word that
+letters, where a window of ``PAIR_LENGTH`` reads no gap row, on random
+words over binary, ternary and non-ASCII alphabets, on the empty word
+and on windows past the word.  A binary word that
 ``_is_balanced`` accepts takes its row from its periods instead of the
 gaps; the recognizer meets the definition on every binary word up to 16
 letters, and the period rows meet the row oracle on Christoffel words,
@@ -44,6 +47,7 @@ from iet3.morphisms import (
     IncidenceMatrix,
     MAX_POWER,
     Morphism,
+    _expanding_power,
     _fixed_point_counts,
     _pattern_is_primitive,
     find_expanding_letter,
@@ -143,6 +147,23 @@ def test_every_binary_word_up_to_twelve_letters_matches_every_letter_rows(alphab
             least = first_unbalanced_length(word, length)
             if least is not None:
                 assert first_unbalanced_length(word, least - 1) is None
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, ("1", "0")])
+def test_lengths_up_to_the_pairs_never_reach_the_gap_rows(alphabet, monkeypatch):
+    # the search's first quick-filter level asks for PAIR_LENGTH alone
+    def refuse(*args):
+        raise AssertionError("the gap rows were read")
+
+    monkeypatch.setattr(words, "_gap_row", refuse)
+    for length in range(13):
+        for letters in product("01", repeat=length):
+            word = Word("".join(letters), alphabet)
+            table, window = oracle.balance(word, PAIR_LENGTH)
+            rows = table.values()
+            unbalanced = [n for n in range(1, window + 1) if any(r[n] >= 2 for r in rows)]
+            least = min(unbalanced, default=None)
+            assert first_unbalanced_length(word, PAIR_LENGTH) == least
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,7 +360,7 @@ THUE_MORSE = Morphism.from_text("A>BA;B>AB")
 
 def test_a_seed_of_power_two():
     assert find_expanding_letter(THUE_MORSE) == ("A", 2)
-    assert find_expanding_letter(THUE_MORSE, max_power=1) is None
+    assert _expanding_power(THUE_MORSE, THUE_MORSE.source, 1) is None
     for seed in ("A", "B"):
         expected = oracle.fixed_point_prefix(THUE_MORSE, seed, 50)
         assert fixed_point_prefix(THUE_MORSE, seed=seed, n=50).letters == expected
@@ -381,9 +402,10 @@ def morphisms(draw):
 @example(Morphism.from_text(f"A>{'B' * 12};B>{'C' * 12};C>A"), 4, 7)
 @example(Morphism.from_text(f"A>{'B' * 9};B>{'C' * 9};C>{'D' * 9};D>A"), 4, 5)
 def test_power_search_matches_the_oracle(m, max_power, n):
-    assert find_expanding_letter(m, max_power) == oracle.find_expanding_letter(
+    assert _expanding_power(m, m.source, max_power) == oracle.find_expanding_letter(
         m, max_power
     )
+    assert find_expanding_letter(m) == oracle.find_expanding_letter(m, MAX_POWER)
     for seed in m.source:
         try:
             expected = oracle.fixed_point_prefix(m, seed, n)
