@@ -23,7 +23,8 @@ best over its runs, and the order the runs went in.  Rows:
 - ``three_iet_certificate`` on a search-sized prefix of 2 000 letters (at
   most ``--letters``): a balanced one, of the golden coding, and a refuted
   one, of the fixed point of ``A>AC;B>AC;C>B``, whose ``B -> 01`` image is
-  balanced and whose ``B -> 10`` image is not;
+  balanced and whose ``B -> 10`` image is not, and ``balance`` of that
+  ``B -> 10`` image at window 300, which reads the occurrence gaps alone;
 - ``Morphism.apply_text`` of ``B -> 01`` on prefixes of 5, 60, 400 and
   10 000 letters, and ``code_orbit`` of 10 000 letters (each capped at
   ``--letters``);
@@ -110,6 +111,8 @@ def rows(letters: int, repeat: int, search_max_total: int, src: str) -> list[dic
     refuted = morphisms.fixed_point_prefix(morphisms.Morphism.from_text(REFUTED), n=size)
     row("certificate_balanced", lambda: audit.three_iet_certificate(balanced), size)
     row("certificate_refuted", lambda: audit.three_iet_certificate(refuted), size)
+    unbalanced = morphisms.SIGMA_PRIME(refuted)
+    row("balance_refuted", lambda: words.balance(unbalanced, 300), size)
 
     for size in (5, 60, 400, 10**4):
         text = u.letters[: min(size, letters)]

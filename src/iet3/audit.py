@@ -32,7 +32,6 @@ from .morphisms import (
     SpectralClass,
     _fixed_point_counts,
     _image_offsets,
-    _image_prefix,
     _pattern_is_primitive,
     find_expanding_letter,
     fixed_point_prefix,
@@ -436,6 +435,11 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     compared with the eigenvector's densities; those letters are counted by
     descent through the powers of the substitution (``_fixed_point_counts``),
     not built.  A pass asserts only that nothing failed.
+
+    The prefix is fixed by the substitution itself, not only by a power of
+    it, exactly when the seed's least power is 1 or the prefix is empty;
+    the prefix is built only then.  Once a seed is found, a negative
+    ``prefix_len`` raises ValueError.
     """
     if set(m.source) != set(TERNARY):
         raise ValueError("substitution must be over the letters A, B, C")
@@ -453,10 +457,12 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     if expanding is None:
         return stop("no expanding fixed point")
     fields["expanding"] = expanding
-    seed, _power = expanding
-
-    u = fixed_point_prefix(m, seed=seed, n=prefix_len)
-    consistent = _image_prefix(m, u.letters, prefix_len)[:prefix_len] == u.letters
+    seed, power = expanding
+    if prefix_len < 0:
+        raise ValueError("n must be non-negative")
+    # at a higher power m(seed) does not start with the seed (a seed that is
+    # its own image never grows), so only the empty prefix is fixed by m
+    consistent = power == 1 or prefix_len == 0
     fields["fixed_point_consistent"] = consistent
 
     matrix = incidence(m)
@@ -468,6 +474,7 @@ def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:
     if not consistent:
         return stop("the generated word is fixed by a power of the substitution only")
 
+    u = fixed_point_prefix(m, seed=seed, n=prefix_len)
     missing = [a for a in TERNARY if u.count(a) == 0]
     if missing:
         return stop(f"missing letter in fixed point: {missing[0]!r}")

@@ -22,7 +22,9 @@ and 1 at every other length, so its row is read off its periods.  Every
 other word reads each letter's row off its occurrence gaps (Burcsi,
 Cicalese, Fici and Lipták, 2012): the shortest factor holding k
 occurrences and the longest holding at most k give the largest and the
-least count at every length, one pass over the occurrences per count.
+least count at every length.  Both are row extremes of the differences
+of the occurrences at lag k + 1, taken for a block of lags at a time
+from one strided view, so no Python loop runs per count.
 
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
@@ -43,7 +45,7 @@ comparison.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -396,80 +398,69 @@ def _row_letters(w: Word) -> dict[str, np.ndarray]:
     return positions
 
 
-#: about how many gap differences one pass of ``_gap_extremes`` computes:
-#: a letter with few occurrences takes several lags per pass
+#: about how many gap differences one block of ``_gap_row`` computes: a
+#: letter with few occurrences takes several lags per block
 GAP_PASS_CELLS = 2**16
 
 
-def _gap_extremes(
-    positions: np.ndarray, size: int, window: int
-) -> Iterator[tuple[int, int | None]]:
-    """(G(k), S(k + 2)) for k = 0, 1, ..., min(m, window - 1), of a letter
-    at the given m positions in a word of ``size`` >= ``window`` letters.
+def _gap_row(positions: np.ndarray, size: int, window: int) -> np.ndarray:
+    """The imbalance at factor lengths 0..window of a letter at the given
+    m positions in a word of ``size`` >= ``window`` letters.
 
     S(j) is the shortest factor holding j occurrences of the letter and
     G(k) the longest holding at most k (Burcsi, Cicalese, Fici and Lipták,
-    "Algorithms for jumbled pattern matching in strings", 2012).  Both come
+    "Algorithms for jumbled pattern matching in strings", 2012).  A factor
+    of length n holds at most #{j >= 1 : S(j) <= n} occurrences and at
+    least #{k >= 0 : G(k) < n}; the row is their difference.  Both come
     from the differences of the positions at lag k + 1, with -1 and
     ``size`` as sentinels on either side: G(k) is the largest difference
-    less one, and S(k + 2) the smallest between two occurrences plus one,
-    or None when the letter occurs fewer than k + 2 times.  No factor
-    length up to the window needs a count k of the window or more, as
+    less one, and S(k + 2) the smallest between two occurrences plus one.
     S(k + 2) >= k + 2 and G(k) >= min(k, size), so no lag past the window
-    is computed.  Each lag costs O(m); a pass takes as many consecutive
-    lags as fit in ``GAP_PASS_CELLS`` differences, at least one.
+    is needed, and both grow with k, so the lags stop once G reaches the
+    window and S passes it: about as many lags as the letter has
+    occurrences in a factor of ``window`` letters.
+
+    Each block of as many consecutive lags as fit in ``GAP_PASS_CELLS``
+    differences, at least one, is one strided view of the positions less
+    the positions.  Its row maxima are G.  The columns before the last
+    ``count`` lie between two occurrences in every row; the last ``count``
+    are read again from a copy whose entries past the last occurrence are
+    above every gap, so that the row minima are S, or above the window
+    when the letter occurs fewer than k + 2 times.
     """
     m = len(positions)
     lags = min(m + 1, max(window, 0))
     block = max(1, min(lags, GAP_PASS_CELLS // (m + 2)))
-    beyond = 2 * size + 2  # above every difference, and int32 while it fits
+    beyond = 2 * size  # less any position, past the window; int32 while it fits
     dtype = np.int32 if beyond < 2**31 else np.int64
     # copies of the end sentinel past it give differences no larger than
     # the last real one, so they never raise a maximum
     padded = np.full(m + 1 + block, size, dtype=dtype)
     padded[0], padded[1 : m + 1] = -1, positions
+    far = padded.copy()
+    far[m + 1 :] = beyond
     step = padded.strides[0]
+    shortest, longest = [np.ones(min(m, 1), dtype)], [np.empty(0, dtype)]
     for first in range(1, lags + 1, block):
         count, columns = min(block, lags + 1 - first), m + 2 - first
-        # row b holds the differences at lag first + b, from a strided view
+        # row b holds the differences at lag first + b
         lagged = np.ndarray((count, columns), dtype, padded, first * step, (step, step))
         gaps = lagged - padded[:columns]
-        # between two occurrences, row b reads columns 1..m - first - b: all
-        # rows in the columns before the last count, a staircase in those
+        most = gaps.max(axis=1) - 1
         split = max(columns - count, 1)
-        least = gaps[:, 1:split].min(axis=1, initial=beyond)
-        if split < columns - 1:
-            rows = np.arange(count)[:, None]
-            inside = rows + np.arange(split, columns - 1) <= m - first
-            least = np.minimum(
-                least,
-                gaps[:, split:-1].min(axis=1, initial=beyond, where=inside),
-            )
-        for most, shortest in zip(gaps.max(axis=1).tolist(), least.tolist()):
-            yield most - 1, shortest + 1 if shortest < beyond else None
-
-
-def _gap_row(positions: np.ndarray, size: int, window: int) -> np.ndarray:
-    """The imbalance of one letter at factor lengths 0..window.
-
-    A factor of length n holds at most #{j >= 1 : S(j) <= n} occurrences
-    and at least #{k >= 0 : G(k) < n}; the row is their difference.  S
-    grows with j and G with k, so only the S(j) up to the window and the
-    G(k) below it are needed: about as many gap passes as the letter has
-    occurrences in a factor of ``window`` letters.
-    """
-    shortest = [1] if len(positions) else []
-    longest = []
-    for most, least in _gap_extremes(positions, size, window):
-        if most < window:
-            longest.append(most)
-        if least is not None and least <= window:
-            shortest.append(least)
-        elif most >= window:
+        # the only columns that reach past the last occurrence, read again
+        ends = np.ndarray(
+            (count, columns - split), dtype, far, (first + split) * step, (step, step)
+        )
+        np.subtract(ends, padded[split:columns], out=gaps[:, split:])
+        least = gaps[:, 1:].min(axis=1, initial=beyond) + 1
+        longest.append(most[most < window])
+        shortest.append(least[least <= window])
+        if most[-1] >= window and least[-1] > window:
             break
     lengths = np.arange(max(window, 0) + 1)
-    row = np.searchsorted(shortest, lengths, "right")
-    row -= np.searchsorted(longest, lengths, "left")
+    row = np.searchsorted(np.concatenate(shortest), lengths, "right")
+    row -= np.searchsorted(np.concatenate(longest), lengths, "left")
     return row
 
 
@@ -559,12 +550,13 @@ def balance(w, n_max: int) -> BalanceReport:
 
     Any other word, an unbalanced binary one or one over another alphabet,
     reads the row of each letter off the occurrence gaps of the letter
-    (``_gap_row``): one O(m) pass per count of the letter that a
-    factor of up to n_max letters can hold, where m is the number of
-    occurrences.  For a letter spread evenly over a word of N letters that
-    is O(m^2 * n_max / N), against O(n_max * N) for one pass per length,
-    and never more than n_max + 1 passes.  A two-letter alphabet needs
-    only its rarer letter's row.
+    (``_gap_row``): O(m) work for each count of the letter that a factor
+    of up to n_max letters can hold, where m is the number of occurrences,
+    one lag of the occurrence differences per count, in whole-array blocks
+    of lags.  For a letter spread evenly over a word of N letters that is
+    O(m^2 * n_max / N), against O(n_max * N) for one pass per length, and
+    never more than n_max lags.  A two-letter alphabet needs only its
+    rarer letter's row.
     """
     w = _as_word(w)
     window = min(n_max, len(w))

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import oracle
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iet3 import audit
 from iet3.audit import (
     CERTIFICATE_PREFIX,
     FREQUENCY_TOLERANCE,
@@ -219,6 +220,42 @@ def test_missing_letter_is_reported_before_any_verdict():
 def test_audit_requires_the_ternary_source_alphabet():
     with pytest.raises(ValueError, match="A, B, C"):
         substitution_audit(Morphism.from_text("0>01;1>0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ABC", min_size=1, max_size=4), min_size=3, max_size=3),
+    st.integers(0, 30),
+)
+def test_fixed_point_consistency_is_the_image_test(images, prefix_len):
+    # the audit reads it from the seed's power; the oracle maps the prefix
+    m = Morphism(dict(zip(TERNARY, images)))
+    report = substitution_audit(m, prefix_len=prefix_len)
+    if report.expanding is None:
+        assert report.fixed_point_consistent is None
+        return
+    u = oracle.fixed_point_prefix(m, report.expanding.letter, prefix_len)
+    assert report.fixed_point_consistent == (oracle.apply_text(m, u)[:prefix_len] == u)
+
+
+def test_an_audit_at_power_two_builds_no_prefix(monkeypatch):
+    m = Morphism.from_text("A>B;B>AC;C>AB")
+    expected = substitution_audit(m)
+    assert expected.expanding == ("A", 2)
+    assert expected.overall == "not-applicable"
+    assert expected.fixed_point_consistent is False
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix was built")
+
+    monkeypatch.setattr(audit, "fixed_point_prefix", refuse)
+    assert substitution_audit(m) == expected
+
+
+@pytest.mark.parametrize("text", ["A>AB;B>AACA;C>A", "A>B;B>AC;C>AB"])
+def test_a_negative_prefix_is_refused_at_any_power(text):
+    with pytest.raises(ValueError, match="non-negative"):
+        substitution_audit(Morphism.from_text(text), prefix_len=-1)
 
 
 # -- structural identities on images ---------------------------------------------------

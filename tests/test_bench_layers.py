@@ -15,6 +15,7 @@ ROWS = [
     ("code_orbit", 1000), ("height_f", 1000), ("complexity", 1000),
     ("balance", 1000), ("certificate", 1000), ("recover", 1000),
     ("certificate_balanced", 1000), ("certificate_refuted", 1000),
+    ("balance_refuted", 1000),
     ("apply_text", 5), ("apply_text", 60), ("apply_text", 400),
     ("apply_text", 1000), ("code_orbit", 1000),
     ("qfield.add", None), ("qfield.mul", None), ("qfield.div", None),

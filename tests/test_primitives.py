@@ -20,7 +20,10 @@ the lengths on either side of the seed's block boundaries.  The rows of
 ``balance`` meet the same row oracle: on every binary word up to 12
 letters, where a window of ``PAIR_LENGTH`` reads no gap row, on random
 words over binary, ternary and non-ASCII alphabets, on the empty word
-and on windows past the word.  A binary word that
+and on windows past the word; with ``GAP_PASS_CELLS`` cut down, on every
+binary word up to 12 letters and on words of 200 to 700 letters, so that
+the gap rows take several blocks of lags; and on a row past int32 read
+off a short tail of a word that is never built.  A binary word that
 ``_is_balanced`` accepts takes its row from its periods instead of the
 gaps; the recognizer meets the definition on every binary word up to 16
 letters, and the period rows meet the row oracle on Christoffel words,
@@ -147,6 +150,61 @@ def test_every_binary_word_up_to_twelve_letters_matches_every_letter_rows(alphab
             least = first_unbalanced_length(word, length)
             if least is not None:
                 assert first_unbalanced_length(word, least - 1) is None
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+def test_every_binary_word_up_to_twelve_letters_matches_across_gap_blocks(
+    cells, monkeypatch
+):
+    # one lag per block, or a few: the default holds every lag of these
+    monkeypatch.setattr(words, "GAP_PASS_CELLS", cells)
+    for length in range(13):
+        for letters in product("01", repeat=length):
+            assert_balance_matches_oracle(Word("".join(letters)), length)
+
+
+@st.composite
+def long_words(draw):
+    """Words of 200 to 700 letters that mostly take the gap rows: random
+    words over two or three letters, and binary images of 3iet codings
+    with one letter flipped, which first unbalances them at some length."""
+    if draw(st.booleans()):
+        letters = draw(st.sampled_from(["01", "ABC"]))
+        return Word(draw(st.text(alphabet=letters, min_size=200, max_size=700)))
+    u = ThreeIet(draw(exchange_params())).code_orbit(draw(st.integers(200, 450))).word
+    text = draw(st.sampled_from([SIGMA, SIGMA_PRIME])).apply(u).letters[:700]
+    i = draw(st.integers(0, len(text) - 1))
+    return Word(text[:i] + "10"[int(text[i])] + text[i + 1 :])
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_words(), st.integers(1, 8), st.data())
+def test_long_words_match_every_letter_rows_across_gap_blocks(word, lags, data):
+    # blocks of a few lags each for a letter occurring on every other
+    # position or less often, so that the windows cross block edges
+    n_max = data.draw(st.integers(PAIR_LENGTH + 1, len(word)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "GAP_PASS_CELLS", lags * (len(word) // 2 + 2))
+        for window in (n_max, len(word)):
+            assert_balance_matches_oracle(word, window)
+
+
+@pytest.mark.parametrize("cells", [1, words.GAP_PASS_CELLS])
+@pytest.mark.parametrize("size", [2**30 + 5, 2**31 + 5])
+def test_gap_rows_past_int32_read_a_short_tail(size, cells, monkeypatch):
+    # the word is never built: the letter occurs only in its last letters,
+    # so the row at each length is the largest count of a factor there
+    monkeypatch.setattr(words, "GAP_PASS_CELLS", cells)
+    tail, window = "0110100111011010001", 30
+    positions = np.array(
+        [size - len(tail) + i for i, x in enumerate(tail) if x == "1"], dtype=np.int64
+    )
+    text = "0" * window + tail
+    expected = [
+        max(text[i : i + n].count("1") for i in range(len(text) - n + 1))
+        for n in range(window + 1)
+    ]
+    assert words._gap_row(positions, size, window).tolist() == expected
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, ("1", "0")])
