@@ -14,10 +14,16 @@ With ``--base`` and ``--new`` the script compares two checkouts.  It runs
 itself three times on each side, each run a fresh process, in the order
 base, new, new, base, base, new, so the host's drift lands on both.  It
 writes ``{base, new, run_order}``: each side's record with every row the
-best over its runs, and the order the runs went in.  Rows:
+best over its runs, and the order the runs went in.  The printout gives
+each row's ratio and that ratio over the ``control`` row's.  Rows:
 
+- ``control``: a fixed standard-library loop (``Fraction`` and int
+  arithmetic, as in perfbench's speed probe) that no change to iet3 can
+  move, so its ratio between two sides is the host's drift between them;
 - the layers, on the coding of the golden-ratio exchange to ``--letters``
-  letters: ``code_orbit``, ``height_f`` of its ``B -> 01`` image,
+  letters: ``code_orbit``, ``Rotation.code_orbit`` to as many letters
+  (``rotation_code_orbit``) of the rotation whose coding is the ``B -> 01``
+  image of that word, ``height_f`` of that image,
   ``complexity(u, 30)``, ``balance`` of that image at window 300,
   ``three_iet_certificate`` and ``recover_parameters``;
 - ``three_iet_certificate`` on a search-sized prefix of 2 000 letters (at
@@ -52,6 +58,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = ("(-1+sqrt(5))/2", "(1+sqrt(5))/4", "0")
@@ -72,6 +79,15 @@ def best(call, repeat: int, number: int = 1) -> float:
             call()
         samples.append((time.perf_counter() - start) / number)
     return min(samples)
+
+
+def control() -> None:
+    """A fixed loop of the standard library alone."""
+    x = Fraction(1, 3)
+    acc = 0
+    for i in range(500):
+        x = (x * 3 + Fraction(i, 7)) % 5
+        acc += i * i % 7
 
 
 def git_sha(path: str) -> str | None:
@@ -100,7 +116,10 @@ def rows(letters: int, repeat: int, search_max_total: int, src: str) -> list[dic
              "seconds": best(call, repeat, number)}
         )
 
+    row("control", control, number=20)
     row("code_orbit", lambda: iet.code_orbit(letters), letters)
+    rotation = dynamics.Rotation.plain_for(iet.params)
+    row("rotation_code_orbit", lambda: rotation.code_orbit(letters), letters)
     row("height_f", lambda: words.height_f(image, eps), letters)
     row("complexity", lambda: words.complexity(u, 30), letters)
     row("balance", lambda: words.balance(image, 300), letters)
@@ -215,10 +234,14 @@ def main() -> int:
                      "--search-max-total", str(args.search_max_total)]
         record = paired(args.base, args.new, forwarded)
         write(record, args.out)
-        for b, n in zip(record["base"]["rows"], record["new"]["rows"]):
+        pairs = list(zip(record["base"]["rows"], record["new"]["rows"]))
+        drift = next(b["seconds"] / n["seconds"] for b, n in pairs if b["name"] == "control")
+        for b, n in pairs:
             size = "" if b["size"] is None else f" {b['size']}"
+            ratio = b["seconds"] / n["seconds"]
             print(f"{b['name']}{size}: {b['seconds'] * 1e3:.4f} -> "
-                  f"{n['seconds'] * 1e3:.4f} ms ({b['seconds'] / n['seconds']:.2f}x)")
+                  f"{n['seconds'] * 1e3:.4f} ms ({ratio:.2f}x, "
+                  f"{ratio / drift:.2f}x past control)")
         return 0
 
     src = os.path.abspath(args.src)

@@ -254,6 +254,44 @@ def _match_statistics(expected: str, produced: str) -> tuple[Fraction, int | Non
     return Fraction(n - len(mismatches), len(expected)), first
 
 
+def _height_fields(u: Word, eps: QuadraticNumber) -> dict:
+    """The fields of ``RecoveredParameters`` read off the heights of the
+    ``B_AS_01`` image v of u.
+
+    One float enclosure of the heights serves all three extremes, and the
+    arrays are gone before recovery re-generates the coding.
+    """
+    heights = height_f(B_AS_01.apply(u), eps)
+    a, b = heights.keys()
+    d = heights.frame.radicand
+    lo, hi = _kernels.bounds(a, b, d)
+    c_hat = heights[_kernels.argmin(a, b, d, (lo, hi))]
+    # the index in v of the '1' of the k-th B-image, the one two-letter
+    # image: the index of the k-th B in u, plus k earlier B-images, plus one
+    codes = np.frombuffer(u.letters.encode("ascii"), dtype=np.uint8)
+    b_at = np.flatnonzero(codes == ord("B"))
+    positions = b_at + np.arange(1, len(b_at) + 1)
+    pa, pb = a[positions], b[positions]
+    at = _kernels.argmin(pa, pb, d, (lo[positions], hi[positions]))
+    floor = heights[int(positions[at])]
+    # the greatest height at every prefix of v but v itself and those
+    # ending in a B-image's '1' is the least negated one; the negated
+    # heights lie in [-hi, -lo], and +inf leaves the rest out
+    high_lo, high_hi = -hi, -lo
+    for bound in (high_lo, high_hi):
+        bound[positions] = np.inf
+        bound[-1] = np.inf
+    other_high = _kernels.argmin(-a, -b, d, (high_lo, high_hi))
+    return dict(
+        c_hat=c_hat,
+        l_hat=floor - c_hat,
+        attained_infimum=int(np.count_nonzero((pa == pa[at]) & (pb == pb[at]))) >= 2,
+        sample_size=len(heights),
+        position_count=len(positions),
+        threshold_consistent=other_high is None or floor > heights[other_high],
+    )
+
+
 def recover_parameters(u, epsilon) -> RecoveredParameters:
     """Recover (c, l) from a ternary word given the rotation angle.
 
@@ -270,27 +308,10 @@ def recover_parameters(u, epsilon) -> RecoveredParameters:
         )
     if u.count("B") == 0:
         raise RecoveryError("no B occurrences in the word")
-    v = B_AS_01.apply(u)
-    heights = height_f(v, eps)
-    c_hat = heights[heights.argmin()]
-    # the indices in v of the '1' of each B-image, the one two-letter image
-    offsets = _image_offsets(B_AS_01, u.letters)
-    positions = offsets[:-1][np.diff(offsets) == 2] + 1
-    floor_at = heights.argmin(positions)
-    a, b = heights.keys(positions)
-    floor_a, floor_b = heights.key(floor_at)
-    attained = int(np.count_nonzero((a == floor_a) & (b == floor_b))) >= 2
-    l_hat = heights[floor_at] - c_hat
-    # every prefix of v but v itself and those ending in a B-image's '1'
-    others = np.arange(len(heights)) < len(v)
-    others[positions] = False
-    other_high = heights.argmax(others)
-    threshold_consistent = (
-        other_high is None or heights[floor_at] > heights[other_high]
-    )
-
+    fields = _height_fields(u, eps)
+    c_hat = fields["c_hat"]
     try:
-        params = IetParameters(eps, l_hat, c_hat)
+        params = IetParameters(eps, fields["l_hat"], c_hat)
     except ConstraintError as exc:
         raise RecoveryError(f"recovered parameters violate constraints: {exc}") from None
     iet = ThreeIet(params)
@@ -315,12 +336,7 @@ def recover_parameters(u, epsilon) -> RecoveredParameters:
         )
     return RecoveredParameters(
         epsilon=eps,
-        c_hat=c_hat,
-        l_hat=l_hat,
-        attained_infimum=attained,
-        sample_size=len(heights),
-        position_count=len(positions),
-        threshold_consistent=threshold_consistent,
+        **fields,
         convention=convention,
         match_fraction=fraction,
         first_mismatch=first,

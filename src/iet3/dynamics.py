@@ -18,8 +18,9 @@ is of (A + B*sqrt(d))/D with integer numerators of a ``qfield.Frame`` (the
 numerator form of ``QuadraticNumber``, one denominator D for e, c and l),
 and comes from ``_kernels``: a float64 pass with a rigorous error bound
 decides every element whose enclosure holds a single integer part, and
-``qfield.int_floor`` decides the rest exactly; numerators are int64 when
-they cannot reach 2**62 and Python ints in an object array otherwise.  No
+``qfield.int_floor`` decides the rest exactly; numerators are float64
+(exact there) while they stay below 2**53, int64 while they cannot reach
+2**62 and Python ints in an object array otherwise.  No
 float ever decides a letter on its own.  The visited points are integer
 pairs (``words.LatticePoints``), and their ``QuadraticNumber`` values are
 built only when ``OrbitCoding.points`` is read, for output.

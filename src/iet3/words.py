@@ -29,7 +29,8 @@ from one strided view, so no Python loop runs per count.
 Prefix heights live on the lattice Z + Z*epsilon: a binary prefix V sits
 at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
 ``height_f`` and ``height_g`` return ``LatticePoints`` over two int64
-prefix-sum arrays (p, q).  The value p - q*e is (a + b*sqrt(d))/n, the
+prefix-sum arrays (p, q), both read from one cumulative sum of packed
+steps dp << 32 | dq.  The value p - q*e is (a + b*sqrt(d))/n, the
 numerator form of ``QuadraticNumber``, with integers a, b over the common
 denominator n of a ``qfield.Frame`` holding 1 and -e.  Minima and maxima
 are array kernels (``_kernels``): a float64 pass with a rigorous error
@@ -666,6 +667,11 @@ def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:
 # -- height sequences ----------------------------------------------------------
 
 
+#: prefix sums pack a step (dp, dq) as dp << 32 | dq in one int64; sums
+#: below this keep dq from carrying into dp and the packed sum below 2**63
+PACK_LIMIT = 2**31
+
+
 class LatticePoints(Sequence):
     """Field values p*g + q*h at integer pairs (p, q), built only when read.
 
@@ -691,17 +697,27 @@ class LatticePoints(Sequence):
         cls, frame: Frame, letters: str, steps: Mapping[str, tuple[int, int]]
     ) -> "LatticePoints":
         """Pairs of every prefix of the word, the empty one first, where
-        each letter moves the pair by its integer step (dp, dq)."""
+        each letter moves the pair by its integer step (dp, dq).
+
+        The steps are packed as dp << 32 | dq, so one lookup and one
+        cumulative sum move both coordinates; that needs non-negative steps
+        and sums below ``PACK_LIMIT``, and other tables are refused.
+        """
         codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-        columns = []
-        for k in (0, 1):
-            table = np.zeros(256, dtype=np.int64)
-            for letter, step in steps.items():
-                table[ord(letter)] = step[k]
-            sums = np.zeros(len(codes) + 1, dtype=np.int64)
-            np.cumsum(table[codes], out=sums[1:])
-            columns.append(sums)
-        return cls(frame, *columns)
+        entries = [x for step in steps.values() for x in step]
+        if min(entries) < 0 or len(codes) * max(entries) >= PACK_LIMIT:
+            raise ValueError(
+                f"prefix sums of {len(codes)} letters need non-negative steps "
+                f"whose sums stay below 2**{PACK_LIMIT.bit_length() - 1}"
+            )
+        table = np.zeros(256, dtype=np.int64)
+        for letter, (dp, dq) in steps.items():
+            table[ord(letter)] = dp << 32 | dq
+        sums = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(table[codes], out=sums[1:])
+        p = sums >> 32
+        sums &= 0xFFFFFFFF
+        return cls(frame, p, sums)
 
     def __len__(self):
         return len(self.p)
@@ -728,8 +744,9 @@ class LatticePoints(Sequence):
             # the rows multiply the arrays, so they must fit as well, even
             # when every pair is (0, 0)
             dtype = _kernels.int_dtype(max(p_reach * g + q_reach * h, g, h))
-            p, q = self.p.astype(dtype), self.q.astype(dtype)
-            self._keys = (p * ga + q * ha, p * gb + q * hb)
+            p = self.p.astype(dtype, copy=False)
+            q = self.q.astype(dtype, copy=False)
+            self._keys = (_combine(p, ga, q, ha), _combine(p, gb, q, hb))
         a, b = self._keys
         return (a, b) if indices is None else (a[indices], b[indices])
 
@@ -772,6 +789,16 @@ class LatticePoints(Sequence):
         """First index (of all, of ``indices`` or of a boolean mask) holding
         the greatest value."""
         return self._extreme(indices, False)
+
+
+def _combine(p: np.ndarray, x: int, q: np.ndarray, y: int) -> np.ndarray:
+    """p*x + q*y, with no product by a zero coefficient."""
+    if not y:
+        return p * x
+    out = q * y
+    if x:
+        out += p * x
+    return out
 
 
 #: integer step (dp, dq) of each letter for heights p - q*epsilon: a binary

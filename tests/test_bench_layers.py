@@ -12,7 +12,8 @@ SRC = LAYERS.parents[1] / "src"
 
 #: (name, size) of every row at 1 000 letters and --search-max-total 4
 ROWS = [
-    ("code_orbit", 1000), ("height_f", 1000), ("complexity", 1000),
+    ("control", None), ("code_orbit", 1000), ("rotation_code_orbit", 1000),
+    ("height_f", 1000), ("complexity", 1000),
     ("balance", 1000), ("certificate", 1000), ("recover", 1000),
     ("certificate_balanced", 1000), ("certificate_refuted", 1000),
     ("balance_refuted", 1000),

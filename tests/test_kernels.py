@@ -11,7 +11,9 @@ element takes the exact path.
 """
 
 import math
+from dataclasses import asdict
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3 import _kernels
+from iet3.audit import recover_parameters
 from iet3.dynamics import IetParameters, Rotation, ThreeIet, densities
 from iet3.morphisms import SIGMA
 from iet3.qfield import QuadraticNumber, int_floor, int_sign, parse_quadratic
@@ -294,3 +297,143 @@ def test_wide_frame_heights_use_object_numerators():
     assert a.dtype == object
     assert values.argmin() == oracle.extreme(values, None, -1)
     assert values.argmax() == oracle.extreme(values, None, 1)
+
+
+# -- numerator regimes of the affine floors ----------------------------------------------
+
+
+@st.composite
+def affine_rows(draw):
+    """(offset, slope, d, den, count, chunk) whose chunks of m build their
+    numerators in float64 up to some m and in int64 or Python ints past it:
+    the largest entry, of either sign, sits near edge/k for a k in range."""
+    d = draw(st.sampled_from((0,) + RADICANDS))
+    count = draw(st.integers(0, 40))
+    chunk = draw(st.sampled_from([1, 5, 16, _kernels.CHUNK]))
+    edge = draw(st.sampled_from([2**53, 2**62, 2**20]))
+    reach = max(1, edge // draw(st.integers(1, 42)) + draw(st.integers(-2, 2)))
+    entries = [draw(st.integers(-reach, reach)) for _ in range(4)]
+    entries[draw(st.integers(0, 3))] = draw(st.sampled_from([reach, -reach]))
+    a0, b0, a1, b1 = entries
+    if d == 0:
+        b0 = b1 = 0
+    # a denominator that keeps every floor inside int64
+    base = draw(st.sampled_from([1, 2, 97, 2**40 + 1]))
+    den = base * (1 + (reach * (count + 1) * (math.isqrt(d) + 2) >> 60))
+    return (a0, b0), (a1, b1), d, den, count, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_rows())
+def test_affine_floors_agree_with_the_field_floor_in_every_regime(row):
+    (a0, b0), (a1, b1), d, den, count, chunk = row
+    expected = [int_floor(a0 + m * a1, b0 + m * b1, d, den) for m in range(count)]
+    with mock.patch.object(_kernels, "CHUNK", chunk):
+        assert _kernels.affine_floors((a0, b0), (a1, b1), d, den, count).tolist() == expected
+        with mock.patch.object(_kernels, "BOUND", math.inf):
+            exact = _kernels.affine_floors((a0, b0), (a1, b1), d, den, count)
+    assert exact.tolist() == expected
+
+
+def test_float_numerators_stop_below_two_to_the_53():
+    # rows whose numerators stay below 2**53 never reach the integer path
+    count = 9
+    a1 = (2**53 - 1) // (count + 1)
+    offset, slope = (3 - a1, a1), (a1, -a1)
+    expected = [int_floor(offset[0] + m * a1, a1 - m * a1, 2, 7) for m in range(count)]
+    with mock.patch.object(_kernels, "floors", side_effect=AssertionError):
+        assert _kernels.affine_floors(offset, slope, 2, 7, count).tolist() == expected
+    # past 2**53 float64 would round 2**53 + 1 to 2**53 and the offset
+    # -2**54 + 5 to -2**54 + 4, so the numerators at m = 2 would read
+    # 4 + sqrt(2), not 7 + sqrt(2); the integer path keeps them exact
+    a1 = 2**53 + 1
+    offset, slope = (-2 * a1 + 7, 1), (a1, 0)
+    got = _kernels.affine_floors(offset, slope, 2, 1, 3).tolist()
+    assert got == [int_floor(offset[0] + m * a1, 1, 2, 1) for m in range(3)]
+    assert got[2] == 8
+
+
+def _frame_reach(frame) -> int:
+    return max(abs(x) for row in frame.rows for x in row)
+
+
+def _near_edge_params(d: int | None, frame_of):
+    """Parameters whose frame, ``frame_of(params)``, reaches about 2**53 / 1500."""
+
+    def make(n: int):
+        if d is None:
+            eps, ell = Fraction(2, 5), Fraction(7, 9)
+        else:
+            eps = parse_quadratic(f"(-1+sqrt({d}))/2" if d == 5 else f"sqrt({d})-1")
+            ell = (max(eps, 1 - eps) + 1) / 2
+        return IetParameters(eps + Fraction(1, n), ell, Fraction(-1, 3 * n))
+
+    trial = 30 * 10**5 + 1
+    per_n = _frame_reach(frame_of(make(trial))) / trial
+    return make(30 * int(2**53 / 1500 / per_n / 30) + 1)
+
+
+@pytest.mark.parametrize("right_closed", [False, True], ids=["left", "right"])
+@pytest.mark.parametrize("d", [5, 2, None], ids=["sqrt5", "sqrt2", "rational"])
+def test_codings_across_two_to_the_53_match_the_integer_walk(d, right_closed, fallback, monkeypatch):
+    # small chunks put the float64 and the int64 numerators in one coding
+    monkeypatch.setattr(_kernels, "CHUNK", 256)
+    n = 3_000
+    iet = ThreeIet(_near_edge_params(d, lambda params: ThreeIet(params)._frame))
+    assert _frame_reach(iet._frame) * 256 < 2**53 < _frame_reach(iet._frame) * 2 * n
+    assert iet.code_orbit(n, right_closed=right_closed).word.letters == (
+        oracle.exchange_letters(iet, n, right_closed)
+    )
+    rotation = Rotation.plain_for(
+        _near_edge_params(d, lambda params: Rotation.plain_for(params)._count)
+    )
+    assert _frame_reach(rotation._count) * 256 < 2**53 < _frame_reach(rotation._count) * n
+    assert rotation.code_orbit(n).word.letters == oracle.rotation_letters(rotation, n)
+
+
+# -- extremes over shared bounds ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns(), st.data())
+def test_argmin_over_shared_bounds_leaves_out_the_infinite_ones(data, draw):
+    d, a, b = data
+    keep = draw.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    lo, hi = _kernels.bounds(a, b, d)
+    lo[~np.array(keep)] = np.inf
+    hi[~np.array(keep)] = np.inf
+    kept = [i for i, k in enumerate(keep) if k]
+    best = kept[0] if kept else None
+    for i in kept[1:]:
+        if int_sign(int(a[i] - a[best]), int(b[i] - b[best]), d) < 0:
+            best = i
+    assert _kernels.argmin(a, b, d, (lo, hi)) == best
+    with mock.patch.object(_kernels, "BOUND", math.inf):
+        assert _kernels.argmin(a, b, d, _kernels.bounds(a, b, d)) == _kernels.argmin(a, b, d)
+
+
+def test_left_out_positions_lose_where_no_bound_is_finite():
+    # values past the float range have NaN bounds, so the float pass keeps
+    # all of them; a position left out with +inf must still lose
+    a = np.array([-(10**400), -(10**401), 5, -(10**402)], dtype=object)
+    b = np.zeros(4, dtype=object)
+    lo, hi = _kernels.bounds(a, b, 2)
+    assert np.isnan(lo[0]) and np.isnan(hi[0])
+    lo[3] = hi[3] = np.inf
+    assert _kernels.argmin(a, b, 2, (lo, hi)) == 1
+    lo[:] = hi[:] = np.inf
+    assert _kernels.argmin(a, b, 2, (lo, hi)) is None
+    assert _kernels.argmin(a[:0], b[:0], 2) is None
+
+
+@pytest.mark.parametrize("right_closed", [False, True], ids=["left", "right"])
+@pytest.mark.parametrize("name", ["rational", "rational-degenerate", "negative-c", "golden"])
+def test_recovery_reads_the_extremes_of_the_field_loop(name, right_closed, fallback):
+    # rational epsilon makes the heights periodic, so every extreme is tied
+    iet = ThreeIet(PARAM_SETS[name])
+    try:
+        u = oracle.exchange_letters(iet, 600, right_closed)
+    except ValueError:  # c = 0: the right-closed orbit leaves at once
+        u = oracle.exchange_letters(iet, 600)
+    eps = iet.params.epsilon
+    assert asdict(recover_parameters(u, eps)) == oracle.recover(u, eps)

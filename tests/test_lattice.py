@@ -20,7 +20,18 @@ from hypothesis import strategies as st
 from iet3.audit import RecoveryError, recover_parameters
 from iet3.dynamics import IetParameters, Rotation, ThreeIet, densities
 from iet3.qfield import Frame, QuadraticNumber, int_sign, parse_quadratic
-from iet3.words import BINARY, TERNARY, Word, height_f, height_g
+from iet3 import words
+from iet3.dynamics import _ROTATION_STEPS
+from iet3.words import (
+    BINARY,
+    BINARY_STEPS,
+    TERNARY,
+    TERNARY_STEPS,
+    LatticePoints,
+    Word,
+    height_f,
+    height_g,
+)
 
 RADICANDS = (2, 3, 5, 6, 7, 13)
 
@@ -179,6 +190,36 @@ def test_binary_heights_match_the_field_loop(text, eps):
 def test_ternary_heights_match_the_field_loop(text, params):
     series = height_g(Word(text, TERNARY), params)
     _assert_series_match(series, oracle.ternary_steps(params.epsilon), text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), epsilons(), rotations())
+def test_packed_sums_match_the_field_loop_for_every_step_table(data, eps, rotation):
+    # the binary and ternary heights over (1, -epsilon) and the rotation's
+    # points over its two shifts
+    tables = [
+        (Frame((1, -eps)), BINARY_STEPS, oracle.binary_steps(eps)),
+        (Frame((1, -eps)), TERNARY_STEPS, oracle.ternary_steps(eps)),
+        (rotation._frame, _ROTATION_STEPS,
+         {"0": rotation.shift_low, "1": rotation.shift_high}),
+    ]
+    frame, steps, values = data.draw(st.sampled_from(tables))
+    text = data.draw(st.text(alphabet="".join(steps), max_size=200))
+    series = LatticePoints.prefix_sums(frame, text, steps)
+    _assert_series_match(series, values, text)
+
+
+def test_a_table_the_packing_cannot_hold_is_refused(monkeypatch):
+    frame = Frame((1, Fraction(-1, 3)))
+    monkeypatch.setattr(words, "PACK_LIMIT", 2**4)
+    # eight ternary letters sum to at most 16 = 2**4: refused, one fewer
+    # (at most 14) packs
+    with pytest.raises(ValueError, match=r"8 letters need non-negative steps .* below 2\*\*4"):
+        LatticePoints.prefix_sums(frame, "B" * 8, TERNARY_STEPS)
+    series = LatticePoints.prefix_sums(frame, "BCBABBB", TERNARY_STEPS)
+    _assert_series_match(series, oracle.ternary_steps(Fraction(1, 3)), "BCBABBB")
+    with pytest.raises(ValueError, match="non-negative steps"):
+        LatticePoints.prefix_sums(frame, "01", {"0": (1, 1), "1": (0, -1)})
 
 
 def test_equal_heights_at_distinct_pairs_compare_as_equal():
