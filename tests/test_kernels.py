@@ -7,7 +7,10 @@ high-precision floats, and the integer walks in ``oracle``) the same
 questions on exact zeros, rational frames, near-ties built from
 continued-fraction convergents of sqrt(d), numerators past int64, and whole
 codings, and ask again with the bound forced to infinity, so that every
-element takes the exact path.
+element takes the exact path.  The affine floors are asked in each of
+their numerator regimes (float64 below 2**53, int64, Python ints) and
+across the edges between them, and the extremes over one shared
+enclosure with positions left out by +inf bounds.
 """
 
 import math
