@@ -46,12 +46,12 @@ the elements the enclosure leaves open get Python-int numerators, for
 ``int_floor``.
 
 Shared enclosures.  ``bounds`` returns the enclosures of a whole array,
-and ``argmin`` takes them instead of enclosing again, so a caller that
-reads several extremes of one array encloses it once.  A position whose
-lower bound is +inf is left out: no enclosure computed here has lo = +inf
-(an overflowing value gets lo = -inf or NaN), and the float pass keeps a
-position only where lo is at most a threshold no greater than the largest
-finite float.
+and ``argmin`` always takes them from its caller instead of enclosing
+again, so a caller that reads several extremes of one array encloses it
+once.  A position whose lower bound is +inf is left out: no enclosure
+computed here has lo = +inf (an overflowing value gets lo = -inf or NaN),
+and the float pass keeps a position only where lo is at most a threshold
+no greater than the largest finite float.
 """
 
 from __future__ import annotations
@@ -208,17 +208,18 @@ def affine_floors(offset, slope, d: int, den: int, count: int) -> np.ndarray:
     return out
 
 
-def argmin(a, b, d: int, enclosure=None) -> int | None:
+def argmin(a, b, d: int, enclosure) -> int | None:
     """Position of the first least a + b*sqrt(d), or None when none is left.
 
-    ``enclosure`` is the (lo, hi) of ``bounds``, computed here when None; a
-    position whose lo is +inf is left out.  A float pass keeps the
-    positions whose enclosure can reach the least value.  Among those, a
-    knockout of exact signs on pairs finds a least value in O(log n) array
-    passes, and the first position equal to it wins.
+    ``enclosure`` is a pair (lo, hi) of float arrays enclosing the values,
+    as ``bounds`` returns them; a position whose lo is +inf is left out.
+    A float pass keeps the positions whose enclosure can reach the least
+    value.  Among those, a knockout of exact signs on pairs finds a least
+    value in O(log n) array passes, and the first position equal to it
+    wins.
     """
     a, b = np.asarray(a), np.asarray(b)
-    lo, hi = bounds(a, b, d) if enclosure is None else enclosure
+    lo, hi = enclosure
     # a NaN bound compares false, so its position survives; top is finite,
     # so a left-out position never does, even where no hi is finite
     top = min(float(np.fmin.reduce(hi, initial=math.inf)), sys.float_info.max)

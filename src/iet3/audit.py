@@ -274,9 +274,10 @@ def _height_fields(u: Word, eps: QuadraticNumber) -> dict:
     pa, pb = a[positions], b[positions]
     at = _kernels.argmin(pa, pb, d, (lo[positions], hi[positions]))
     floor = heights[int(positions[at])]
-    # the greatest height at every prefix of v but v itself and those
-    # ending in a B-image's '1' is the least negated one; the negated
-    # heights lie in [-hi, -lo], and +inf leaves the rest out
+    # the greatest height at every prefix of v but v itself and those at
+    # positions, which end in a B-image's '0' with its '1' next, is the
+    # least negated one; the negated heights lie in [-hi, -lo], and +inf
+    # leaves the rest out
     high_lo, high_hi = -hi, -lo
     for bound in (high_lo, high_hi):
         bound[positions] = np.inf

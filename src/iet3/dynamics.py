@@ -40,7 +40,6 @@ from .words import BINARY, TERNARY, TERNARY_STEPS, LatticePoints, Word
 
 __all__ = [
     "ConstraintError",
-    "DensityResult",
     "IetParameters",
     "InducedMap",
     "Interval",
@@ -49,7 +48,6 @@ __all__ = [
     "ReturnTimeCapError",
     "Rotation",
     "ThreeIet",
-    "densities",
     "first_return",
     "idoc",
     "in_z_epsilon",
@@ -269,12 +267,6 @@ class ThreeIet:
 
         point = integer_parts(ca, cb)
         return point, integer_parts(ca + la, cb + lb) < point
-
-    def _first_return(self, steps: int, right_closed: bool = False) -> str:
-        """Letters of the visits to the domain among the first ``steps``
-        steps of the rotation, but the last visit."""
-        point, inside = self._steps(0, steps, right_closed)
-        return _visit_letters(point, np.flatnonzero(inside))
 
     def code_orbit(self, n: int, right_closed: bool = False) -> OrbitCoding:
         """Code the first n steps of the orbit of 0; exposes the points.
@@ -527,51 +519,6 @@ def idoc(params: IetParameters) -> bool:
     if params.epsilon.radicand is None:
         return False
     return not in_z_epsilon(params.length_l, params.epsilon)
-
-
-# -- densities -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityResult:
-    """Letter densities with the method that produced them.
-
-    kind is "interval-lengths" (irrational case: exact lengths over l) or
-    "periodic-word" (rational case: exact frequencies of one period).
-    """
-
-    kind: str
-    values: tuple[QuadraticNumber, ...]
-    period: int | None = None
-
-
-#: most letters of a rational coding's period that ``densities`` will code
-PERIOD_CAP = 10**6
-
-
-def densities(params: IetParameters) -> DensityResult:
-    """Exact densities of A, B, C in the coded word; always sums to 1."""
-    if params.epsilon.radicand is not None:
-        ell = params.length_l
-        return DensityResult(
-            "interval-lengths",
-            (params.alpha / ell, params.beta / ell, params.gamma / ell),
-        )
-    # rational slope e = r/s: the coding is periodic.  The rotation
-    # x -> x - e (mod 1) first returns to 0 after exactly s steps, and the
-    # period codes its visits to the domain before then, at least s/2 of
-    # them; so min(s, 2*PERIOD_CAP + 2) steps hold either the whole period
-    # or more than PERIOD_CAP letters.
-    s = params.epsilon.rational_value.denominator
-    letters = ThreeIet(params)._first_return(min(s, 2 * PERIOD_CAP + 2) + 1)
-    if len(letters) > PERIOD_CAP:
-        raise ReturnTimeCapError(f"no period found within {PERIOD_CAP} steps")
-    n = len(letters)
-    return DensityResult(
-        "periodic-word",
-        tuple(QuadraticNumber(Fraction(letters.count(a), n)) for a in TERNARY),
-        period=n,
-    )
 
 
 # -- free-function conveniences ----------------------------------------------------

@@ -4,7 +4,8 @@ Incidence matrices follow the row convention: entry (i, j) counts the
 letter a_j inside the image of a_i.  With that convention the counts of
 an image word satisfy count(apply(m, w)) = count(w) @ M, and composition
 satisfies M_{outer after inner} = M_inner @ M_outer — both identities are
-pinned by tests rather than prose.
+pinned by tests rather than prose, the second on the morphism
+a -> outer(inner(a)) that its test builds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "SIGMA",
     "SIGMA_PRIME",
     "SpectralClass",
-    "compose",
     "find_expanding_letter",
     "fixed_point_prefix",
     "incidence",
@@ -199,14 +199,6 @@ class Morphism:
 
 SIGMA = Morphism({"A": "0", "B": "01", "C": "1"}, source=TERNARY, target=BINARY)
 SIGMA_PRIME = Morphism({"A": "0", "B": "10", "C": "1"}, source=TERNARY, target=BINARY)
-
-
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """The morphism sending w to outer(inner(w))."""
-    if set(inner.target) - set(outer.source):
-        raise ValueError("inner target alphabet must embed in outer source alphabet")
-    images = {a: outer.apply_text(inner.images[a]) for a in inner.source}
-    return Morphism(images, source=inner.source, target=outer.target)
 
 
 # -- incidence matrices -----------------------------------------------------------

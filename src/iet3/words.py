@@ -32,15 +32,15 @@ at |V|_0 - |V|*e and a ternary prefix w at (#A+#B) - (|w|+#B)*e, so
 prefix-sum arrays (p, q), both read from one cumulative sum of packed
 steps dp << 32 | dq.  The value p - q*e is (a + b*sqrt(d))/n, the
 numerator form of ``QuadraticNumber``, with integers a, b over the common
-denominator n of a ``qfield.Frame`` holding 1 and -e.  Minima and maxima
-are array kernels (``_kernels``): a float64 pass with a rigorous error
-bound keeps only the indices whose value can reach the extreme, and exact
-signs of integer differences, from the float where its bound clears zero
-and from ``qfield.int_sign`` where it does not, pick the first extreme
-index among them.  Numerator arrays are int64 when no value can reach
-2**62 and Python ints in an object array otherwise.  ``QuadraticNumber``
-values are built only when a height is read, for output or for a single
-comparison.
+denominator n of a ``qfield.Frame`` holding 1 and -e.  Their extremes
+are read by ``_kernels.argmin`` over ``keys``: a float64 pass with a
+rigorous error bound keeps only the indices whose value can reach the
+least, and exact signs of integer differences, from the float where its
+bound clears zero and from ``qfield.int_sign`` where it does not, pick the
+first least index among them.  Numerator arrays are int64 when no value
+can reach 2**62 and Python ints in an object array otherwise.
+``QuadraticNumber`` values are built only when a height is read, for
+output or for a single comparison.
 """
 
 from __future__ import annotations
@@ -676,8 +676,8 @@ class LatticePoints(Sequence):
     """Field values p*g + q*h at integer pairs (p, q), built only when read.
 
     g and h are the first two elements of ``frame``, and ``p`` and ``q``
-    are equal-length int64 arrays.  Extremes and keys work on the integer
-    numerators of the frame, so a scan builds no
+    are equal-length int64 arrays.  ``keys`` gives the integer numerators
+    of the frame, so a scan over them builds no
     ``QuadraticNumber``; indexing or iterating builds one per value read.
     Distinct pairs can be the same number (for rational epsilon = r/s the
     pairs (p, q) and (p + r, q + s) are), so equality and hashing go by
@@ -728,8 +728,8 @@ class LatticePoints(Sequence):
         p, q = int(self.p[i]), int(self.q[i])
         return p * ga + q * ha, p * gb + q * hb
 
-    def keys(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators of the values at ``indices`` (all when None), as arrays.
+    def keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators of the values, as arrays.
 
         They are int64 when no numerator can reach 2**62 in magnitude, and
         Python ints in an object array otherwise; the bound is
@@ -747,8 +747,7 @@ class LatticePoints(Sequence):
             p = self.p.astype(dtype, copy=False)
             q = self.q.astype(dtype, copy=False)
             self._keys = (_combine(p, ga, q, ha), _combine(p, gb, q, hb))
-        a, b = self._keys
-        return (a, b) if indices is None else (a[indices], b[indices])
+        return self._keys
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -768,27 +767,6 @@ class LatticePoints(Sequence):
 
     def __repr__(self):
         return f"LatticePoints(<{len(self)} values>)"
-
-    def _extreme(self, indices, least: bool) -> int | None:
-        if isinstance(indices, np.ndarray):
-            if indices.dtype == bool:
-                indices = np.flatnonzero(indices)
-        elif indices is not None:
-            indices = np.fromiter(indices, dtype=np.intp)
-        a, b = self.keys(indices)
-        # the greatest value is the least of the negated ones
-        at = _kernels.argmin(*((a, b) if least else (-a, -b)), self.frame.radicand)
-        return at if at is None or indices is None else int(indices[at])
-
-    def argmin(self, indices: Iterable[int] | np.ndarray | None = None) -> int | None:
-        """First index (of all, of ``indices`` or of a boolean mask) holding
-        the least value."""
-        return self._extreme(indices, True)
-
-    def argmax(self, indices: Iterable[int] | np.ndarray | None = None) -> int | None:
-        """First index (of all, of ``indices`` or of a boolean mask) holding
-        the greatest value."""
-        return self._extreme(indices, False)
 
 
 def _combine(p: np.ndarray, x: int, q: np.ndarray, y: int) -> np.ndarray:

@@ -55,7 +55,7 @@ from iet3.audit import (
     RecoveryError,
     three_iet_certificate,
 )
-from iet3.dynamics import ConstraintError, IetParameters, ThreeIet
+from iet3.dynamics import ConstraintError, IetParameters, ThreeIet, _visit_letters
 from iet3 import morphisms
 from iet3.morphisms import IncidenceMatrix, Morphism, _pattern_is_primitive, incidence
 from iet3.qfield import (
@@ -271,7 +271,8 @@ def exchange_letters(iet: ThreeIet, n: int, right_closed: bool = False) -> str:
 def exchange_letters_of_all_steps(iet: ThreeIet, n: int, right_closed: bool = False) -> str:
     """The first n letters of the first return of the rotation over 2n + 1
     steps, the most that n + 1 visits can take."""
-    return iet._first_return(2 * n + 1, right_closed)[:n]
+    point, inside = iet._steps(0, 2 * n + 1, right_closed)
+    return _visit_letters(point, np.flatnonzero(inside))[:n]
 
 
 def rotation_letters(rotation, n: int) -> str:
@@ -452,21 +453,6 @@ def recover(u: str, epsilon) -> dict:
         match_fraction=fraction,
         first_mismatch=first,
     )
-
-
-def period(params: IetParameters, cap: int = 10**5) -> str:
-    """Letters of one period of the orbit of 0, stopping when it returns."""
-    iet = ThreeIet(params)
-    zero = QuadraticNumber(0)
-    x = zero
-    letters = []
-    for _ in range(cap):
-        a = iet.letter(x)
-        letters.append(a)
-        x = x + iet.translations[a]
-        if x == zero:
-            return "".join(letters)
-    raise AssertionError(f"no period within {cap} steps")
 
 
 def complexity(text: str, n_max: int) -> tuple[tuple[int, ...], int]:

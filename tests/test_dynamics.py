@@ -1,4 +1,4 @@
-"""Exchanges, rotations, induction, arithmetic conditions, densities."""
+"""Exchanges, rotations, induction, arithmetic conditions."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +16,6 @@ from iet3.dynamics import (
     ReturnTimeCapError,
     Rotation,
     ThreeIet,
-    densities,
     first_return,
     idoc,
     in_z_epsilon,
@@ -288,32 +287,3 @@ def test_integer_combinations_round_trip(p, q):
     assert zeps_coordinates(x, GOLDEN) == (Fraction(p), Fraction(q))
     assert in_z_epsilon(x, GOLDEN) is True
     assert in_z_epsilon(x + Fraction(1, 2), GOLDEN) is False
-
-
-# -- densities -------------------------------------------------------------------------
-
-
-def test_exact_densities_for_the_golden_parameters(golden_params):
-    result = densities(golden_params)
-    assert result.kind == "interval-lengths"
-    assert result.values == (
-        parse_quadratic("5-2*sqrt(5)"),
-        parse_quadratic("-2+sqrt(5)"),
-        parse_quadratic("-2+sqrt(5)"),
-    )
-    assert sum(result.values) == 1
-
-
-def test_rational_parameters_yield_a_periodic_word():
-    params = IetParameters(Fraction(1, 3), Fraction(3, 4), 0)
-    result = densities(params)
-    assert result.kind == "periodic-word"
-    assert result.period == 3
-    assert result.values == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
-
-
-def test_densities_match_empirical_frequencies(golden_params, golden_word_100k):
-    result = densities(golden_params)
-    counts = tuple(golden_word_100k.count(a) for a in "ABC")
-    for value, count in zip(result.values, counts):
-        assert abs(float(value) - count / len(golden_word_100k)) < 1e-4

@@ -24,10 +24,11 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import kernel_extreme, least
 
 from iet3 import _kernels
 from iet3.audit import recover_parameters
-from iet3.dynamics import IetParameters, Rotation, ThreeIet, densities
+from iet3.dynamics import IetParameters, Rotation, ThreeIet
 from iet3.morphisms import SIGMA
 from iet3.qfield import QuadraticNumber, int_floor, int_sign, parse_quadratic
 from iet3.words import height_f
@@ -151,7 +152,7 @@ def test_forced_fallback_gives_identical_signs_floors_and_extremes(data):
     shipped = (
         _kernels.signs(a, b, d).tolist(),
         _kernels.floors(a, b, d, 2**70).tolist(),
-        _kernels.argmin(a, b, d),
+        least(a, b, d),
     )
     saved = _kernels.BOUND
     _kernels.BOUND = math.inf
@@ -159,7 +160,7 @@ def test_forced_fallback_gives_identical_signs_floors_and_extremes(data):
         exact = (
             _kernels.signs(a, b, d).tolist(),
             _kernels.floors(a, b, d, 2**70).tolist(),
-            _kernels.argmin(a, b, d),
+            least(a, b, d),
         )
     finally:
         _kernels.BOUND = saved
@@ -174,7 +175,7 @@ def test_argmin_is_the_first_least_value(data):
     for i in range(1, len(a)):
         if int_sign(int(a[i] - a[best]), int(b[i] - b[best]), d) < 0:
             best = i
-    assert _kernels.argmin(a, b, d) == best
+    assert least(a, b, d) == best
 
 
 def test_numerators_past_int64_take_the_object_dtype():
@@ -183,7 +184,7 @@ def test_numerators_past_int64_take_the_object_dtype():
     a = np.array([2**64 + 1, -(2**64), -(2**64)], dtype=object)
     b = np.array([-(2**63), 2**63, 2**62 * 3], dtype=object)
     assert _kernels.signs(a, b, 2).tolist() == [1, -1, 1]
-    assert _kernels.argmin(a, b, 2) == 1
+    assert least(a, b, 2) == 1
     assert _kernels.floors(a, b, 2, 2**60).tolist() == [
         int_floor(int(x), int(y), 2, 2**60) for x, y in zip(a, b)
     ]
@@ -267,15 +268,6 @@ def test_long_rotation_codings_match_the_integer_walk(rotation, fallback):
     assert list(coding.points[:200]) == points
 
 
-@pytest.mark.parametrize("name", ["rational", "rational-degenerate"])
-def test_rational_densities_count_one_period(name, fallback):
-    params = PARAM_SETS[name]
-    letters = oracle.period(params)
-    result = densities(params)
-    assert result.period == len(letters)
-    assert result.values == tuple(Fraction(letters.count(a), len(letters)) for a in "ABC")
-
-
 @pytest.mark.parametrize("name", ["rational", "rational-degenerate", "golden"])
 def test_tie_heavy_extremes_keep_the_first_index(name, fallback):
     # for rational epsilon the heights of the coding's binary image are
@@ -283,14 +275,16 @@ def test_tie_heavy_extremes_keep_the_first_index(name, fallback):
     params = PARAM_SETS[name]
     values = height_f(SIGMA(ThreeIet(params).code_orbit(3_000).word), params.epsilon)
     n = len(values)
-    masks = [None, list(range(0, n, 3)), list(range(n - 1, -1, -7)), np.arange(n) % 5 != 2]
-    for indices in masks:
-        listed = None if indices is None else (
-            np.flatnonzero(indices).tolist() if isinstance(indices, np.ndarray) else indices
-        )
-        assert values.argmin(indices) == oracle.extreme(values, listed, -1)
-        assert values.argmax(indices) == oracle.extreme(values, listed, 1)
-    assert values.argmin([]) is None and values.argmax(np.zeros(n, dtype=bool)) is None
+    subsets = [
+        None,
+        list(range(0, n, 3)),
+        list(range(n - 1, -1, -7)),
+        np.flatnonzero(np.arange(n) % 5 != 2).tolist(),
+    ]
+    for indices in subsets:
+        assert kernel_extreme(values, indices, -1) == oracle.extreme(values, indices, -1)
+        assert kernel_extreme(values, indices, 1) == oracle.extreme(values, indices, 1)
+    assert kernel_extreme(values, [], -1) is None and kernel_extreme(values, [], 1) is None
 
 
 def test_wide_frame_heights_use_object_numerators():
@@ -298,8 +292,8 @@ def test_wide_frame_heights_use_object_numerators():
     values = height_f(SIGMA(ThreeIet(params).code_orbit(500).word), params.epsilon)
     a, _ = values.keys()
     assert a.dtype == object
-    assert values.argmin() == oracle.extreme(values, None, -1)
-    assert values.argmax() == oracle.extreme(values, None, 1)
+    assert kernel_extreme(values, None, -1) == oracle.extreme(values, None, -1)
+    assert kernel_extreme(values, None, 1) == oracle.extreme(values, None, 1)
 
 
 # -- numerator regimes of the affine floors ----------------------------------------------
@@ -402,17 +396,18 @@ def test_codings_across_two_to_the_53_match_the_integer_walk(d, right_closed, fa
 def test_argmin_over_shared_bounds_leaves_out_the_infinite_ones(data, draw):
     d, a, b = data
     keep = draw.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
-    lo, hi = _kernels.bounds(a, b, d)
-    lo[~np.array(keep)] = np.inf
-    hi[~np.array(keep)] = np.inf
     kept = [i for i, k in enumerate(keep) if k]
     best = kept[0] if kept else None
     for i in kept[1:]:
         if int_sign(int(a[i] - a[best]), int(b[i] - b[best]), d) < 0:
             best = i
-    assert _kernels.argmin(a, b, d, (lo, hi)) == best
-    with mock.patch.object(_kernels, "BOUND", math.inf):
-        assert _kernels.argmin(a, b, d, _kernels.bounds(a, b, d)) == _kernels.argmin(a, b, d)
+    # the shipped enclosures, and again enclosures that decide nothing
+    for bound in (_kernels.BOUND, math.inf):
+        with mock.patch.object(_kernels, "BOUND", bound):
+            lo, hi = _kernels.bounds(a, b, d)
+        lo[~np.array(keep)] = np.inf
+        hi[~np.array(keep)] = np.inf
+        assert _kernels.argmin(a, b, d, (lo, hi)) == best
 
 
 def test_left_out_positions_lose_where_no_bound_is_finite():
@@ -426,7 +421,7 @@ def test_left_out_positions_lose_where_no_bound_is_finite():
     assert _kernels.argmin(a, b, 2, (lo, hi)) == 1
     lo[:] = hi[:] = np.inf
     assert _kernels.argmin(a, b, 2, (lo, hi)) is None
-    assert _kernels.argmin(a[:0], b[:0], 2) is None
+    assert least(a[:0], b[:0], 2) is None
 
 
 @pytest.mark.parametrize("right_closed", [False, True], ids=["left", "right"])

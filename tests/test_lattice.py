@@ -12,15 +12,17 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iet3.audit import RecoveryError, recover_parameters
-from iet3.dynamics import IetParameters, Rotation, ThreeIet, densities
+from iet3.dynamics import IetParameters, Rotation, ThreeIet
+from iet3.morphisms import SIGMA
 from iet3.qfield import Frame, QuadraticNumber, int_sign, parse_quadratic
-from iet3 import words
+from iet3 import _kernels, words
 from iet3.dynamics import _ROTATION_STEPS
 from iet3.words import (
     BINARY,
@@ -34,6 +36,24 @@ from iet3.words import (
 )
 
 RADICANDS = (2, 3, 5, 6, 7, 13)
+
+
+def least(a, b, d: int):
+    """``_kernels.argmin`` over the enclosure of every position."""
+    return _kernels.argmin(a, b, d, _kernels.bounds(a, b, d))
+
+
+def kernel_extreme(values, indices, wanted: int):
+    """First index (of all, or of ``indices``) holding the least (``wanted``
+    -1) or the greatest (+1) of ``values``, by ``_kernels.argmin`` over
+    ``_kernels.bounds``; the greatest is the least of the negated
+    numerators."""
+    a, b = values.keys()
+    if wanted > 0:
+        a, b = -a, -b
+    at = np.arange(len(a)) if indices is None else np.array(indices, dtype=np.intp)
+    k = least(a[at], b[at], values.frame.radicand)
+    return None if k is None else int(at[k])
 
 
 def outcome(fn, *args):
@@ -126,8 +146,8 @@ def test_heights_with_frame_rows_past_int64_keep_their_extremes(text):
     series = height_f(Word(text, BINARY), eps)
     values = oracle.height_series(text, oracle.binary_steps(eps))
     assert series.keys()[0].dtype == object
-    extremes = series[series.argmin()], series[series.argmax()]
-    assert extremes == (min(values), max(values))
+    low, high = kernel_extreme(series, None, -1), kernel_extreme(series, None, 1)
+    assert (series[low], series[high]) == (min(values), max(values))
 
 
 # -- orbit codings -----------------------------------------------------------------------
@@ -173,8 +193,8 @@ def _assert_series_match(series, steps, letters):
     assert len(series) == len(values)
     assert list(series) == values
     assert [series[k] for k in range(len(values))] == values
-    assert series[series.argmin()] == min(values)
-    assert series[series.argmax()] == max(values)
+    assert series[kernel_extreme(series, None, -1)] == min(values)
+    assert series[kernel_extreme(series, None, 1)] == max(values)
     assert series[-1] == values[-1]
 
 
@@ -230,7 +250,7 @@ def test_equal_heights_at_distinct_pairs_compare_as_equal():
     assert values.key(3) == values.key(0)
     assert values[3:] == values[:1] and hash(values[3:]) == hash(values[:1])
     assert values == tuple(values)
-    assert values.argmin() == 0
+    assert kernel_extreme(values, None, -1) == 0
 
 
 # -- parameter recovery --------------------------------------------------------------------
@@ -262,32 +282,21 @@ def test_recovery_from_arbitrary_words_matches_the_field_loop(text, eps):
     assert outcome(_lattice_recovery, text, eps) == outcome(oracle.recover, text, eps)
 
 
+def test_the_whole_image_is_left_out_of_the_threshold(golden_params):
+    # the golden coding with its last B read as A: the image v then ends in
+    # a '0' that lifts v's own height above the least height at the
+    # B-images, while every shorter prefix stays below it
+    u = ThreeIet(golden_params).code_orbit(100).word.letters
+    assert u[-1] == "B"
+    u = u[:-1] + "A"
+    eps = golden_params.epsilon
+    got = recover_parameters(u, eps)
+    assert asdict(got) == oracle.recover(u, eps)
+    assert got.threshold_consistent and got.match_fraction == Fraction(99, 100)
+    assert height_f(SIGMA(Word(u)), eps)[-1] > got.c_hat + got.l_hat
+
+
 def test_recovery_errors_keep_their_messages():
     eps = parse_quadratic("(-1+sqrt(5))/2")
     with pytest.raises(RecoveryError, match="no B occurrences"):
         recover_parameters("AACAAC", eps)
-
-
-# -- periodic densities ----------------------------------------------------------------------
-
-
-def test_rational_period_ends_at_a_multiple_of_the_slope_pair():
-    params = IetParameters(Fraction(2, 5), Fraction(7, 9), Fraction(-1, 7))
-    letters = oracle.period(params)
-    result = densities(params)
-    assert result.kind == "periodic-word"
-    assert result.period == len(letters)
-    assert result.values == tuple(Fraction(letters.count(a), len(letters)) for a in TERNARY)
-    # the orbit closes at p - q*2/5 = 0 with (p, q) = k*(2, 5), never at (0, 0)
-    p = sum(letters.count(a) for a in "AB")
-    q = len(letters) + letters.count("B")
-    assert (p, q) != (0, 0) and 5 * p == 2 * q
-
-
-@settings(max_examples=60, deadline=None)
-@given(exchange_params(rational=True))
-def test_rational_densities_match_the_field_loop(params):
-    letters = oracle.period(params)
-    result = densities(params)
-    assert result.period == len(letters)
-    assert result.values == tuple(Fraction(letters.count(a), len(letters)) for a in TERNARY)

@@ -18,7 +18,6 @@ from iet3.morphisms import (
     MorphismSyntaxError,
     _fixed_point_counts,
     _integer_roots,
-    compose,
     find_expanding_letter,
     fixed_point_prefix,
     incidence,
@@ -231,14 +230,6 @@ def test_images_of_placeholder_characters_are_written_as_given(images):
         assert m.apply_text(text[:size]) == "".join(m.images[a] for a in text[:size])
 
 
-def test_composition_acts_by_substituting_images():
-    doubled = compose(FIBONACCI, FIBONACCI)
-    assert doubled.to_text() == "0>010;1>01"
-    assert doubled("01") == FIBONACCI(FIBONACCI("01"))
-    with pytest.raises(ValueError, match="embed"):
-        compose(Morphism.from_text("A>AB;B>A"), SIGMA)
-
-
 @given(st.text(alphabet="ABC", max_size=40))
 def test_counts_transform_through_the_incidence_matrix(text):
     m = Morphism.from_text("A>ACB;B>AC;C>BBA")
@@ -250,7 +241,8 @@ def test_counts_transform_through_the_incidence_matrix(text):
 def test_incidence_of_a_composition_multiplies_in_application_order(text):
     outer = Morphism.from_text("A>AB;B>AC;C>A")
     inner = Morphism.from_text("A>CA;B>B;C>AB")
-    both = compose(outer, inner)
+    # the morphism sending w to outer(inner(w))
+    both = Morphism({a: outer.apply_text(inner.images[a]) for a in "ABC"}, source=TERNARY)
     assert incidence(both) == incidence(inner) @ incidence(outer)
     assert both(Word(text)) == outer(inner(Word(text)))
 
