@@ -36,14 +36,17 @@ Numerator regimes.  numpy's int64 arithmetic wraps silently, so callers
 build numerator arrays with ``int_dtype``: int64 when every value stays
 below 2**62 in magnitude, so that the sum or difference of two values
 cannot wrap either, and dtype=object otherwise.  An object array holds
-Python ints and runs the same code, only more slowly.  ``affine_floors``
-skips the integer arrays where it can: a chunk whose numerators m*a1 + a0
-all stay below 2**53 in magnitude builds them in float64 straight from a
-float ``arange``.  Every product and sum on the way is an integer below
-2**53, so it is exact, and the floats are fl(a) = a and fl(b) = b, the
-very inputs the bound above starts from; the proof holds unchanged.  Only
-the elements the enclosure leaves open get Python-int numerators, for
-``int_floor``.
+Python ints and runs the same code, only more slowly.  ``combination``
+is the one integer combination of frame rows over integer columns, for
+lattice keys and the audit's scaling relation alike; it picks its dtype
+by that rule from a bound on every product and partial sum.
+``affine_floors`` skips the integer arrays where it can: a chunk whose
+numerators m*a1 + a0 all stay below 2**53 in magnitude builds them in
+float64 straight from a float ``arange``.  Every product and sum on the
+way is an integer below 2**53, so it is exact, and the floats are
+fl(a) = a and fl(b) = b, the very inputs the bound above starts from; the
+proof holds unchanged.  Only the elements the enclosure leaves open get
+Python-int numerators, for ``int_floor``.
 
 Shared enclosures.  ``bounds`` returns the enclosures of a whole array,
 and ``argmin`` always takes them from its caller instead of enclosing
@@ -63,7 +66,8 @@ import numpy as np
 
 from .qfield import int_floor, int_sign
 
-__all__ = ["BOUND", "affine_floors", "argmin", "bounds", "floors", "int_dtype", "signs"]
+__all__ = ["BOUND", "affine_floors", "argmin", "bounds", "combination", "floors",
+           "int_dtype", "signs"]
 
 #: relative error bound of the float evaluation, 16 unit roundoffs
 BOUND = 2.0**-49
@@ -80,6 +84,37 @@ CHUNK = 8192
 def int_dtype(bound: int):
     """int64 for values below 2**62 in magnitude, else object (Python ints)."""
     return np.int64 if bound < INT64_LIMIT else object
+
+
+def combination(columns, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator pair of sum_k columns[k]*element_k over a frame whose
+    element k has the integer numerator pair rows[k], as two arrays.
+
+    This is the one integer combination of frame elements: lattice keys
+    and the audit's scaling relation both read it.  Rows past the last
+    column, and columns whose row is (0, 0), are not read.  The arrays are
+    in ``int_dtype`` of sum_k max(max|columns[k]|, 1)*max|rows[k]|, which
+    bounds every product and partial sum and, since the rows multiply the
+    columns, every row entry too.  Columns already in that dtype are not
+    copied, and no column is multiplied by a zero entry.
+    """
+    used, reach = [], 0
+    for c, (x, y) in zip(columns, rows):
+        weight = max(abs(x), abs(y))
+        if weight:
+            reach += (int(np.abs(c).max(initial=0)) or 1) * weight
+            used.append((c, x, y))
+    dtype = int_dtype(reach)
+    a = b = None
+    for c, x, y in used:
+        c = c.astype(dtype, copy=False)
+        if x:
+            a = c * x if a is None else np.add(a, c * x, out=a)
+        if y:
+            b = c * y if b is None else np.add(b, c * y, out=b)
+    n = len(columns[0])
+    a = np.zeros(n, dtype) if a is None else a
+    return a, np.zeros(n, dtype) if b is None else b
 
 
 def _enclose(a, b, d: int, den: int = 1):

@@ -418,23 +418,11 @@ def _scaling_relation_holds(
     Heights are g(i) = p[i] - q[i]*eps, so each difference is the integer
     combination (p[starts[n]], q[starts[n]], -p[n], -q[n]) of the four
     elements of frame, 1, -eps, lam_conj and -lam_conj*eps; it vanishes
-    exactly when both numerator columns do.  They are computed in one
-    array pass, in int64 where ``_kernels.int_dtype`` allows and in
-    Python ints otherwise.
+    exactly when both numerator columns of ``_kernels.combination`` do.
     """
-    n = len(starts)
-    columns = (p[starts], q[starts], -p[:n], -q[:n])
-    # every product and partial sum is at most largest * weight; at least 1
-    # for largest, so that rows past int64 never meet an int64 column
-    largest = max(1, *(int(np.abs(c).max(initial=0)) for c in columns))
-    weight = sum(max(abs(x) for x in row) for row in frame.rows)
-    dtype = _kernels.int_dtype(largest * weight)
-    columns = [c.astype(dtype) for c in columns]
-    for part in (0, 1):
-        numerator = sum(c * row[part] for c, row in zip(columns, frame.rows))
-        if np.count_nonzero(numerator):
-            return False
-    return True
+    columns = (p[starts], q[starts], -p[: len(starts)], -q[: len(starts)])
+    a, b = _kernels.combination(columns, frame.rows)
+    return not (np.count_nonzero(a) or np.count_nonzero(b))
 
 
 def substitution_audit(m: Morphism, prefix_len: int = 10_000) -> AuditReport:

@@ -20,10 +20,10 @@ quotients a/n and b/n are correctly rounded, their sum is not, and it can
 lose a small value (``sqrt_int(2) - Fraction(1855077841, 1311738121)``
 reads 0.0); no verdict reads it.  The option parser is built once per
 process and reused by every ``main`` call.  Exit codes: 0 for success
-(including not-applicable audit outcomes), 1 for usage or input errors
-and for a reader that closed the output pipe early, 2 when a verified
-instance violates a necessary condition, which indicates a bug in this
-artifact rather than new mathematics.
+(including not-applicable audit outcomes), 1 for usage or input errors,
+for running out of memory and for a reader that closed the output pipe
+early, 2 when a verified instance violates a necessary condition, which
+indicates a bug in this artifact rather than new mathematics.
 """
 
 from __future__ import annotations
@@ -702,6 +702,9 @@ def main(argv=None) -> int:
         ValueError, ZeroDivisionError, OverflowError, OSError, ReturnTimeCapError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     try:
         if args.json or rendered:

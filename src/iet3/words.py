@@ -37,8 +37,12 @@ are read by ``_kernels.argmin`` over ``keys``: a float64 pass with a
 rigorous error bound keeps only the indices whose value can reach the
 least, and exact signs of integer differences, from the float where its
 bound clears zero and from ``qfield.int_sign`` where it does not, pick the
-first least index among them.  Numerator arrays are int64 when no value
-can reach 2**62 and Python ints in an object array otherwise.
+first least index among them.  ``keys`` reads the numerators from
+``_kernels.combination``, the one integer combination of frame rows
+(the audit's scaling relation reads it too): int64 arrays when no value
+can reach 2**62 and Python ints in an object array otherwise.  The same
+packed walk, ``_step_sums``, gives the vertices of the stepped-line
+figures.
 ``QuadraticNumber`` values are built only when a height is read, for
 output or for a single comparison.
 """
@@ -177,8 +181,8 @@ class Word:
         return not self.letters.strip("".join(alphabet))
 
 
-def _as_word(w, alphabet=None) -> Word:
-    return w if isinstance(w, Word) and alphabet is None else Word(w, alphabet)
+def _as_word(w) -> Word:
+    return w if isinstance(w, Word) else Word(w)
 
 
 # -- factor complexity ---------------------------------------------------------
@@ -672,6 +676,34 @@ def imbalance_witness(w, letter: str, n: int) -> tuple[int, int, str, str]:
 PACK_LIMIT = 2**31
 
 
+def _step_sums(
+    letters: str, steps: Mapping[str, tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays (p, q) of the pairs of every prefix of the word, the
+    empty one first, where each letter moves the pair by its integer step
+    (dp, dq).
+
+    The steps are packed as dp << 32 | dq, so one lookup and one
+    cumulative sum move both coordinates; that needs non-negative steps
+    and sums below ``PACK_LIMIT``, and other tables are refused.
+    """
+    codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
+    entries = [x for step in steps.values() for x in step]
+    if min(entries) < 0 or len(codes) * max(entries) >= PACK_LIMIT:
+        raise ValueError(
+            f"prefix sums of {len(codes)} letters need non-negative steps "
+            f"whose sums stay below 2**{PACK_LIMIT.bit_length() - 1}"
+        )
+    table = np.zeros(256, dtype=np.int64)
+    for letter, (dp, dq) in steps.items():
+        table[ord(letter)] = dp << 32 | dq
+    sums = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(table[codes], out=sums[1:])
+    p = sums >> 32
+    sums &= 0xFFFFFFFF
+    return p, sums
+
+
 class LatticePoints(Sequence):
     """Field values p*g + q*h at integer pairs (p, q), built only when read.
 
@@ -696,28 +728,8 @@ class LatticePoints(Sequence):
     def prefix_sums(
         cls, frame: Frame, letters: str, steps: Mapping[str, tuple[int, int]]
     ) -> "LatticePoints":
-        """Pairs of every prefix of the word, the empty one first, where
-        each letter moves the pair by its integer step (dp, dq).
-
-        The steps are packed as dp << 32 | dq, so one lookup and one
-        cumulative sum move both coordinates; that needs non-negative steps
-        and sums below ``PACK_LIMIT``, and other tables are refused.
-        """
-        codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-        entries = [x for step in steps.values() for x in step]
-        if min(entries) < 0 or len(codes) * max(entries) >= PACK_LIMIT:
-            raise ValueError(
-                f"prefix sums of {len(codes)} letters need non-negative steps "
-                f"whose sums stay below 2**{PACK_LIMIT.bit_length() - 1}"
-            )
-        table = np.zeros(256, dtype=np.int64)
-        for letter, (dp, dq) in steps.items():
-            table[ord(letter)] = dp << 32 | dq
-        sums = np.zeros(len(codes) + 1, dtype=np.int64)
-        np.cumsum(table[codes], out=sums[1:])
-        p = sums >> 32
-        sums &= 0xFFFFFFFF
-        return cls(frame, p, sums)
+        """Pairs of every prefix of the word, read by ``_step_sums``."""
+        return cls(frame, *_step_sums(letters, steps))
 
     def __len__(self):
         return len(self.p)
@@ -729,24 +741,10 @@ class LatticePoints(Sequence):
         return p * ga + q * ha, p * gb + q * hb
 
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators of the values, as arrays.
-
-        They are int64 when no numerator can reach 2**62 in magnitude, and
-        Python ints in an object array otherwise; the bound is
-        max|p|*max(|ga|, |gb|) + max|q|*max(|ha|, |hb|), which every product
-        and sum stays within.  Computed once, on first use.
-        """
+        """Numerators of the values, as arrays, from
+        ``_kernels.combination``; computed once, on first use."""
         if self._keys is None:
-            (ga, gb), (ha, hb) = self.frame.rows[:2]
-            p_reach = int(np.abs(self.p).max(initial=0))
-            q_reach = int(np.abs(self.q).max(initial=0))
-            g, h = max(abs(ga), abs(gb)), max(abs(ha), abs(hb))
-            # the rows multiply the arrays, so they must fit as well, even
-            # when every pair is (0, 0)
-            dtype = _kernels.int_dtype(max(p_reach * g + q_reach * h, g, h))
-            p = self.p.astype(dtype, copy=False)
-            q = self.q.astype(dtype, copy=False)
-            self._keys = (_combine(p, ga, q, ha), _combine(p, gb, q, hb))
+            self._keys = _kernels.combination((self.p, self.q), self.frame.rows)
         return self._keys
 
     def __getitem__(self, index):
@@ -767,16 +765,6 @@ class LatticePoints(Sequence):
 
     def __repr__(self):
         return f"LatticePoints(<{len(self)} values>)"
-
-
-def _combine(p: np.ndarray, x: int, q: np.ndarray, y: int) -> np.ndarray:
-    """p*x + q*y, with no product by a zero coefficient."""
-    if not y:
-        return p * x
-    out = q * y
-    if x:
-        out += p * x
-    return out
 
 
 #: integer step (dp, dq) of each letter for heights p - q*epsilon: a binary

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -925,18 +926,23 @@ def test_an_unwritable_out_path_is_an_input_error(capsys, tmp_path):
     assert (code, out) == (1, "") and err.startswith("error: ")
 
 
-def test_a_reader_that_leaves_early_ends_the_output_without_a_traceback():
+def child_env(**extra) -> dict:
+    """Environment of an ``iet3`` child process: this package first on its
+    path, plus ``extra``."""
     import iet3
 
     src = str(Path(iet3.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_a_reader_that_leaves_early_ends_the_output_without_a_traceback():
     argv = [
         sys.executable, "-m", "iet3.cli", "gen3iet", "--epsilon", GOLDEN,
         "--l", GOLDEN_L, "--n", "100000", "--json",
     ]
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
     ) as child:
         head = child.stdout.read(10)
         # the payload is megabytes, far more than the pipe holds
@@ -944,6 +950,50 @@ def test_a_reader_that_leaves_early_ends_the_output_without_a_traceback():
         err = child.stderr.read()
         code = child.wait(timeout=120)
     assert (head, err, code) == (b'{\n  "comma', b"", 1)
+
+
+#: sha256 of the figure of the 10**6-letter golden coding, written by the
+#: per-vertex writer that the array writer replaced
+GOLDEN_MILLION_SVG_SHA256 = "f4d8c8ace95a3b7d358bae37081415605280c6ae9ad50188455f8d7608d19d2f"
+
+
+@pytest.fixture(scope="module")
+def golden_million(tmp_path_factory, golden_params):
+    path = tmp_path_factory.mktemp("caps") / "golden.txt"
+    path.write_text(ThreeIet(golden_params).code_orbit(10**6).word.letters, encoding="ascii")
+    return path
+
+
+def capped_cli(argv, limit_mib):
+    """``iet3`` in a child process whose address space is capped at
+    ``limit_mib`` MiB, with one BLAS thread; the cap applies to the child
+    only."""
+    limit = limit_mib * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "iet3.cli", *argv],
+        env=child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=cap,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_the_figure_of_a_million_letters_fits_in_640_mib(golden_million, tmp_path):
+    out = tmp_path / "figure.svg"
+    done = capped_cli(["svg", "--file", str(golden_million), "--out", str(out)], 640)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MILLION_SVG_SHA256
+
+
+def test_running_out_of_memory_ends_with_one_error_line(golden_million, tmp_path):
+    # 300 MiB holds the interpreter and its imports, not this figure
+    out = tmp_path / "figure.svg"
+    done = capped_cli(["svg", "--file", str(golden_million), "--out", str(out)], 300)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: out of memory"]
+    assert "Traceback" not in done.stderr
 
 
 def test_flags_are_accepted_on_either_side_of_the_subcommand(capsys):

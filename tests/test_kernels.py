@@ -10,7 +10,10 @@ codings, and ask again with the bound forced to infinity, so that every
 element takes the exact path.  The affine floors are asked in each of
 their numerator regimes (float64 below 2**53, int64, Python ints) and
 across the edges between them, and the extremes over one shared
-enclosure with positions left out by +inf bounds.
+enclosure with positions left out by +inf bounds.  The one integer
+combination of frame rows, ``combination``, is asked against
+``oracle.frame_combination`` on 2-, 3- and 4-column frames with zero
+entries, rows past 2**62 and empty columns.
 """
 
 import math
@@ -30,7 +33,14 @@ from iet3 import _kernels
 from iet3.audit import recover_parameters
 from iet3.dynamics import IetParameters, Rotation, ThreeIet
 from iet3.morphisms import SIGMA
-from iet3.qfield import QuadraticNumber, int_floor, int_sign, parse_quadratic
+from iet3.qfield import (
+    Frame,
+    QuadraticNumber,
+    int_floor,
+    int_sign,
+    parse_quadratic,
+    sqrt_int,
+)
 from iet3.words import height_f
 
 RADICANDS = (2, 3, 5, 6, 7, 13)
@@ -188,6 +198,67 @@ def test_numerators_past_int64_take_the_object_dtype():
     assert _kernels.floors(a, b, 2, 2**60).tolist() == [
         int_floor(int(x), int(y), 2, 2**60) for x, y in zip(a, b)
     ]
+
+
+# -- frame combinations ----------------------------------------------------------------
+
+ROW_ENTRIES = (
+    st.sampled_from([0, 0, 1, -1])
+    | st.integers(-(10**6), 10**6)
+    | st.integers(-(2**70), 2**70)
+)
+
+
+@st.composite
+def combinations(draw):
+    """Integer columns (int64 where they fit, else object, some past int64)
+    and the frame with one row per column, entries zero, small or past 2**62."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.tuples(ROW_ENTRIES, ROW_ENTRIES), min_size=k, max_size=k))
+    columns = []
+    for _ in range(k):
+        reach = draw(st.sampled_from([2**20, 2**61, 2**80]))
+        values = draw(st.lists(st.integers(-reach, reach), min_size=n, max_size=n))
+        columns.append(np.array(values, dtype=_kernels.int_dtype(reach)))
+    # a frame whose elements have exactly these numerator rows
+    frame = Frame(tuple(a + b * sqrt_int(2) for a, b in rows))
+    assert frame.rows == tuple(rows)
+    return columns, frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations())
+def test_frame_combinations_match_the_oracle(data):
+    columns, frame = data
+    a, b = _kernels.combination(columns, frame.rows)
+    expected = [
+        oracle.frame_combination(frame, [int(c[i]) for c in columns])
+        for i in range(len(columns[0]))
+    ]
+    assert list(zip(a.tolist(), b.tolist())) == expected
+    widest = max(abs(x) for row in frame.rows for x in row)
+    if widest >= 2**62:
+        assert a.dtype == b.dtype == object
+    if widest <= 10**6 and all(np.abs(c).max(initial=0) <= 2**20 for c in columns):
+        # no product or partial sum can reach 2**62: the int64 path
+        assert a.dtype == b.dtype == np.int64
+
+
+def test_combinations_of_zero_rows_and_empty_columns():
+    # a part whose entries are all zero is a zero column in the combination's
+    # dtype, and rows past the last column are not read
+    p = np.array([3, -5, 7], dtype=np.int64)
+    q = np.array([1, 2, 3], dtype=np.int64)
+    a, b = _kernels.combination((p, q), ((2, 0), (-1, 0), (2**70, 2**70)))
+    assert a.dtype == b.dtype == np.int64
+    assert a.tolist() == [5, -12, 11] and b.tolist() == [0, 0, 0]
+    a, b = _kernels.combination((p[:0], q[:0]), ((2**70, 0), (0, 1)))
+    assert a.dtype == b.dtype == object and len(a) == len(b) == 0
+    # a column under a (0, 0) row is not read, even one past int64
+    wide = np.array([2**70, 0, -(2**70)], dtype=object)
+    a, b = _kernels.combination((p, wide, q), ((2, 0), (0, 0), (-1, 0)))
+    assert a.dtype == b.dtype == np.int64 and a.tolist() == [5, -12, 11]
 
 
 # -- codings and extremes --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Stepped-line geometry and the SVG rendering around it."""
 
+import hashlib
 from xml.etree import ElementTree
 
 import pytest
@@ -96,3 +97,35 @@ def test_pixel_frame_grows_with_the_unit():
     large = ElementTree.fromstring(stepped_line_svg("AB", unit=30))
     assert float(large.get("width")) > float(small.get("width"))
     assert float(large.get("height")) > float(small.get("height"))
+
+
+def test_vertices_refuse_letters_outside_the_steps():
+    for make, text in ((stepped_vertices, "AXB"), (staircase_vertices, "0120")):
+        with pytest.raises(ValueError, match="letters outside"):
+            make(text)
+
+
+#: sha256 of figures written by the per-vertex writer this one replaced:
+#: (letters of the golden coding or a literal word, unit)
+FIGURE_SHA256 = {
+    (2000, None): "e5bc04de56db095b3290f062e745ad38bf42ef396755b424213e3faf0b1bade0",
+    (2000, 20.0): "e5bc04de56db095b3290f062e745ad38bf42ef396755b424213e3faf0b1bade0",
+    (2000, 0.37): "cd671fb702b9b777ab25328a9e4f572794d6a108d732302d61c338c16e14cd9d",
+    (2000, 7): "339ef0905518bf402bb3e3ddce17d95812666e1203e5baf9d6f3442032746562",
+    # an int unit whose products with the vertices pass int64
+    (2000, 10**16): "86d73011ace20e7cdd69da173bb93c233261dc1b14d29e2de5767f5c6c2885a2",
+    # coordinates past 10**7 px, where %g rounds them
+    (100_000, 200): "4765edf5132a41edc007812f7abb751c05ae144667959332a6e5baebd1fcf342",
+    ("", None): "57c9b5363ea3debce9c0a0cf57e493501233f7539d6b5f966a1bc374523b564e",
+    ("B", None): "9ea3a8a8698fa6f2d77fd9a9bcbb0e8cda09d24bc12cd64241634a4a1844fe1e",
+}
+
+
+@pytest.mark.parametrize("key", list(FIGURE_SHA256), ids=str)
+def test_figure_bytes_are_pinned(key, golden_word_100k):
+    word, unit = key
+    if isinstance(word, int):
+        word = golden_word_100k[:word]
+    # None stands for the default unit, the int 20
+    document = stepped_line_svg(word) if unit is None else stepped_line_svg(word, unit)
+    assert hashlib.sha256(document.encode()).hexdigest() == FIGURE_SHA256[key]
