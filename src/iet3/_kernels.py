@@ -27,8 +27,10 @@ and the three roundings of den, 1/den and the product cost at most
 3.02*u*|v|/den <= 3.03*u*M/den, so |y - (a + b*sqrt(d))/den| <= 7.1*u*M/den.
 The enclosure is lo = fl(y - E), hi = fl(y + E) with E = fl(fl(M) * BOUND *
 s) and BOUND = 2**-49 = 16*u, so E >= 15.9*u*M/den.  The rounding of y -+ E
-is at most u*(|y| + E) <= 1.1*u*M/den, and 7.1 + 1.1 < 15.9, so lo <= (a +
-b*sqrt(d))/den <= hi.  Where a float overflows, a bound comes out
+is at most u*(|y| + E), and u*|y| <= 1.01*u*M/den, so lo <= y - (1-u)*E +
+1.01*u*M/den with (1-u)*E >= 15.8*u*M/den, and 15.8 - 1.01 > 7.1; hi
+likewise, so lo <= (a + b*sqrt(d))/den <= hi.  Only E >= 15.9*u*M/den is
+used, so any larger E keeps it.  Where a float overflows, a bound comes out
 infinite or NaN and decides nothing; setting BOUND to infinity sends every
 element to the exact path.
 
@@ -45,8 +47,12 @@ numerators m*a1 + a0 all stay below 2**53 in magnitude builds them in
 float64 straight from a float ``arange``.  Every product and sum on the
 way is an integer below 2**53, so it is exact, and the floats are
 fl(a) = a and fl(b) = b, the very inputs the bound above starts from; the
-proof holds unchanged.  Only the elements the enclosure leaves open get
-Python-int numerators, for ``int_floor``.
+proof holds unchanged.  There a, b, fa and fp = fl(fl(b) * fl(sqrt(d)))
+are monotone in m, since rounding is, so |fa| + |fp| is at most the sum
+of the largest |fa| and the largest |fp|, both read off the chunk's two
+ends.  One E = fl(fl(max|fa| + max|fp|) * BOUND * s) per chunk is then no
+smaller than any element's own, and serves them all.  Only the elements
+the enclosure leaves open get Python-int numerators, for ``int_floor``.
 
 Shared enclosures.  ``bounds`` returns the enclosures of a whole array,
 and ``argmin`` always takes them from its caller instead of enclosing
@@ -130,9 +136,13 @@ def _enclose(a, b, d: int, den: int = 1):
     return _bounds(fa, fb, d, den)
 
 
-def _bounds(fa, fb, d: int, den: int):
+def _bounds(fa, fb, d: int, den: int, monotone: bool = False):
     """The bounds of ``_enclose`` from fa = fl(a) and fb = fl(b), which it
-    overwrites."""
+    overwrites.
+
+    With ``monotone``, fa and fb are monotone and finite, so |fa| and |fp|
+    peak at their ends, and one E from those peaks serves every element.
+    """
     try:
         scale = 1 / float(den)
     except OverflowError:
@@ -141,8 +151,11 @@ def _bounds(fa, fb, d: int, den: int):
         fb *= math.sqrt(d)
         y = fa + fb
         y *= scale
-        e = np.abs(fa, out=fa)
-        e += np.abs(fb, out=fb)
+        if monotone:
+            e = max(abs(fa[0]), abs(fa[-1])) + max(abs(fb[0]), abs(fb[-1]))
+        else:
+            e = np.abs(fa, out=fa)
+            e += np.abs(fb, out=fb)
         e *= BOUND * scale
         return y - e, y + e
 
@@ -219,7 +232,8 @@ def affine_floors(offset, slope, d: int, den: int, count: int) -> np.ndarray:
 
     ``offset`` and ``slope`` are (rational, surd) integer numerator pairs
     over ``den``.  A chunk of m whose numerators all stay below 2**53 in
-    magnitude builds them in float64, where they are exact; any other
+    magnitude builds them in float64, where they are exact, and bounds
+    the error of the whole chunk by one E from its two ends; any other
     chunk builds them in the integer dtype that cannot wrap.
     """
     (a0, b0), (a1, b1) = offset, slope
@@ -233,7 +247,7 @@ def affine_floors(offset, slope, d: int, den: int, count: int) -> np.ndarray:
             fa += a0
             m *= b1
             m += b0
-            lo, hi = _bounds(fa, m, d, den)
+            lo, hi = _bounds(fa, m, d, den, monotone=True)
             _settle_floors(
                 out, part, lo, hi, lambda k: int_floor(a0 + k * a1, b0 + k * b1, d, den)
             )

@@ -37,7 +37,6 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
-from xml.etree import ElementTree
 
 import numpy as np
 
@@ -553,15 +552,17 @@ def _cmd_svg(args):
     document = stepped_line_svg(word, unit=args.unit)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
-    root = ElementTree.fromstring(document)
+    # the size is read off the figure's own <svg ...> start tag
+    start = document.index("<svg ")
+    tag = document[start : document.index(">", start)]
     payload = {
         "command": "svg",
         "path": args.out,
         "word_length": len(word),
         "segments": len(word),
         "unit": args.unit,
-        "width": float(root.get("width")),
-        "height": float(root.get("height")),
+        **{name: float(tag.split(f' {name}="')[1].split('"')[0])
+           for name in ("width", "height")},
     }
     return payload, f"wrote {args.out} ({len(word)} segments)", 0
 

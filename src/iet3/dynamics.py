@@ -22,15 +22,17 @@ decides every element whose enclosure holds a single integer part, and
 (exact there) while they stay below 2**53, int64 while they cannot reach
 2**62 and Python ints in an object array otherwise.  No
 float ever decides a letter on its own.  The visited points are integer
-pairs (``words.LatticePoints``), and their ``QuadraticNumber`` values are
-built only when ``OrbitCoding.points`` is read, for output.
+pairs (``words.LatticePoints``), the prefix sums of the letters' steps.
+They are built only when ``OrbitCoding.points`` is read, and their
+``QuadraticNumber`` values only when a point is read, for output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -171,15 +173,38 @@ class IetParameters:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitCoding:
-    """A coded orbit prefix together with the exact visited points."""
+    """A coded orbit prefix together with the exact visited points.
+
+    Letter i moves the orbit point by the integer step ``steps[letter]``
+    on the first two elements of ``frame``, so point i is the prefix sum
+    of the first i letters.  ``points`` is built from the word the first
+    time it is read, and kept; a caller that reads only the letters pays
+    for no point.  Two codings are equal when their words and points are.
+    """
 
     word: Word
-    points: LatticePoints
+    frame: Frame = field(repr=False)
+    steps: Mapping[str, tuple[int, int]] = field(repr=False)
 
     def __len__(self):
         return len(self.word)
+
+    def __eq__(self, other):
+        if not isinstance(other, OrbitCoding):
+            return NotImplemented
+        return self.word == other.word and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.word, self.points))
+
+    @functools.cached_property
+    def points(self) -> LatticePoints:
+        """The points of visits 0..n-1, as integer pairs over ``frame``."""
+        return LatticePoints.prefix_sums(self.frame, self.word.letters, self.steps)[
+            : len(self.word)
+        ]
 
 
 def _visit_letters(point: np.ndarray, visits: np.ndarray) -> str:
@@ -298,8 +323,7 @@ class ThreeIet:
             point = np.concatenate((point, extra))
             visits = np.concatenate((visits, steps + np.flatnonzero(inside)))
         letters = _visit_letters(point, visits[: n + 1])
-        points = LatticePoints.prefix_sums(self._frame, letters, TERNARY_STEPS)
-        return OrbitCoding(Word._trusted(letters, TERNARY), points[:n])
+        return OrbitCoding(Word._trusted(letters, TERNARY), self._frame, TERNARY_STEPS)
 
     def agrees_with(self, other_apply, points: Iterable) -> bool:
         """Exact pointwise agreement of T with another map on given points."""
@@ -364,8 +388,7 @@ class Rotation:
             offset, slope, count.radicand, count.denominator, n + 1
         )
         text = (np.diff(highs) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-        points = LatticePoints.prefix_sums(self._frame, text, _ROTATION_STEPS)
-        return OrbitCoding(Word._trusted(text, BINARY), points[:n])
+        return OrbitCoding(Word._trusted(text, BINARY), self._frame, _ROTATION_STEPS)
 
 
 # -- generic first-return induction ---------------------------------------------

@@ -13,7 +13,8 @@ positions less the number of sorted neighbours sharing n letters or more,
 so every length up to n_max costs one O(N log N) sort, with a
 prefix-doubling round on dense ranks for each doubling of n_max past the
 letters one key holds.  The cutoff is the last length at which the
-word's first half, counted the same way, still shows every factor.
+word's first half, counted the same way from the word's own keys, still
+shows every factor.
 Balance takes one of two paths.  A word over two letters is first tested
 for balance exactly, by a desubstitution of whole-array passes; a
 balanced one, a factor of a mechanical word (Lothaire, *Algebraic
@@ -215,21 +216,6 @@ def _letter_codes(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
-#: k for each residue (2**k - 1) % 67, k = 0..63: the powers of two are
-#: distinct modulo 67, as 2 has order 66 there
-_ONES_LENGTH = np.zeros(67, dtype=np.int64)
-_ONES_LENGTH[[(2**k - 1) % 67 for k in range(64)]] = np.arange(64)
-
-
-def _bit_lengths(x: np.ndarray) -> np.ndarray:
-    """Bit length of each non-negative int64: the top bit is smeared into
-    every lower bit, and the resulting 2**k - 1 names k modulo 67."""
-    x = x.copy()
-    for shift in (1, 2, 4, 8, 16, 32):
-        x |= x >> shift
-    return _ONES_LENGTH[x % 67]
-
-
 def _dense_ranks(keys: np.ndarray, pad: int) -> np.ndarray:
     """1 + the rank of each key among the distinct keys, then ``pad`` zeros."""
     order = np.argsort(keys)
@@ -242,18 +228,62 @@ def _dense_ranks(keys: np.ndarray, pad: int) -> np.ndarray:
     return ranks
 
 
-def _shared_prefix_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarray:
+class _SuffixKeys:
+    """How the suffixes of a word over ``sigma`` letters, cut to ``width``
+    letters, pack into int64 keys: ``bits`` bits a letter, as many letters
+    as fit up to n_max.
+
+    When the letters leave a code unused (``end_code``) they take
+    1..sigma and the end of the word reads as 0, which ends every short
+    suffix; otherwise the key's low ``length_bits`` bits hold the suffix
+    length, so that a short suffix sorts before the keys its zero padding
+    ties with.
+    """
+
+    __slots__ = ("bits", "end_code", "width", "length_bits")
+
+    def __init__(self, sigma: int, n_max: int):
+        bits = max(1, (sigma - 1).bit_length())
+        end_code = sigma < 1 << bits
+        width = min(n_max, 63 // bits)
+        if not end_code:
+            while bits * width + width.bit_length() > 63:
+                width -= 1
+        self.bits, self.end_code, self.width = bits, end_code, max(width, 1)
+        self.length_bits = 0 if end_code else self.width.bit_length()
+
+    def pack(self, code: np.ndarray) -> np.ndarray:
+        """The key of every suffix of ``code``, the letter indices
+        0..sigma-1, then ``width`` zeros; built by doubling the number of
+        letters per key."""
+        size, bits, width = len(code), self.bits, self.width
+        packed = np.zeros(size + width, dtype=np.int64)
+        head = packed[:size]
+        head[:] = code
+        head += self.end_code
+        span = 1
+        while span < width:
+            step = min(span, width - span)
+            tail = packed[span : size + span] >> bits * (span - step)
+            head <<= bits * step
+            head |= tail
+            span += step
+        if self.length_bits:
+            head <<= self.length_bits
+            head |= np.minimum(np.arange(size, 0, -1), width)
+        return packed
+
+
+def _shared_prefix_counts(
+    layout: _SuffixKeys, packed: np.ndarray, n_max: int
+) -> np.ndarray:
     """How many neighbours in the sorted order of the word's suffixes, cut
     to n_max letters, share their first n letters, for n = 0..n_max.
 
-    ``code`` holds the letter indices 0..sigma-1.  Each suffix is read as
-    one int64 key of ``width`` letters, ``bits`` bits each, built by
-    doubling the number of letters per key.  When the letters leave a code
-    unused they take 1..sigma and the end of the word reads as 0, which
-    ends every short suffix; otherwise the key's low bits hold the suffix
-    length, so that a short suffix sorts before the keys its zero padding
-    ties with.  Two sorted neighbours then share as many letters as their
-    XOR has leading zero letters, capped by their lengths.
+    ``packed`` holds the suffix keys that ``layout.pack`` builds, which
+    this only reads.  Two sorted neighbours share as many letters as their
+    XOR has leading zero letters, capped by their lengths; one binary
+    search over the powers of two at the letter boundaries counts them.
 
     Past ``width`` letters, prefix-doubling rounds (Manber and Myers, 1993)
     replace the keys by dense ranks and pair the rank of each block with
@@ -262,31 +292,11 @@ def _shared_prefix_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarra
     block down: a block with equal ranks is skipped whole, and the letters
     of the first unequal one are compared in their packed keys.
     """
-    size = len(code)
-    bits = max(1, (sigma - 1).bit_length())
-    end_code = sigma < 1 << bits
-    width = min(n_max, 63 // bits)
-    if not end_code:
-        while bits * width + width.bit_length() > 63:
-            width -= 1
-    width = max(width, 1)
-    length_bits = 0 if end_code else width.bit_length()
-    packed = np.zeros(size + width, dtype=np.int64)
-    head = packed[:size]
-    head[:] = code
-    head += end_code
-    span = 1
-    while span < width:
-        step = min(span, width - span)
-        tail = packed[span : size + span] >> bits * (span - step)
-        head <<= bits * step
-        head |= tail
-        span += step
-    if length_bits:
-        head <<= length_bits
-        head |= np.minimum(np.arange(size, 0, -1), width)
+    bits, width, length_bits = layout.bits, layout.width, layout.length_bits
+    size = len(packed) - width
+    span = width
     levels = []
-    keys = head
+    keys = packed[:size]
     while span < n_max:
         ranks = _dense_ranks(keys, span)
         levels.append((ranks, span))
@@ -307,8 +317,10 @@ def _shared_prefix_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarra
         ordered = np.sort(keys)
         apart = np.flatnonzero(ordered[:-1] != ordered[1:])
         low, high, shift = ordered[apart], ordered[apart + 1], 0
-    differing = _bit_lengths((low ^ high) >> length_bits)
-    shared = width - (differing + bits - 1) // bits
+    # the letters from the first differing one on are as many as the
+    # powers 2**(bits*j), j < width, that the XOR of the keys reaches
+    powers = np.left_shift(1, bits * np.arange(width, dtype=np.int64))
+    shared = width - np.searchsorted(powers, (low ^ high) >> length_bits, side="right")
     if length_bits:
         mask = (1 << length_bits) - 1
         shared = np.minimum(shared, np.minimum(low & mask, high & mask))
@@ -317,11 +329,11 @@ def _shared_prefix_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarra
     return np.cumsum(shared[::-1])[::-1]
 
 
-def _factor_counts(code: np.ndarray, sigma: int, n_max: int) -> np.ndarray:
+def _factor_counts(layout: _SuffixKeys, packed: np.ndarray, n_max: int) -> np.ndarray:
     """C(0..n_max): the length-n factors start at N - n + 1 positions, and
     sorted neighbours sharing n letters repeat one of them."""
-    counts = len(code) + 1 - np.arange(n_max + 1)
-    counts -= _shared_prefix_counts(code, sigma, n_max)
+    counts = len(packed) - layout.width + 1 - np.arange(n_max + 1)
+    counts -= _shared_prefix_counts(layout, packed, n_max)
     counts[0] = 1
     return counts
 
@@ -346,6 +358,10 @@ def complexity(w, n_max: int) -> ComplexityProfile:
     The trust cutoff is ``reliable_up_to``: the last n, from 1 up, at which
     the profile of the first half h = N // 2 of the word, computed the same
     way, still equals C(n), i.e. the first half already shows every factor.
+    The word is packed once.  A half of more than ``width`` letters has
+    the word's key width, and its keys are the word's but for its last
+    ``width`` positions, whose letters run past the half, so only those
+    are packed again; a shorter half packs its own keys, of its own width.
     """
     w = _as_word(w)
     if n_max > len(w):
@@ -353,10 +369,18 @@ def complexity(w, n_max: int) -> ComplexityProfile:
     alphabet = sorted({ord(a) for a in w.alphabet})
     letters = np.array(alphabet, dtype=np.uint32)
     code = np.searchsorted(letters, _letter_codes(w.letters))
-    counts = _factor_counts(code, len(alphabet), max(n_max, 0))
+    n_max = max(n_max, 0)
+    layout = _SuffixKeys(len(alphabet), n_max)
+    packed = layout.pack(code)
+    counts = _factor_counts(layout, packed, n_max)
     half = len(w) // 2
-    top = max(min(n_max, half), 0)
-    own = _factor_counts(code[:half], len(alphabet), top)
+    top = min(n_max, half)
+    # a half of more than ``width`` letters has the word's width, and its
+    # keys before the cut read no letter past the half
+    own_layout = _SuffixKeys(len(alphabet), top)
+    cut = max(half - layout.width, 0)
+    own_packed = np.concatenate((packed[:cut], own_layout.pack(code[cut:half])))
+    own = _factor_counts(own_layout, own_packed, top)
     differ = np.flatnonzero(own[1:] != counts[1 : top + 1])
     reliable = int(differ[0]) if len(differ) else top
     return ComplexityProfile(tuple(counts.tolist()), reliable)

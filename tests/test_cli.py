@@ -987,6 +987,22 @@ def test_the_figure_of_a_million_letters_fits_in_640_mib(golden_million, tmp_pat
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MILLION_SVG_SHA256
 
 
+#: sha256 of the --json profile of the 10**6-letter golden coding at
+#: --n-max 10**6, recorded before the half word reused the word's keys
+GOLDEN_MILLION_COMPLEXITY_SHA256 = (
+    "6f1eb0322d0d47b6a534d2ef6d2a0f8cbda5cceca71e285b699b1b9b4fcfd07c"
+)
+
+
+def test_the_complexity_of_a_million_letters_fits_in_512_mib(golden_million):
+    argv = ["analyze", "--file", str(golden_million), "--checks", "complexity",
+            "--n-max", "1000000", "--json"]
+    done = capped_cli(argv, 512)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_MILLION_COMPLEXITY_SHA256
+
+
 def test_running_out_of_memory_ends_with_one_error_line(golden_million, tmp_path):
     # 300 MiB holds the interpreter and its imports, not this figure
     out = tmp_path / "figure.svg"

@@ -118,7 +118,46 @@ def test_windows_past_one_packed_key_match_the_slice_sets(
         assert_matches_oracle(word, 100)
 
 
-@pytest.mark.parametrize("alphabet", [BINARY, TERNARY, ("é",), ("α", "β", "γ")])
+#: (letters drawn, declared alphabet, letters one key holds, 63 // bits):
+#: two and four letters use every code, so the key's low bits hold the
+#: suffix length and the width falls short of 63 // bits
+KEY_WIDTHS = [
+    ("01", BINARY, 57, 63),
+    ("ABC", TERNARY, 31, 31),
+    ("ABCD", ("A", "B", "C", "D"), 29, 31),
+    ("αβγδε", ("α", "β", "γ", "δ", "ε"), 21, 21),
+    ("a", ("a",), 63, 63),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(KEY_WIDTHS), st.data())
+def test_the_half_word_keys_match_the_slice_sets(case, data):
+    """The half word reuses the word's keys but for its last ``width``
+    positions.  Windows sit at and around the width and 63 // bits and past
+    both, where doubling rounds run; the half is shorter than, as long as
+    or longer than the width, or shorter than the window, where it packs
+    keys of its own width."""
+    letters, declared, width, fits = case
+    n_max = data.draw(st.sampled_from(
+        [width - 1, width, width + 1, fits, fits + 1, 2 * width + 1]
+    ))
+    half = data.draw(st.sampled_from(
+        [n_max // 2, width - 1, width, width + 1, n_max + 3]
+    ))
+    length = max(2 * half + data.draw(st.integers(0, 1)), n_max)
+    text = data.draw(st.one_of(
+        st.text(alphabet=letters, min_size=length, max_size=length),
+        st.text(alphabet=letters, min_size=1, max_size=6).map(
+            lambda period: (period * length)[:length]
+        ),
+    ))
+    assert_matches_oracle(Word(text, declared), n_max)
+
+
+@pytest.mark.parametrize(
+    "alphabet", [BINARY, TERNARY, ("é",), ("a",), ("α", "β", "γ")]
+)
 def test_the_empty_word_has_one_factor(alphabet):
     assert_matches_oracle(Word("", alphabet), 0)
     assert_matches_oracle(Word("", alphabet), -1)

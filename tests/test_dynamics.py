@@ -3,6 +3,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import assume, given, settings
@@ -97,11 +98,21 @@ def _coding_pools() -> list[tuple[str, str, str]]:
 CODING_TRIPLES = _coding_pools()
 
 
+def _assert_points_are_the_prefix_sums(coding, frame, steps, n: int):
+    """The points, built on first read, are the eager prefix sums of the
+    letters, and a second read returns the same points."""
+    eager = LatticePoints.prefix_sums(frame, coding.word.letters, steps)[:n]
+    points = coding.points
+    assert len(points) == n and points.frame is frame
+    assert np.array_equal(points.p, eager.p) and np.array_equal(points.q, eager.q)
+    assert coding.points is points
+
+
 def _assert_codes_as_all_steps(iet: ThreeIet, n: int, right_closed: bool):
     coding = iet.code_orbit(n, right_closed=right_closed)
     letters = oracle.exchange_letters_of_all_steps(iet, n, right_closed)
     assert coding.word.letters == letters
-    assert coding.points == LatticePoints.prefix_sums(iet._frame, letters, TERNARY_STEPS)[:n]
+    _assert_points_are_the_prefix_sums(coding, iet._frame, TERNARY_STEPS, n)
 
 
 @pytest.mark.parametrize("triple", CODING_TRIPLES, ids="|".join)
@@ -151,6 +162,9 @@ def test_orbit_points_follow_the_translations(golden_params):
         letter = coding.word[n]
         assert coding.points[n] in iet.intervals[letter]
         assert coding.points[n + 1] == coding.points[n] + iet.translations[letter]
+    # codings compare by word and points, across exchanges with equal parameters
+    again = ThreeIet(golden_params).code_orbit(64)
+    assert again == coding != iet.code_orbit(63) and hash(again) == hash(coding)
 
 
 def test_apply_rejects_points_outside_the_domain(golden_params):
@@ -176,6 +190,10 @@ def test_rotation_codings_are_binary_and_exact(golden_params):
     assert coding.word == "001001010010010100101001"
     for n in range(23):
         assert coding.points[n + 1] == rotation.apply(coding.points[n])
+    # a point is k0*shift_low + k1*shift_high
+    steps = {"0": (1, 0), "1": (0, 1)}
+    for n in (0, 1, 24, 5000):
+        _assert_points_are_the_prefix_sums(rotation.code_orbit(n), rotation._frame, steps, n)
 
 
 def test_rotation_requires_zero_in_its_domain():

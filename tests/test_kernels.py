@@ -391,8 +391,26 @@ def affine_rows(draw):
     return (a0, b0), (a1, b1), d, den, count, chunk
 
 
+@st.composite
+def cancelling_rows(draw):
+    """Rows whose surd part cancels at one m, b0 + m*b1 = 0, where the value
+    is an exact integer, or at every m (b0 = b1 = 0), where every value is.
+    The chunk's one error bound, read off its ends, can be far wider there
+    than the element's own.  The count crosses the real ``CHUNK`` boundary,
+    and the cancelling m can sit on either side of it."""
+    d = draw(st.sampled_from(RADICANDS))
+    den = draw(st.sampled_from([1, 3, 2**40 + 1]))
+    count = _kernels.CHUNK + 2
+    k = draw(st.sampled_from([0, _kernels.CHUNK - 1, _kernels.CHUNK, count - 1])
+             | st.integers(0, count - 1))
+    b1 = draw(st.integers(-(2**20), 2**20))
+    a1 = draw(st.integers(-(2**30), 2**30)) * den
+    a0 = draw(st.integers(-(2**20), 2**20)) * den - k * a1
+    return (a0, -k * b1), (a1, b1), d, den, count, _kernels.CHUNK
+
+
 @settings(max_examples=300, deadline=None)
-@given(affine_rows())
+@given(affine_rows() | cancelling_rows())
 def test_affine_floors_agree_with_the_field_floor_in_every_regime(row):
     (a0, b0), (a1, b1), d, den, count, chunk = row
     expected = [int_floor(a0 + m * a1, b0 + m * b1, d, den) for m in range(count)]
