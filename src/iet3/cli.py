@@ -555,14 +555,17 @@ def _cmd_svg(args):
     # the size is read off the figure's own <svg ...> start tag
     start = document.index("<svg ")
     tag = document[start : document.index(">", start)]
+    width, height = (
+        float(tag.split(f' {name}="')[1].split('"')[0]) for name in ("width", "height")
+    )
     payload = {
         "command": "svg",
         "path": args.out,
         "word_length": len(word),
         "segments": len(word),
         "unit": args.unit,
-        **{name: float(tag.split(f' {name}="')[1].split('"')[0])
-           for name in ("width", "height")},
+        "width": width,
+        "height": height,
     }
     return payload, f"wrote {args.out} ({len(word)} segments)", 0
 

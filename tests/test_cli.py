@@ -15,6 +15,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -847,10 +848,16 @@ def test_json_payloads_are_byte_identical_to_the_recorded_ones(capsys):
 
 def test_svg_writes_the_figure_and_reports_geometry(capsys, schema, tmp_path):
     out_path = tmp_path / "line.svg"
-    code, doc, err = run_json(
-        ["svg", "--word", "AACAB", "--out", str(out_path)], capsys, schema
-    )
-    assert code == 0
+    for unit in ("20", "0.37", "1e16"):
+        code, doc, err = run_json(
+            ["svg", "--word", "AACAB", "--out", str(out_path), "--unit", unit],
+            capsys, schema,
+        )
+        # the size as an XML parser reads it off the written figure
+        root = ElementTree.parse(out_path).getroot()
+        assert code == 0 and (doc["width"], doc["height"]) == (
+            float(root.get("width")), float(root.get("height"))
+        )
     assert doc["segments"] == 5
     text = out_path.read_text()
     assert text.count("<svg") == 1
